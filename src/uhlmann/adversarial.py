@@ -183,13 +183,7 @@ def eta_family_reverse_probe(fam: EtaFamily, count: int = 8, seed: int = 0) -> f
     so every probed residual stays below ``2 sqrt(2) eps``.
     """
     rev = uhlmann.flip(fam.instance)
-    w_rev = uhlmann.canonical_w(rev)
-    worst = 0.0
-    for i in range(count):
-        rng = np.random.default_rng((seed, i))
-        q, _ = uhlmann.near_optimal_unitary(rev, w_rev, fam.epsilon, rng)
-        worst = max(worst, uhlmann.rigidity_residual(rev, w_rev, q))
-    return worst
+    return certificate.primal_probe(rev, fam.epsilon, count, seed).best_residual
 
 
 # ---------------------------------------------------------------------------

@@ -127,10 +127,10 @@ def psd_core_check(inst: UhlmannInstance, rank_tol: float | None = None) -> floa
     """
     rho, sigma, rr, _sr, w, p, a = _frame_operators(inst, rank_tol)
     aw = dagger(a) @ w
-    if matcore.op_norm(aw - dagger(aw)) > 1e-8:
+    if matcore.op_norm_exceeds(aw - dagger(aw), 1e-8):
         raise FrameMismatchError("A*W is not self-adjoint within 1e-8")
     mean = uhlmann._mean_rho_inv_sigma(rho, sigma, rank_tol=rank_tol)
-    if matcore.op_norm(aw - rr @ mean @ rr) > 1e-8:
+    if matcore.op_norm_exceeds(aw - rr @ mean @ rr, 1e-8):
         raise FrameMismatchError("A*W does not match rho^1/2 (rho^-1 # sigma) rho^1/2")
     eta = uhlmann.spectral_gap_eta(inst, rank_tol=rank_tol)
     kappa = uhlmann.obliqueness_kappa(inst, rank_tol=rank_tol)
@@ -156,10 +156,15 @@ def primal_probe(
 ) -> PrimalProbe:
     """Probe the primal side: maximize the residual over feasible unitaries.
 
-    Candidates are generated by the bisection walk of
-    ``near_optimal_unitary`` (independent substream per trial), plus any
-    caller-supplied unitaries that satisfy the overlap constraint.  By
-    weak duality every probed residual stays below the dual bound.
+    Candidates are the bisection walks of ``uhlmann.near_optimal_unitaries``,
+    one per trial on the substream ``default_rng((seed, i))``, all passed in
+    one batched call, plus any caller-supplied unitaries that satisfy the
+    overlap constraint.  A walk bisects on the closed-form overlap
+    ``sum_k a_k exp(i t lam_k)`` along its path; the overlap it reports, and
+    ``best_overlap`` with it, comes from ``states.overlap`` on the final
+    unitary, and every candidate passes the unitarity check of
+    ``rigidity_residual``.  By weak duality every probed residual stays
+    below the dual bound.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -174,9 +179,8 @@ def primal_probe(
         res = uhlmann.rigidity_residual(inst, w, cand)
         if res > best_res:
             best_res, best_ov = res, float(ov)
-    for i in range(trials):
-        rng = np.random.default_rng((seed, i))
-        r, ov = uhlmann.near_optimal_unitary(inst, w, epsilon, rng)
+    rngs = (np.random.default_rng((seed, i)) for i in range(trials))
+    for r, ov in uhlmann.near_optimal_unitaries(inst, w, epsilon, rngs):
         res = uhlmann.rigidity_residual(inst, w, r)
         if res > best_res:
             best_res, best_ov = res, ov

@@ -131,7 +131,7 @@ class ApproxRep:
         for u in us:
             if u.shape != (d, d):
                 raise DimensionMismatchError("unitaries must share one dimension")
-            if matcore.op_norm(dagger(u) @ u - np.eye(d)) > 1e-9:
+            if matcore.op_norm_exceeds(dagger(u) @ u - np.eye(d), 1e-9):
                 raise NotUnitaryError("representation element is not unitary within 1e-9")
         mu = np.full(group.order, 1.0 / group.order) if mu is None else np.asarray(mu, float)
         if mu.shape != (group.order,) or mu.min() < 0 or abs(mu.sum() - 1.0) > 1e-10:
@@ -281,7 +281,7 @@ def build_states(rep: ApproxRep) -> UhlmannInstance:
     mc = arr_c.reshape(d, dim_b)
     md = arr_d.reshape(d, dim_b)
     inst = UhlmannInstance.from_states(BipartitePureState(mc), BipartitePureState(md))
-    if matcore.op_norm(inst.rho.mat - inst.sigma.mat) > 1e-9:
+    if matcore.op_norm_exceeds(inst.rho.mat - inst.sigma.mat, 1e-9):
         raise ConsistencyError("A-side reductions of C and D should coincide")
     return inst
 
@@ -385,7 +385,7 @@ def stability_check(rep: ApproxRep) -> StabilityResult:
         raise ConsistencyError(f"expected eta = kappa = 1, got ({eta}, {kappa})")
     if dist > defect + 1e-6:
         raise ConsistencyError(f"stability distance {dist} exceeds defect {defect}")
-    if matcore.op_norm(inst.c.coeffs @ wt.T - inst.d.coeffs) > 1e-9:
+    if matcore.op_norm_exceeds(inst.c.coeffs @ wt.T - inst.d.coeffs, 1e-9):
         raise ConsistencyError("W~ does not map C to D")
     return StabilityResult(
         defect_epsilon=defect,

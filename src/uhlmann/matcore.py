@@ -37,6 +37,7 @@ __all__ = [
     "image_projector",
     "matrix_sign",
     "op_norm",
+    "op_norm_exceeds",
     "pseudoinverse",
     "psd_pinv_sqrt",
     "psd_sqrt",
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 RANK_TOL_SCALE = 1e-12
+_SCREEN_MARGIN = 1e-10
 
 
 def as_matrix(m) -> np.ndarray:
@@ -107,7 +109,7 @@ def hermitian_eigen(m, tol: float = 1e-10) -> HermitianEigen:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
-    if op_norm(a - dagger(a)) > tol:
+    if op_norm_exceeds(a - dagger(a), tol):
         raise NotHermitianError(f"matrix is not Hermitian within tol={tol}")
     try:
         w, v = np.linalg.eigh(a)
@@ -215,6 +217,22 @@ def op_norm(m) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def op_norm_exceeds(m, tol: float) -> bool:
+    """``op_norm(m) > tol``, deciding most inputs without an SVD.
+
+    The Frobenius norm bounds the operator norm from above, so a Frobenius
+    norm at most ``tol`` settles the answer as False; only a larger one
+    falls back to the exact operator norm.  The screen keeps a relative
+    margin of ``_SCREEN_MARGIN`` below ``tol``, which covers the rounding
+    of both norms where they coincide (rank one), so the decision is the
+    same as ``op_norm(m) > tol`` on every input.  A non-finite norm fails
+    the screen, so such input reaches ``op_norm`` exactly as before.
+    """
+    if np.linalg.norm(m) <= tol * (1.0 - _SCREEN_MARGIN):
+        return False
+    return op_norm(m) > tol
+
+
 def _min_eig(h: np.ndarray) -> float:
     sym = (h + dagger(h)) / 2
     w = np.linalg.eigvalsh(sym)
@@ -239,7 +257,7 @@ def schur_psd_check(a, b, c, tol: float = 1e-9) -> bool:
         raise DimensionMismatchError("A and C must be square")
     if b.shape != (n, m):
         raise DimensionMismatchError(f"B must be {n}x{m}, got {b.shape}")
-    if op_norm(a - dagger(a)) > tol or op_norm(c - dagger(c)) > tol:
+    if op_norm_exceeds(a - dagger(a), tol) or op_norm_exceeds(c - dagger(c), tol):
         raise NotHermitianError("A and C must be Hermitian within tol")
 
     a_pinv = pseudoinverse(a)

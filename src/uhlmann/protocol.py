@@ -107,7 +107,7 @@ class ProverStrategy:
         n = ch.shape[0]
         if ch.shape[1] != n or self.ancilla_dim < 1 or n % self.ancilla_dim:
             raise DimensionMismatchError("channel must be square with dim divisible by ancilla_dim")
-        if matcore.op_norm(dagger(ch) @ ch - np.eye(n)) > 1e-9:
+        if matcore.op_norm_exceeds(dagger(ch) @ ch - np.eye(n), 1e-9):
             raise NotUnitaryError(f"prover channel '{self.label}' is not unitary within 1e-9")
         object.__setattr__(self, "channel", ch)
 

@@ -97,7 +97,7 @@ class DensityMatrix:
         m = as_matrix(self.mat)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatchError("density matrix must be square")
-        if matcore.op_norm(m - dagger(m)) > 1e-10:
+        if matcore.op_norm_exceeds(m - dagger(m), 1e-10):
             raise NotPsdError("density matrix is not Hermitian within 1e-10")
         w = np.linalg.eigvalsh((m + dagger(m)) / 2)
         if w.size and w[0] < -1e-10:

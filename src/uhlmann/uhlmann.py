@@ -21,6 +21,8 @@ conjugated matrices so client code can use the formulas verbatim.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +33,7 @@ from .errors import (
     DimensionMismatchError,
     FrameMismatchError,
     IllConditionedError,
+    NoConvergenceError,
     NotPartialIsometryError,
     NotPsdError,
     NotUnitaryError,
@@ -47,6 +50,7 @@ __all__ = [
     "flip",
     "geometric_mean",
     "near_optimal_unitary",
+    "near_optimal_unitaries",
     "obliqueness_kappa",
     "projector_structure_check",
     "random_instance",
@@ -56,6 +60,9 @@ __all__ = [
     "three_form_deviation",
     "unitary_completion",
 ]
+
+# Walks whose matrices near_optimal_unitaries holds at once.
+_WALK_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,10 @@ class UhlmannInstance:
         return self.c.dim_b
 
     def fidelity(self) -> float:
+        return self._fidelity
+
+    @cached_property
+    def _fidelity(self) -> float:
         return states.fidelity(self.rho, self.sigma)
 
     @cached_property
@@ -121,9 +132,9 @@ class IdentityFrame:
             x_d=x_d,
         )
         for x, red, m in ((x_c, inst.rho.mat, inst.c.coeffs), (x_d, inst.sigma.mat, inst.d.coeffs)):
-            if matcore.op_norm(dagger(x) @ x - np.eye(inst.dim_a)) > 1e-8:
+            if matcore.op_norm_exceeds(dagger(x) @ x - np.eye(inst.dim_a), 1e-8):
                 raise FrameMismatchError("frame operator is not an isometry")
-            if matcore.op_norm(matcore.psd_sqrt(red) @ x.T - m) > 1e-7:
+            if matcore.op_norm_exceeds(matcore.psd_sqrt(red) @ x.T - m, 1e-7):
                 raise FrameMismatchError("frame does not reconstruct the state")
         return frame
 
@@ -172,7 +183,7 @@ def geometric_mean(a, b, rank_tol: float | None = None) -> np.ndarray:
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
     for m in (a, b):
-        if matcore.op_norm(m - dagger(m)) > 1e-9:
+        if matcore.op_norm_exceeds(m - dagger(m), 1e-9):
             raise NotPsdError("geometric mean requires Hermitian inputs")
     ar = matcore.psd_sqrt(a, rank_tol=rank_tol)
     air = matcore.psd_pinv_sqrt(a, rank_tol=rank_tol)
@@ -280,7 +291,7 @@ def unitary_completion(
         return w.copy()
     gauge = np.eye(n_missing, dtype=complex) if rng is None else _haar_unitary(n_missing, rng)
     u = w + coker @ gauge @ dagger(kernel)
-    if matcore.op_norm(dagger(u) @ u - np.eye(w.shape[0])) > 1e-8:
+    if matcore.op_norm_exceeds(dagger(u) @ u - np.eye(w.shape[0]), 1e-8):
         raise NotPartialIsometryError("completion failed the unitarity check")
     return u
 
@@ -288,7 +299,7 @@ def unitary_completion(
 def rigidity_residual(inst: UhlmannInstance, w: np.ndarray, r: np.ndarray) -> float:
     """The squared distance ``|| (1 (x) (W - R) W*W) |C> ||^2``."""
     r = matcore.as_matrix(r)
-    if matcore.op_norm(dagger(r) @ r - np.eye(r.shape[0])) > 1e-8:
+    if matcore.op_norm_exceeds(dagger(r) @ r - np.eye(r.shape[0]), 1e-8):
         raise NotUnitaryError("R must be unitary within 1e-8")
     p = dagger(w) @ w
     moved = inst.c.coeffs @ ((w - r) @ p).T
@@ -390,41 +401,77 @@ def near_optimal_unitary(
 ) -> tuple[np.ndarray, float]:
     """Generate a unitary with overlap ``>= F - epsilon``.
 
-    Walks from a random unitary completion of W along ``U exp(t i H)`` for
-    a random Hermitian generator H, bisecting ``t`` until the real overlap
-    deficit lands near ``deficit_fraction * epsilon`` (from the feasible
-    side, so the constraint always holds).  Returns the unitary and its
-    real overlap.
+    The batch of one of ``near_optimal_unitaries``: walks from a random
+    unitary completion ``U0`` of W along ``U0 V exp(i t lam) V*``, bisecting
+    ``t`` on the closed-form overlap ``sum_k a_k exp(i t lam_k)``.  Returns
+    the unitary and its real overlap, as computed by ``states.overlap``.
+    """
+    ((r, ov),) = near_optimal_unitaries(inst, w, epsilon, [rng], deficit_fraction)
+    return r, ov
+
+
+def near_optimal_unitaries(
+    inst: UhlmannInstance,
+    w: np.ndarray,
+    epsilon: float,
+    rngs: Iterable[np.random.Generator],
+    deficit_fraction: float | None = None,
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Yield one unitary with overlap ``>= F - epsilon`` per generator.
+
+    Each walk draws from its own generator, in this order: the target
+    deficit ``deficit_fraction * epsilon`` (the fraction uniform in
+    [0.3, 1] when None), a random unitary completion ``U0`` of W, and a
+    random Hermitian generator ``H = V diag(lam) V*`` scaled to
+    ``max |lam| = 1``.  Along ``R(t) = U0 V exp(i t lam) V*`` the overlap
+    is the trigonometric sum
+
+        <D| (1 (x) R(t)) |C> = Tr(R(t) K) = sum_k a_k exp(i t lam_k),
+
+    with ``K = Tr_A |C><D|`` and ``a = diag(V* K U0 V)``, so every step of
+    the walk costs O(d) per walk.  ``t`` doubles from pi/4 (at most six
+    times) until the deficit reaches the target, then 60 bisection steps
+    land on the feasible side of it; a generator too weak to reach the
+    target keeps the last, still feasible, ``t``.  Each ``R`` is then
+    built once and yielded with its real overlap from ``states.overlap``.
+
+    Walks run in blocks of ``_WALK_BLOCK``, so memory does not grow with
+    the number of generators; the generators are consumed block by block.
     """
     f = inst.fidelity()
-    target = epsilon * (deficit_fraction if deficit_fraction is not None else rng.uniform(0.3, 1.0))
-    u0 = unitary_completion(w, rng=rng)
-    h = rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape)
-    h = (h + dagger(h)) / 2
-    h /= max(matcore.op_norm(h), 1e-30)
-    eigh = matcore.hermitian_eigen(h)
-
-    def candidate(t):
-        rot = (eigh.vectors * np.exp(1j * t * eigh.values)) @ dagger(eigh.vectors)
-        return u0 @ rot
-
-    def deficit(t):
-        return f - states.overlap(inst.d, candidate(t), inst.c).real
-
-    lo, hi = 0.0, np.pi / 4
-    grow = 0
-    while deficit(hi) < target and grow < 6:
-        lo, hi = hi, hi * 2.0
-        grow += 1
-    if deficit(hi) < target:
-        t_final = hi  # generator barely couples; still feasible, just milder
-    else:
+    k = states.partial_trace_a_outer(inst.c, inst.d)
+    rngs = iter(rngs)
+    while block := list(itertools.islice(rngs, _WALK_BLOCK)):
+        targets, u0s, hs = [], [], []
+        for rng in block:
+            frac = deficit_fraction if deficit_fraction is not None else rng.uniform(0.3, 1.0)
+            targets.append(epsilon * frac)
+            u0s.append(unitary_completion(w, rng=rng))
+            h = rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape)
+            hs.append((h + dagger(h)) / 2)
+        target, u0 = np.array(targets), np.array(u0s)
+        try:
+            lam, v = np.linalg.eigh(np.array(hs))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(str(exc)) from exc
+        lam /= np.maximum(np.abs(lam).max(axis=1, keepdims=True), 1e-30)
+        a = (v.conj() * (k @ u0 @ v)).sum(axis=1)
+        lo, hi = np.zeros(len(block)), np.full(len(block), np.pi / 4)
+        for _ in range(6):
+            grow = f - _walk_overlap(a, lam, hi) < target
+            lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
+        weak = f - _walk_overlap(a, lam, hi) < target
+        t_weak = hi
         for _ in range(60):
             mid = (lo + hi) / 2
-            if deficit(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        t_final = lo  # feasible side: deficit(lo) <= target <= epsilon
-    r = candidate(t_final)
-    return r, float(states.overlap(inst.d, r, inst.c).real)
+            down = f - _walk_overlap(a, lam, mid) < target
+            lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
+        t_final = np.where(weak, t_weak, lo)
+        rot = (v * np.exp(1j * t_final[:, None, None] * lam[:, None, :])) @ v.conj().swapaxes(1, 2)
+        for r in u0 @ rot:
+            yield r, float(states.overlap(inst.d, r, inst.c).real)
+
+
+def _walk_overlap(a: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``Re sum_k a_k exp(i t lam_k)``: the real overlap of each walk at its ``t``."""
+    return (a * np.exp(1j * t[:, None] * lam)).sum(axis=1).real

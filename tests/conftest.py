@@ -3,6 +3,8 @@ import pytest
 
 from uhlmann import matcore
 from uhlmann.matcore import dagger
+from uhlmann.states import BipartitePureState
+from uhlmann.uhlmann import UhlmannInstance, random_instance
 
 
 @pytest.fixture
@@ -36,3 +38,14 @@ def random_unitary(rng, d):
     phase = np.diag(r).copy()
     phase /= np.abs(phase)
     return q * phase
+
+
+def walk_instances():
+    """Fixed instances for the walk tests: d = 2..6, ranks (2, 3) at d = 5, and 2 x 4."""
+    rng = np.random.default_rng(3003)
+    out = [random_instance(d, rng) for d in (2, 3, 4, 5, 6)]
+    out.append(random_instance(5, rng, rank_c=2, rank_d=3))
+    grids = [random_complex(rng, 2, 4) for _ in range(2)]
+    c, d = (BipartitePureState(g / np.linalg.norm(g)) for g in grids)
+    out.append(UhlmannInstance.from_states(c, d))
+    return out

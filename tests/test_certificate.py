@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import walk_instances
 from uhlmann import states
 from uhlmann.certificate import build_certificate, dual_bound, primal_probe, psd_core_check
 from uhlmann.matcore import dagger, op_norm, trace_norm
@@ -121,3 +122,34 @@ def test_primal_probe_skips_infeasible_candidates(rng):
     probe = primal_probe(inst, eps, trials=5, seed=1, extra_candidates=[far])
     assert probe.best_residual <= dual_bound(inst, eps) + 1e-6
     assert probe.best_overlap >= inst.fidelity() - eps - 1e-9
+
+
+# (best_residual, best_overlap) at eps = 1e-2 and 1e-4, 40 trials, seed 17 + k
+# for the k-th walk instance, as computed by the per-walk bisection loop that
+# evaluated states.overlap at every step.
+PROBE_GOLDEN = [
+    (0.025555199219977783, 0.7393762956937757, 0.00025555199219957247, 0.7490507479192849),
+    (0.028671246650435994, 0.6945423982446215, 0.00028671293339733946, 0.7042073394257408),
+    (0.027571562441794276, 0.7281906938217867, 0.00027573972094717625, 0.7375160101399583),
+    (0.03184472736494139, 0.6748789461891487, 0.0003185258226457737, 0.683823363218247),
+    (0.01697510485390581, 0.47234447409867436, 0.00016975104853854465, 0.482157202546758),
+    (0.04039972608122903, 0.47999308124440543, 0.0004040213279378026, 0.48958979680997367),
+    (0.018964647278536324, 0.9826174325962965, 0.0001896444697834734, 0.991657100247981),
+]
+
+
+def test_primal_probe_golden():
+    for k, (inst, gold) in enumerate(zip(walk_instances(), PROBE_GOLDEN)):
+        high, low = primal_probe(inst, 1e-2, 40, 17 + k), primal_probe(inst, 1e-4, 40, 17 + k)
+        got = (high.best_residual, high.best_overlap, low.best_residual, low.best_overlap)
+        np.testing.assert_allclose(got, gold, rtol=0, atol=1e-12)
+
+
+def test_primal_probe_golden_unreachable_target():
+    # The deficit F - Re<D|(1 (x) R)|C> never exceeds 2, so at eps = 5 every
+    # walk stops at the last doubled t, 16 pi (golden values as above).
+    insts = walk_instances()
+    for k, gold in ((1, (3.608726723464444, -0.5379622426590724)),
+                    (6, (2.6307663259828424, -0.2939293391833147))):
+        probe = primal_probe(insts[k], 5.0, 10, 40 + k)
+        np.testing.assert_allclose((probe.best_residual, probe.best_overlap), gold, rtol=0, atol=1e-12)

@@ -10,6 +10,7 @@ from uhlmann.matcore import (
     image_projector,
     matrix_sign,
     op_norm,
+    op_norm_exceeds,
     pseudoinverse,
     psd_sqrt,
     schur_psd_check,
@@ -151,6 +152,26 @@ def test_norms(rng):
     eig = hermitian_eigen(dagger(m) @ m)
     assert trace_norm(m) == pytest.approx(np.sqrt(eig.values).sum(), abs=1e-10)
     assert op_norm(m) == pytest.approx(np.sqrt(eig.values[0]), abs=1e-10)
+
+
+def test_op_norm_exceeds_matches_op_norm(rng):
+    # c * I_d has Frobenius norm c * sqrt(d) but operator norm c: with
+    # c <= tol < c sqrt(d) the screen passes it on to the exact norm.
+    d, tol = 4, 1e-8
+    for c in (0.1 * tol, 0.5 * tol, tol, tol * (1 + 1e-6), 1.5 * tol, 2 * tol * np.sqrt(d)):
+        m = c * np.eye(d, dtype=complex)
+        assert op_norm_exceeds(m, tol) == (op_norm(m) > tol)
+    assert not op_norm_exceeds(tol * np.eye(d), tol)
+    assert op_norm_exceeds(tol * (1 + 1e-6) * np.eye(d), tol)
+    # Rank one: the two norms coincide, so the decision falls to the exact norm.
+    x = random_complex(rng, d, 1)
+    for c in (1 - 1e-6, 1.0, 1 + 1e-6):
+        m = c * tol * (x @ dagger(x)) / np.vdot(x, x).real
+        assert op_norm_exceeds(m, tol) == (op_norm(m) > tol)
+    for scale in (1e-10, 1e-9, 3e-9, 1e-8, 1e-7):
+        m = scale * random_complex(rng, 5, 5)
+        assert op_norm_exceeds(m, 1e-8) == (op_norm(m) > 1e-8)
+    assert not op_norm_exceeds(np.zeros((3, 3)), 0.0)
 
 
 def test_schur_psd_check_examples(rng):

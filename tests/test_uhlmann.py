@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_psd, random_unitary
+from conftest import random_psd, random_unitary, walk_instances
 from uhlmann import matcore, states
 from uhlmann.errors import NotPartialIsometryError, NotPsdError, NotUnitaryError
 from uhlmann.matcore import dagger
@@ -11,6 +11,7 @@ from uhlmann.uhlmann import (
     canonical_w,
     flip,
     geometric_mean,
+    near_optimal_unitaries,
     near_optimal_unitary,
     obliqueness_kappa,
     projector_structure_check,
@@ -237,6 +238,40 @@ def test_robust_rigidity_bound_random(rng):
             r, ov = near_optimal_unitary(inst, w, 1e-2, rng)
             assert ov >= rep.fidelity - 1e-2 - 1e-9
             assert rigidity_residual(inst, w, r) <= rep.delta_bound + 1e-6
+
+
+def test_batched_walks_match_single_walks():
+    # More walks than one block, so the block boundary is crossed.
+    n = 70
+    for k, inst in enumerate(walk_instances()):
+        w = canonical_w(inst)
+        f = inst.fidelity()
+        for eps in (1e-4, 1e-2):
+            batch = list(
+                near_optimal_unitaries(inst, w, eps, (np.random.default_rng((k, i)) for i in range(n)))
+            )
+            assert len(batch) == n
+            for i, (r, ov) in enumerate(batch):
+                r1, ov1 = near_optimal_unitary(inst, w, eps, np.random.default_rng((k, i)))
+                np.testing.assert_allclose(r, r1, rtol=0, atol=1e-12)
+                assert ov == pytest.approx(ov1, abs=1e-12)
+                assert f - eps - 1e-12 <= ov <= f + 1e-12
+                assert ov == states.overlap(inst.d, r, inst.c).real
+
+
+def test_fixed_deficit_walk_lands_on_target():
+    inst = walk_instances()[3]
+    w = canonical_w(inst)
+    f = inst.fidelity()
+    for i in range(5):
+        _, ov = near_optimal_unitary(inst, w, 1e-3, np.random.default_rng(i), deficit_fraction=1.0)
+        assert f - 1e-3 - 1e-12 <= ov <= f - 1e-3 + 1e-9
+
+
+def test_cached_fidelity_is_the_states_fidelity():
+    for inst in walk_instances():
+        assert inst.fidelity() == states.fidelity(inst.rho, inst.sigma)
+        assert inst.fidelity() == inst.fidelity()
 
 
 def test_flip_swaps_roles(rng):
