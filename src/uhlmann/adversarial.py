@@ -41,6 +41,8 @@ __all__ = [
     "build_eta_family",
     "build_kappa_family",
     "eta_family_reverse_probe",
+    "kappa_rho",
+    "kappa_vec",
     "qutrit_sensitivity",
     "round_spectral_gap",
 ]
@@ -224,6 +226,18 @@ def _unit_perp(v: np.ndarray) -> np.ndarray:
         if nrm > 1e-6:
             return w / nrm
     raise BadParamsError("no orthogonal direction found (d must be >= 2)")
+
+
+def kappa_rho(d: int, lam: float) -> DensityMatrix:
+    """``diag(1 - (d-1) lam, lam, ..., lam)``: the family's rho with small eigenvalue ``lam``."""
+    diag = np.full(d, lam)
+    diag[0] = 1.0 - (d - 1) * lam
+    return DensityMatrix(np.diag(diag).astype(complex))
+
+
+def kappa_vec(d: int, weight: float) -> np.ndarray:
+    """``sqrt(weight)|0> + sqrt(1 - weight)|1>``: the family's target vector."""
+    return np.array([np.sqrt(weight), np.sqrt(1.0 - weight)] + [0.0] * (d - 2), dtype=complex)
 
 
 def build_kappa_family(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, states, uhlmann
-from .errors import ConsistencyError, FrameMismatchError
+from .errors import FrameMismatchError
 from .matcore import dagger
 from .uhlmann import UhlmannInstance
 
@@ -49,12 +49,7 @@ class DualCertificate:
     feasibility_margin: float
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "value": self.value,
-            "feasible": self.feasible,
-            "feasibility_margin": self.feasibility_margin,
-        }
+        return {k: getattr(self, k) for k in ("alpha", "value", "feasible", "feasibility_margin")}
 
 
 @dataclass(frozen=True)
@@ -67,22 +62,28 @@ class PrimalProbe:
     seed: int
 
 
-def _frame_operators(inst: UhlmannInstance, rank_tol):
-    fr = inst.frame
-    rho, sigma = fr.rho, fr.sigma
-    rr = matcore.psd_sqrt(rho, rank_tol=rank_tol)
-    sr = matcore.psd_sqrt(sigma, rank_tol=rank_tol)
-    w = matcore.matrix_sign(sr @ rr, rank_tol=rank_tol)
-    p = dagger(w) @ w
-    a = sr @ rr
-    return rho, sigma, rr, sr, w, p, a
+def _feasible_point(core: uhlmann.SpectralCore, alpha: float) -> tuple:
+    """``(alpha, T, Y1, Y2, ||T||_1, margin)``, all that depends on alpha alone.
+
+    Kept on the core for the last alpha: ``dual_bound`` after a certificate
+    at the same alpha decomposes nothing.
+    """
+    point = core.certificate_point
+    if point is not None and point[0] == alpha:
+        return point
+    w, p = core.w, core.p
+    t = 0.5 * (alpha * dagger(core.a) + p @ core.inst.frame.rho @ dagger(w))
+    y1 = matcore.psd_sqrt(dagger(t) @ t, tol=1e-8, rank_tol=core.rank_tol)
+    y2 = t @ matcore.pseudoinverse(y1, rank_tol=core.rank_tol) @ dagger(t)
+    # Constraint block minus right-hand side reduces to [[Y1, T*], [T, Y2]];
+    # the Schur and direct paths must agree on its PSD-ness.
+    margin = matcore.schur_psd_margin(y1, dagger(t), y2, tol=1e-8)
+    core.certificate_point = (alpha, t, y1, y2, matcore.trace_norm(t), margin)
+    return core.certificate_point
 
 
 def build_certificate(
-    inst: UhlmannInstance,
-    epsilon: float,
-    alpha: float,
-    rank_tol: float | None = None,
+    inst: UhlmannInstance, epsilon: float, alpha: float, rank_tol: float | None = None
 ) -> DualCertificate:
     """Assemble the closed-form dual certificate at the given ``alpha``.
 
@@ -92,30 +93,10 @@ def build_certificate(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    rho, _sigma, _rr, _sr, w, p, a = _frame_operators(inst, rank_tol)
-    t = 0.5 * (alpha * dagger(a) + p @ rho @ dagger(w))
-    y1 = matcore.psd_sqrt(dagger(t) @ t, tol=1e-8, rank_tol=rank_tol)
-    y2 = t @ matcore.pseudoinverse(y1, rank_tol=rank_tol) @ dagger(t)
-    f = inst.fidelity()
-    value = 2.0 * matcore.trace_norm(t) + alpha * (f - epsilon)
-    # Constraint block minus right-hand side reduces to [[Y1, T*], [T, Y2]].
-    block = np.block([[y1, dagger(t)], [t, y2]])
-    margin = float(np.linalg.eigvalsh((block + dagger(block)) / 2).min())
-    schur_ok = matcore.schur_psd_check(y1, dagger(t), y2, tol=1e-8)
-    direct_ok = margin >= -1e-8
-    if schur_ok != direct_ok and abs(margin) > 1e-6:
-        raise ConsistencyError(
-            f"certificate feasibility paths disagree (margin {margin:.3e})"
-        )
-    return DualCertificate(
-        alpha=float(alpha),
-        t=t,
-        y1=y1,
-        y2=y2,
-        value=float(value),
-        feasible=direct_ok,
-        feasibility_margin=margin,
-    )
+    _, t, y1, y2, t_norm, margin = _feasible_point(inst.spectral_core(rank_tol), alpha)
+    value = 2.0 * t_norm + alpha * (inst.fidelity() - epsilon)
+    return DualCertificate(alpha=float(alpha), t=t, y1=y1, y2=y2, value=float(value),
+                           feasible=margin >= -1e-8, feasibility_margin=margin)
 
 
 def psd_core_check(inst: UhlmannInstance, rank_tol: float | None = None) -> float:
@@ -125,26 +106,24 @@ def psd_core_check(inst: UhlmannInstance, rank_tol: float | None = None) -> floa
     two structural facts behind it: ``A*W`` is self-adjoint and equals
     ``rho^1/2 (rho^-1 # sigma) rho^1/2``.
     """
-    rho, sigma, rr, _sr, w, p, a = _frame_operators(inst, rank_tol)
-    aw = dagger(a) @ w
+    core = inst.spectral_core(rank_tol)
+    aw = dagger(core.a) @ core.w
     if matcore.op_norm_exceeds(aw - dagger(aw), 1e-8):
         raise FrameMismatchError("A*W is not self-adjoint within 1e-8")
-    mean = uhlmann._mean_rho_inv_sigma(rho, sigma, rank_tol=rank_tol)
-    if matcore.op_norm_exceeds(aw - rr @ mean @ rr, 1e-8):
+    rr = core.sqrt_rho.conj()
+    if matcore.op_norm_exceeds(aw - rr @ core.mean.conj() @ rr, 1e-8):
         raise FrameMismatchError("A*W does not match rho^1/2 (rho^-1 # sigma) rho^1/2")
-    eta = uhlmann.spectral_gap_eta(inst, rank_tol=rank_tol)
-    kappa = uhlmann.obliqueness_kappa(inst, rank_tol=rank_tol)
-    core = (kappa / eta) * aw - p @ rho @ p
-    return float(np.linalg.eigvalsh((core + dagger(core)) / 2).min())
+    eta, kappa = core.eta, core.kappa
+    m = (kappa / eta) * aw - core.p @ inst.frame.rho @ core.p
+    return float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
 
 
 def dual_bound(inst: UhlmannInstance, epsilon: float, rank_tol: float | None = None) -> float:
     """The rigidity bound ``2 (value + Tr(P rho)) = (2 kappa / eta) eps``."""
-    eta = uhlmann.spectral_gap_eta(inst, rank_tol=rank_tol)
-    kappa = uhlmann.obliqueness_kappa(inst, rank_tol=rank_tol)
+    core = inst.spectral_core(rank_tol)
+    eta, kappa = core.eta, core.kappa
     cert = build_certificate(inst, epsilon, alpha=-kappa / eta, rank_tol=rank_tol)
-    rho, _sigma, _rr, _sr, _w, p, _a = _frame_operators(inst, rank_tol)
-    return float(2.0 * (cert.value + np.trace(p @ rho).real))
+    return float(2.0 * (cert.value + np.trace(core.p @ inst.frame.rho).real))
 
 
 def primal_probe(

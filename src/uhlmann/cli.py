@@ -16,6 +16,7 @@ every randomized subcommand requires an explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,7 +31,6 @@ from .errors import (
     NoConvergenceError,
     UhlmannError,
 )
-from .states import DensityMatrix
 
 SCHEMA_VERSION = 1
 
@@ -109,19 +109,19 @@ def _cmd_report(args) -> int:
         seed = _require_seed(args)
         probe = certificate.primal_probe(inst, args.epsilon, args.probe_trials, seed)
         empirical = probe.best_residual
-    rep = uhlmann.rigidity_report(inst, args.epsilon, empirical_primal=empirical)
+    rep = uhlmann.rigidity_report(inst, args.epsilon, rank_tol=args.tol, empirical_primal=empirical)
     _emit_json(rep.to_dict(), args.out)
     return 0
 
 
 def _cmd_certificate(args) -> int:
     inst = _load_instance(args)
-    eta = uhlmann.spectral_gap_eta(inst)
-    kappa = uhlmann.obliqueness_kappa(inst)
+    eta = uhlmann.spectral_gap_eta(inst, rank_tol=args.tol)
+    kappa = uhlmann.obliqueness_kappa(inst, rank_tol=args.tol)
     alpha = args.alpha if args.alpha is not None else -kappa / eta
-    cert = certificate.build_certificate(inst, args.epsilon, alpha)
+    cert = certificate.build_certificate(inst, args.epsilon, alpha, rank_tol=args.tol)
     payload = cert.to_dict()
-    payload["dual_bound"] = certificate.dual_bound(inst, args.epsilon)
+    payload["dual_bound"] = certificate.dual_bound(inst, args.epsilon, rank_tol=args.tol)
     if args.probe_trials:
         seed = _require_seed(args)
         probe = certificate.primal_probe(inst, args.epsilon, args.probe_trials, seed)
@@ -136,88 +136,29 @@ _ADV_HEADER = ["family", "d", "fidelity", "eta", "kappa", "epsilon", "residual",
 
 
 def _cmd_adversarial(args) -> int:
-    rows = []
+    nan = float("nan")
     if args.family == "eta":
         fam = adversarial.build_eta_family(args.d, args.eta, args.tau)
-        rows.append(
-            [
-                "eta",
-                fam.d,
-                fam.instance.fidelity(),
-                fam.eta,
-                1.0,
-                fam.epsilon,
-                fam.residual,
-                fam.bound,
-                abs(fam.residual - fam.bound) <= 1e-6,
-            ]
-        )
-    elif args.family == "kappa":
-        rho = _kappa_rho(args.d, args.lam)
-        vec = _kappa_vec(args.d, args.weight)
+        row = ["eta", fam.d, fam.instance.fidelity(), fam.eta, 1.0, fam.epsilon,
+               fam.residual, fam.bound, abs(fam.residual - fam.bound) <= 1e-6]
+    elif args.family in ("kappa", "boost"):
+        rho = adversarial.kappa_rho(args.d, args.lam)
+        vec = adversarial.kappa_vec(args.d, args.weight)
         fam = adversarial.build_kappa_family(args.d, rho, vec, args.epsilon)
-        bound = certificate.dual_bound(fam.instance, fam.epsilon)
-        rows.append(
-            [
-                "kappa",
-                fam.d,
-                fam.fidelity,
-                fam.eta,
-                fam.kappa,
-                fam.epsilon,
-                fam.residual,
-                bound,
-                abs(fam.residual - bound) <= 1e-6,
-            ]
-        )
-    elif args.family == "boost":
-        rho = _kappa_rho(args.d, args.lam)
-        vec = _kappa_vec(args.d, args.weight)
-        base = adversarial.build_kappa_family(args.d, rho, vec, args.epsilon)
-        boosted = adversarial.build_boosted_kappa(base)
-        rows.append(
-            [
-                "boost",
-                args.d + 1,
-                boosted.fidelity,
-                boosted.eta,
-                boosted.kappa,
-                base.epsilon,
-                float("nan"),
-                float("nan"),
-                False,
-            ]
-        )
+        if args.family == "kappa":
+            bound = certificate.dual_bound(fam.instance, fam.epsilon)
+            row = ["kappa", fam.d, fam.fidelity, fam.eta, fam.kappa, fam.epsilon,
+                   fam.residual, bound, abs(fam.residual - bound) <= 1e-6]
+        else:
+            boost = adversarial.build_boosted_kappa(fam)
+            row = ["boost", args.d + 1, boost.fidelity, boost.eta, boost.kappa, fam.epsilon,
+                   nan, nan, False]
     else:  # qutrit
         sens = adversarial.qutrit_sensitivity(args.epsilon)
-        rows.append(
-            [
-                "qutrit",
-                3,
-                sens.perturbed.fidelity(),
-                float("nan"),
-                float("nan"),
-                args.epsilon,
-                sens.w_distance,
-                sens.state_distance,
-                False,
-            ]
-        )
-    _emit_csv(_ADV_HEADER, rows, args.out)
+        row = ["qutrit", 3, sens.perturbed.fidelity(), nan, nan, args.epsilon,
+               sens.w_distance, sens.state_distance, False]
+    _emit_csv(_ADV_HEADER, [row], args.out)
     return 0
-
-
-def _kappa_rho(d: int, lam: float) -> DensityMatrix:
-    diag = np.full(d, lam)
-    diag[0] = 1.0 - (d - 1) * lam
-    return DensityMatrix(np.diag(diag).astype(complex))
-
-
-def _kappa_vec(d: int, weight: float) -> np.ndarray:
-    vec = np.zeros(d, dtype=complex)
-    vec[0] = np.sqrt(weight)
-    vec[1] = np.sqrt(1.0 - weight)
-    return vec
 
 
 def _cmd_round_gap(args) -> int:
@@ -305,16 +246,7 @@ def _cmd_grouprep(args) -> int:
         rng = np.random.default_rng((seed, k))
         rep = grouprep.perturbed_rep(group, dim, args.scale, rng)
         res = grouprep.stability_check(rep)
-        rows.append(
-            {
-                "index": k,
-                "defect_epsilon": res.defect_epsilon,
-                "stability_distance": res.stability_distance,
-                "uhlmann_residual": res.uhlmann_residual,
-                "eta": res.eta,
-                "kappa": res.kappa,
-            }
-        )
+        rows.append({"index": k, **dataclasses.asdict(res)})
     lines = []
     for row in rows:
         lines.append("{" + ",".join(f'"{k}":{_fmt(row[k])}' for k in sorted(row)) + "}")
@@ -345,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--c", required=required, help="state file for |C>")
         sp.add_argument("--d", required=required, help="state file for |D>")
 
-    def add_common(sp):
+    def add_common(sp, tol=1e-9):
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=1e-9)
+        sp.add_argument("--tol", type=float, default=tol)
         sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
     sp = sub.add_parser("canonical", help="write the canonical transformation W")
@@ -357,14 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("report", help="rigidity report for a state pair")
     add_states(sp)
-    add_common(sp)
+    add_common(sp, tol=None)  # rank tolerance; None keeps the library default
     sp.add_argument("--epsilon", type=float, default=0.01)
     sp.add_argument("--probe-trials", type=int, default=0)
     sp.set_defaults(func=_cmd_report)
 
     sp = sub.add_parser("certificate", help="dual certificate and bound")
     add_states(sp)
-    add_common(sp)
+    add_common(sp, tol=None)
     sp.add_argument("--epsilon", type=float, default=0.01)
     sp.add_argument("--alpha", type=float, default=None, help="default: -kappa/eta")
     sp.add_argument("--probe-trials", type=int, default=0)
@@ -427,7 +359,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if hasattr(args, "tol"):
+        if args.tol is not None:
             _check_tol(args.tol)
         return args.func(args)
     except (

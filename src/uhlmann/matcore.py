@@ -14,7 +14,6 @@ when it exceeds ``rank_tol * largest``.  The default ``rank_tol`` is
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,18 +31,24 @@ __all__ = [
     "Svd",
     "as_matrix",
     "dagger",
-    "default_rank_tol",
+    "eigen_image",
     "hermitian_eigen",
     "image_projector",
+    "inv_sqrt",
     "matrix_sign",
     "op_norm",
     "op_norm_exceeds",
     "pseudoinverse",
+    "psd_eigen",
+    "psd_function",
     "psd_pinv_sqrt",
     "psd_sqrt",
+    "rank_mask",
     "read_matrix",
     "schur_psd_check",
+    "schur_psd_margin",
     "svd",
+    "symmetrized",
     "trace_norm",
     "write_matrix",
 ]
@@ -65,10 +70,6 @@ def as_matrix(m) -> np.ndarray:
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return m.conj().T
-
-
-def default_rank_tol(m: np.ndarray) -> float:
-    return max(m.shape) * RANK_TOL_SCALE
 
 
 @dataclass(frozen=True)
@@ -128,18 +129,29 @@ def svd(m) -> Svd:
     return Svd(u=u, singulars=s, v=dagger(vh))
 
 
+def rank_mask(values: np.ndarray, n: int, rank_tol: float | None = None) -> np.ndarray:
+    """The rank rule: which ``values`` exceed ``rank_tol * max(largest, 0)``.
+
+    The default tolerance is ``n * 1e-12``, ``n = max(rows, cols)``.
+    """
+    tol = rank_tol if rank_tol is not None else n * RANK_TOL_SCALE
+    return values > tol * values.max(initial=0.0)
+
+
+def _svd_kept(m, rank_tol: float | None) -> tuple[Svd, np.ndarray]:
+    """SVD of ``m`` and the mask of its singular values kept by the rank rule."""
+    f = svd(m)
+    return f, rank_mask(f.singulars, max(f.u.shape[0], f.v.shape[0]), rank_tol)
+
+
 def pseudoinverse(m, rank_tol: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse.
 
     Singular values below ``rank_tol * sigma_max`` are treated as zero.
     The zero matrix maps to the zero matrix.
     """
-    a = as_matrix(m)
-    f = svd(a)
-    if f.singulars.size == 0 or f.singulars[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=complex)
-    cut = (rank_tol if rank_tol is not None else default_rank_tol(a)) * f.singulars[0]
-    inv = np.where(f.singulars > cut, 1.0 / np.where(f.singulars > 0, f.singulars, 1.0), 0.0)
+    f, keep = _svd_kept(m, rank_tol)
+    inv = np.where(keep, 1.0 / np.where(keep, f.singulars, 1.0), 0.0)
     return (f.v * inv) @ dagger(f.u)
 
 
@@ -154,56 +166,54 @@ def matrix_sign(m, rank_tol: float | None = None) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
-    f = svd(a)
-    if f.singulars.size == 0 or f.singulars[0] == 0.0:
-        return np.zeros_like(a)
-    cut = (rank_tol if rank_tol is not None else default_rank_tol(a)) * f.singulars[0]
-    keep = f.singulars > cut
+    f, keep = _svd_kept(a, rank_tol)
     return f.u[:, keep] @ dagger(f.v[:, keep])
-
-
-def psd_sqrt(m, tol: float = 1e-10, rank_tol: float | None = None) -> np.ndarray:
-    """Hermitian PSD square root.
-
-    Eigenvalues in ``[-tol, 0)`` are clamped to zero (reduced density
-    matrices accumulate -1e-15 dust); anything below ``-tol`` raises
-    NotPsdError.  Eigenvalues below ``rank_tol * largest`` are also
-    clamped, which keeps ``sqrt`` from amplifying O(eps) junk into
-    O(sqrt(eps)) spurious rank.
-    """
-    eig = hermitian_eigen(m, tol=max(tol, 1e-10))
-    w = eig.values
-    if w.size and w[-1] < -tol:
-        raise NotPsdError(f"min eigenvalue {w[-1]:.3e} < -tol={tol}")
-    cut = (rank_tol if rank_tol is not None else default_rank_tol(np.asarray(m))) * max(
-        w[0] if w.size else 0.0, 0.0
-    )
-    w = np.where(w > cut, w, 0.0)
-    return (eig.vectors * np.sqrt(w)) @ dagger(eig.vectors)
-
-
-def psd_pinv_sqrt(m, tol: float = 1e-10, rank_tol: float | None = None) -> np.ndarray:
-    """Pseudoinverse square root ``m^(-1/2)`` of a Hermitian PSD matrix."""
-    eig = hermitian_eigen(m, tol=max(tol, 1e-10))
-    w = eig.values
-    if w.size and w[-1] < -tol:
-        raise NotPsdError(f"min eigenvalue {w[-1]:.3e} < -tol={tol}")
-    cut = (rank_tol if rank_tol is not None else default_rank_tol(np.asarray(m))) * max(
-        w[0] if w.size else 0.0, 0.0
-    )
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.where(w > 0, w, 1.0)), 0.0)
-    return (eig.vectors * inv) @ dagger(eig.vectors)
 
 
 def image_projector(m, rank_tol: float | None = None) -> np.ndarray:
     """Hermitian projector onto the column space of ``m``."""
-    a = as_matrix(m)
-    f = svd(a)
-    if f.singulars.size == 0 or f.singulars[0] == 0.0:
-        return np.zeros((a.shape[0], a.shape[0]), dtype=complex)
-    cut = (rank_tol if rank_tol is not None else default_rank_tol(a)) * f.singulars[0]
-    cols = f.u[:, f.singulars > cut]
+    f, keep = _svd_kept(m, rank_tol)
+    return f.u[:, keep] @ dagger(f.u[:, keep])
+
+
+def eigen_image(eig: HermitianEigen, rank_tol: float | None = None) -> np.ndarray:
+    """``image_projector`` of a Hermitian matrix by its |eigenvalues| (= singular values)."""
+    cols = eig.vectors[:, rank_mask(np.abs(eig.values), eig.values.size, rank_tol)]
     return cols @ dagger(cols)
+
+
+def psd_eigen(m, tol: float = 1e-10) -> HermitianEigen:
+    """``hermitian_eigen`` of a PSD matrix: an eigenvalue below ``-tol`` raises NotPsdError."""
+    eig = hermitian_eigen(m, tol=max(tol, 1e-10))
+    if eig.values.size and eig.values[-1] < -tol:
+        raise NotPsdError(f"min eigenvalue {eig.values[-1]:.3e} < -tol={tol}")
+    return eig
+
+
+def psd_function(eig: HermitianEigen, fn, rank_tol: float | None = None) -> np.ndarray:
+    """``V fn(w) V*`` over the eigenvalues kept by the rank rule; the rest map to 0.
+
+    The negative dust ``psd_eigen`` lets through and eigenvalues below
+    ``rank_tol * largest`` count as zero, which keeps ``sqrt`` from amplifying
+    O(eps) junk into O(sqrt(eps)) rank.  One decomposition serves every ``fn``.
+    """
+    kept = rank_mask(eig.values, eig.values.size, rank_tol)
+    vals = np.where(kept, fn(np.where(kept, eig.values, 1.0)), 0.0)
+    return (eig.vectors * vals) @ dagger(eig.vectors)
+
+
+def inv_sqrt(w: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(w)
+
+
+def psd_sqrt(m, tol: float = 1e-10, rank_tol: float | None = None) -> np.ndarray:
+    """Hermitian PSD square root (``psd_function`` with ``sqrt``)."""
+    return psd_function(psd_eigen(m, tol), np.sqrt, rank_tol)
+
+
+def psd_pinv_sqrt(m, tol: float = 1e-10, rank_tol: float | None = None) -> np.ndarray:
+    """Pseudoinverse square root ``m^(-1/2)`` of a Hermitian PSD matrix."""
+    return psd_function(psd_eigen(m, tol), inv_sqrt, rank_tol)
 
 
 def trace_norm(m) -> float:
@@ -233,20 +243,28 @@ def op_norm_exceeds(m, tol: float) -> bool:
     return op_norm(m) > tol
 
 
+def symmetrized(h: np.ndarray, tol: float) -> np.ndarray:
+    """``(h + h*) / 2``; NotHermitianError when ``||h - h*||_inf > tol``."""
+    if op_norm_exceeds(h - dagger(h), tol):
+        raise NotHermitianError(f"matrix is not Hermitian within tol={tol}")
+    return (h + dagger(h)) / 2
+
+
 def _min_eig(h: np.ndarray) -> float:
     sym = (h + dagger(h)) / 2
     w = np.linalg.eigvalsh(sym)
     return float(w[0]) if w.size else 0.0
 
 
-def schur_psd_check(a, b, c, tol: float = 1e-9) -> bool:
-    """Decide PSD-ness of the block matrix ``[[A, B], [B*, C]]``.
+def schur_psd_margin(a, b, c, tol: float = 1e-9) -> float:
+    """Minimum eigenvalue of the block matrix ``[[A, B], [B*, C]]``, cross-checked.
 
     Two redundant paths are evaluated: the generalized Schur-complement
     criterion (A >= 0, the rows of B stay inside Image(A), and
     C - B* A^-1 B >= 0, all up to ``tol``) and the direct minimum
-    eigenvalue of the assembled block.  A confident disagreement (direct
-    margin farther than 1e-6 from zero) raises ConsistencyError.
+    eigenvalue of the assembled block, which is returned.  A confident
+    disagreement (direct margin farther than 1e-6 from zero) raises
+    ConsistencyError.
     """
     a = as_matrix(a)
     b = as_matrix(b)
@@ -263,18 +281,22 @@ def schur_psd_check(a, b, c, tol: float = 1e-9) -> bool:
     a_pinv = pseudoinverse(a)
     criterion = (
         _min_eig(a) >= -tol
-        and op_norm((np.eye(n) - a @ a_pinv) @ b) <= tol
+        and not op_norm_exceeds((np.eye(n) - a @ a_pinv) @ b, tol)
         and _min_eig(c - dagger(b) @ a_pinv @ b) >= -tol
     )
-    block = np.block([[a, b], [dagger(b), c]])
-    direct_margin = _min_eig(block)
+    direct_margin = _min_eig(np.block([[a, b], [dagger(b), c]]))
     direct = direct_margin >= -tol
     if criterion != direct and abs(direct_margin) > 1e-6:
         raise ConsistencyError(
             f"Schur criterion ({criterion}) and direct eigenvalue check "
             f"({direct}, margin {direct_margin:.3e}) disagree"
         )
-    return direct
+    return direct_margin
+
+
+def schur_psd_check(a, b, c, tol: float = 1e-9) -> bool:
+    """Decide PSD-ness of ``[[A, B], [B*, C]]`` up to ``tol`` (see ``schur_psd_margin``)."""
+    return schur_psd_margin(a, b, c, tol) >= -tol
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +321,12 @@ def cmjson_to_matrix(obj: dict) -> np.ndarray:
         raise DimensionMismatchError(
             f"cmjson data length {len(data)} != rows*cols = {rows * cols}"
         )
+    pairs = np.array(data, dtype=float).reshape(rows * cols, 2)
+    bad = ~np.isfinite(pairs).all(axis=1)
+    if bad.any():
+        raise ValueError(f"cmjson entry {int(bad.argmax())} is not finite")
     flat = np.empty(rows * cols, dtype=complex)
-    for i, pair in enumerate(data):
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError(f"cmjson entry {i} is not finite")
-        flat[i] = complex(re, im)
+    flat.real, flat.imag = pairs[:, 0], pairs[:, 1]  # keeps signed zeros
     return flat.reshape(rows, cols)
 
 

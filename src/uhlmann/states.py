@@ -205,7 +205,7 @@ def fidelity(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.ndarray)
     if r.shape != s.shape:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {s.shape}")
     rs = matcore.psd_sqrt(r)
-    return float(np.trace(matcore.psd_sqrt(rs @ s @ rs)).real)
+    return float(np.trace(matcore.psd_sqrt(matcore.symmetrized(rs @ s @ rs, 1e-10))).real)
 
 
 def schmidt(s: BipartitePureState) -> SchmidtFrame:

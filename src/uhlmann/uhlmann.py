@@ -21,6 +21,7 @@ conjugated matrices so client code can use the formulas verbatim.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ from .states import BipartitePureState, DensityMatrix
 __all__ = [
     "IdentityFrame",
     "RigidityReport",
+    "SpectralCore",
     "UhlmannInstance",
     "canonical_w",
     "flip",
@@ -91,15 +93,109 @@ class UhlmannInstance:
         return self.c.dim_b
 
     def fidelity(self) -> float:
-        return self._fidelity
+        return self.spectral_core().fidelity
+
+    def spectral_core(self, rank_tol: float | None = None) -> "SpectralCore":
+        """The instance's ``SpectralCore`` at ``rank_tol``, built once per value."""
+        return self._cores.setdefault(rank_tol, SpectralCore(self, rank_tol))
 
     @cached_property
-    def _fidelity(self) -> float:
-        return states.fidelity(self.rho, self.sigma)
+    def _cores(self) -> dict:
+        return {}
 
     @cached_property
     def frame(self) -> "IdentityFrame":
         return IdentityFrame.of(self)
+
+
+class SpectralCore:
+    """The decompositions every spectral quantity of an instance derives from.
+
+    eigh(rho) gives ``sqrt_rho``, ``rho_pinv_sqrt`` and Image(rho); eigh of
+    ``h = rho^1/2 sigma rho^1/2`` gives F, the projector onto Image(h) and
+    ``mean = rho^-1 # sigma = rho^-1/2 h^1/2 rho^-1/2``, whose eigvalsh gives
+    eta; kappa takes one SVD.  In the identity frame (conjugated matrices,
+    validated on first use) eigh(sigma) and one SVD give ``a = sqrt(sigma)
+    sqrt(rho)``, ``w = sgn(a)`` and ``p = w* w``.  All is computed on first
+    use; every rank decision applies ``rank_tol`` by its matcore rule.
+    ``certificate_point`` keeps the certificate's blocks for the last alpha.
+    """
+
+    def __init__(self, inst: UhlmannInstance, rank_tol: float | None):
+        self.inst, self.rank_tol = inst, rank_tol
+        self.certificate_point = None
+
+    def _apply(self, eig: matcore.HermitianEigen, fn=np.sqrt) -> np.ndarray:
+        return matcore.psd_function(eig, fn, self.rank_tol)
+
+    @cached_property
+    def _rho_eig(self) -> matcore.HermitianEigen:
+        return matcore.psd_eigen(self.inst.rho.mat)
+
+    @cached_property
+    def sqrt_rho(self) -> np.ndarray:
+        return self._apply(self._rho_eig)
+
+    @cached_property
+    def rho_pinv_sqrt(self) -> np.ndarray:
+        return self._apply(self._rho_eig, matcore.inv_sqrt)
+
+    @cached_property
+    def sqrt_sigma(self) -> np.ndarray:
+        return self._apply(matcore.psd_eigen(self.inst.sigma.mat))
+
+    @cached_property
+    def _h(self) -> np.ndarray:
+        return self.sqrt_rho @ self.inst.sigma.mat @ self.sqrt_rho
+
+    @cached_property
+    def _h_eig(self) -> matcore.HermitianEigen:
+        return matcore.psd_eigen(matcore.symmetrized(self._h, 1e-8), tol=1e-8)
+
+    @cached_property
+    def fidelity(self) -> float:
+        matcore.symmetrized(self._h, 1e-10)  # the Hermiticity guard of states.fidelity
+        w = self._h_eig.values
+        if w.size and w[-1] < -1e-10:
+            raise NotPsdError(f"min eigenvalue {w[-1]:.3e} < -tol=1e-10")
+        return float(np.trace(self._apply(self._h_eig)).real)
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return self.rho_pinv_sqrt @ self._apply(self._h_eig) @ self.rho_pinv_sqrt
+
+    @cached_property
+    def eta(self) -> float:
+        w = self._h_eig.values
+        if not (w.size and w[0] > 0.0):
+            raise ZeroFidelityError("rho^1/2 sigma rho^1/2 vanishes: reduced supports are orthogonal")
+        rank = int(matcore.rank_mask(w, w.size, self.rank_tol).sum())
+        if rank == 0:
+            raise ZeroFidelityError("rho^-1 # sigma has no eigenvalue above the rank threshold")
+        return float(np.linalg.eigvalsh((self.mean + dagger(self.mean)) / 2)[::-1][rank - 1])
+
+    @cached_property
+    def kappa(self) -> float:
+        if not np.abs(self._h_eig.values).max(initial=0.0) > 0.0:
+            raise ZeroFidelityError("rho^1/2 sigma rho^1/2 vanishes")
+        p = matcore.eigen_image(self._h_eig, self.rank_tol)
+        leak = (np.eye(self.inst.dim_a) - matcore.eigen_image(self._rho_eig, self.rank_tol)) @ p
+        if matcore.op_norm_exceeds(leak, 1e-6):
+            raise IllConditionedError(f"projector leaks {matcore.op_norm(leak):.3e} outside Image(rho)")
+        return float(matcore.op_norm(self.rho_pinv_sqrt @ p @ self.sqrt_rho) ** 2)
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        _ = self.inst.frame  # FrameMismatchError unless the identity frame is valid
+        return self.sqrt_sigma.conj() @ self.sqrt_rho.conj()
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return matcore.matrix_sign(self.a, rank_tol=self.rank_tol)
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        return dagger(self.w) @ self.w
 
 
 @dataclass(frozen=True)
@@ -125,16 +221,12 @@ class IdentityFrame:
             raise FrameMismatchError("identity-frame rotation requires dim_a <= dim_b")
         x_c = states.schmidt(inst.c).frame_b
         x_d = states.schmidt(inst.d).frame_b
-        frame = cls(
-            rho=inst.rho.mat.conj(),
-            sigma=inst.sigma.mat.conj(),
-            x_c=x_c,
-            x_d=x_d,
-        )
-        for x, red, m in ((x_c, inst.rho.mat, inst.c.coeffs), (x_d, inst.sigma.mat, inst.d.coeffs)):
+        frame = cls(rho=inst.rho.mat.conj(), sigma=inst.sigma.mat.conj(), x_c=x_c, x_d=x_d)
+        core = inst.spectral_core()
+        for x, root, m in ((x_c, core.sqrt_rho, inst.c.coeffs), (x_d, core.sqrt_sigma, inst.d.coeffs)):
             if matcore.op_norm_exceeds(dagger(x) @ x - np.eye(inst.dim_a), 1e-8):
                 raise FrameMismatchError("frame operator is not an isometry")
-            if matcore.op_norm_exceeds(matcore.psd_sqrt(red) @ x.T - m, 1e-7):
+            if matcore.op_norm_exceeds(root @ x.T - m, 1e-7):
                 raise FrameMismatchError("frame does not reconstruct the state")
         return frame
 
@@ -163,11 +255,7 @@ def three_form_deviation(inst: UhlmannInstance, rank_tol: float | None = None) -
     w2 = matcore.matrix_sign(sr @ rr, rank_tol=rank_tol)
     mean = _mean_rho_inv_sigma(fr.rho, fr.sigma, rank_tol=rank_tol)
     w3 = matcore.pseudoinverse(rr @ sr, rank_tol=rank_tol) @ rr @ mean @ rr
-    return max(
-        matcore.op_norm(w1 - w2),
-        matcore.op_norm(w2 - w3),
-        matcore.op_norm(w1 - w3),
-    )
+    return max(matcore.op_norm(w1 - w2), matcore.op_norm(w2 - w3), matcore.op_norm(w1 - w3))
 
 
 def geometric_mean(a, b, rank_tol: float | None = None) -> np.ndarray:
@@ -185,16 +273,20 @@ def geometric_mean(a, b, rank_tol: float | None = None) -> np.ndarray:
     for m in (a, b):
         if matcore.op_norm_exceeds(m - dagger(m), 1e-9):
             raise NotPsdError("geometric mean requires Hermitian inputs")
-    ar = matcore.psd_sqrt(a, rank_tol=rank_tol)
-    air = matcore.psd_pinv_sqrt(a, rank_tol=rank_tol)
+    ar, air = _sqrt_pair(a, rank_tol)
     inner = matcore.psd_sqrt(air @ b @ air, tol=1e-8, rank_tol=rank_tol)
     return ar @ inner @ ar
 
 
+def _sqrt_pair(m: np.ndarray, rank_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """``m^1/2`` and ``m^-1/2`` from one eigendecomposition."""
+    eig = matcore.psd_eigen(m)
+    return tuple(matcore.psd_function(eig, fn, rank_tol) for fn in (np.sqrt, matcore.inv_sqrt))
+
+
 def _mean_rho_inv_sigma(rho: np.ndarray, sigma: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     """``rho^-1 # sigma = rho^-1/2 (rho^1/2 sigma rho^1/2)^1/2 rho^-1/2``."""
-    rr = matcore.psd_sqrt(rho, rank_tol=rank_tol)
-    rir = matcore.psd_pinv_sqrt(rho, rank_tol=rank_tol)
+    rr, rir = _sqrt_pair(rho, rank_tol)
     return rir @ matcore.psd_sqrt(rr @ sigma @ rr, tol=1e-8, rank_tol=rank_tol) @ rir
 
 
@@ -207,23 +299,7 @@ def spectral_gap_eta(inst: UhlmannInstance, rank_tol: float | None = None) -> fl
     pseudoinverse used to build the mean and immune to the noise the
     outer ``rho^-1/2`` products inject into the zero eigenvalues.
     """
-    rho, sigma = inst.rho.mat, inst.sigma.mat
-    rr = matcore.psd_sqrt(rho, rank_tol=rank_tol)
-    rir = matcore.psd_pinv_sqrt(rho, rank_tol=rank_tol)
-    h = rr @ sigma @ rr
-    eig = matcore.hermitian_eigen((h + dagger(h)) / 2, tol=1e-8)
-    top = float(eig.values[0]) if eig.values.size else 0.0
-    if top <= 0.0:
-        raise ZeroFidelityError("rho^1/2 sigma rho^1/2 vanishes: reduced supports are orthogonal")
-    cut = (rank_tol if rank_tol is not None else matcore.default_rank_tol(h)) * top
-    rank = int((eig.values > cut).sum())
-    if rank == 0:
-        raise ZeroFidelityError("rho^-1 # sigma has no eigenvalue above the rank threshold")
-    clamped = np.where(eig.values > cut, eig.values, 0.0)
-    sqrt_h = (eig.vectors * np.sqrt(clamped)) @ dagger(eig.vectors)
-    mean = rir @ sqrt_h @ rir
-    w = np.linalg.eigvalsh((mean + dagger(mean)) / 2)[::-1]
-    return float(w[rank - 1])
+    return inst.spectral_core(rank_tol).eta
 
 
 def obliqueness_kappa(inst: UhlmannInstance, rank_tol: float | None = None) -> float:
@@ -234,16 +310,7 @@ def obliqueness_kappa(inst: UhlmannInstance, rank_tol: float | None = None) -> f
     more than 1e-6 the oblique norm is untrustworthy and
     IllConditionedError is raised instead of returning a number.
     """
-    rho, sigma = inst.rho.mat, inst.sigma.mat
-    rr = matcore.psd_sqrt(rho, rank_tol=rank_tol)
-    core = rr @ sigma @ rr
-    if matcore.op_norm(core) <= 0.0:
-        raise ZeroFidelityError("rho^1/2 sigma rho^1/2 vanishes")
-    p = matcore.image_projector(core, rank_tol=rank_tol)
-    leak = matcore.op_norm((np.eye(inst.dim_a) - matcore.image_projector(rho, rank_tol=rank_tol)) @ p)
-    if leak > 1e-6:
-        raise IllConditionedError(f"projector leaks {leak:.3e} outside Image(rho)")
-    return float(matcore.op_norm(matcore.psd_pinv_sqrt(rho, rank_tol=rank_tol) @ p @ rr) ** 2)
+    return inst.spectral_core(rank_tol).kappa
 
 
 def projector_structure_check(inst: UhlmannInstance, w: np.ndarray, tol: float = 1e-8) -> bool:
@@ -264,9 +331,7 @@ def projector_structure_check(inst: UhlmannInstance, w: np.ndarray, tol: float =
 
 
 def unitary_completion(
-    w: np.ndarray,
-    rank_tol: float | None = None,
-    rng: np.random.Generator | None = None,
+    w: np.ndarray, rank_tol: float | None = None, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Extend a partial isometry to a unitary.
 
@@ -274,6 +339,11 @@ def unitary_completion(
     passing ``rng`` mixes the kernel pairing by a Haar-random unitary
     (any such gauge is a valid completion).
     """
+    return _complete(*_completion_basis(w), rng)
+
+
+def _completion_basis(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W with orthonormal bases of ``ker(W)`` and ``coker(W)``, after one SVD."""
     w = matcore.as_matrix(w)
     if w.shape[0] != w.shape[1]:
         raise DimensionMismatchError("only square partial isometries can be completed")
@@ -282,11 +352,16 @@ def unitary_completion(
     if s.size and (np.minimum(np.abs(s - 1.0), s) > 1e-8).any():
         raise NotPartialIsometryError("singular values are not all 0 or 1 within 1e-8")
     cut = 0.5  # singular values are 0/1 up to 1e-8, so any mid cut works
-    kernel = f.v[:, s < cut] if s.size else f.v
-    coker = f.u[:, s < cut] if s.size else f.u
+    kernel, coker = f.v[:, s < cut], f.u[:, s < cut]
     n_missing = w.shape[0] - int((s >= cut).sum())
     if kernel.shape[1] != n_missing or coker.shape[1] != n_missing:
         raise NotPartialIsometryError("kernel and cokernel dimensions disagree")
+    return w, kernel, coker
+
+
+def _complete(w, kernel, coker, rng: np.random.Generator | None) -> np.ndarray:
+    """``W + coker G kernel*`` with the gauge G drawn from ``rng`` (identity if None)."""
+    n_missing = kernel.shape[1]
     if n_missing == 0:
         return w.copy()
     gauge = np.eye(n_missing, dtype=complex) if rng is None else _haar_unitary(n_missing, rng)
@@ -319,37 +394,22 @@ class RigidityReport:
     empirical_primal: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "fidelity": self.fidelity,
-            "eta": self.eta,
-            "kappa": self.kappa,
-            "epsilon": self.epsilon,
-            "delta_bound": self.delta_bound,
-            "weak_bound": self.weak_bound,
-            "empirical_primal": self.empirical_primal,
-        }
+        return dataclasses.asdict(self)
 
 
 def rigidity_report(
-    inst: UhlmannInstance,
-    epsilon: float,
-    rank_tol: float | None = None,
+    inst: UhlmannInstance, epsilon: float, rank_tol: float | None = None,
     empirical_primal: float | None = None,
 ) -> RigidityReport:
     """Assemble fidelity, eta, kappa, and both robustness bounds."""
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     f = inst.fidelity()
-    eta = spectral_gap_eta(inst, rank_tol=rank_tol)
-    kappa = obliqueness_kappa(inst, rank_tol=rank_tol)
+    core = inst.spectral_core(rank_tol)
+    eta, kappa = core.eta, core.kappa
     return RigidityReport(
-        fidelity=f,
-        eta=eta,
-        kappa=kappa,
-        epsilon=epsilon,
-        delta_bound=2.0 * kappa * epsilon / eta,
-        weak_bound=8.0 * (1.0 - f + np.sqrt(epsilon)),
-        empirical_primal=empirical_primal,
+        fidelity=f, eta=eta, kappa=kappa, epsilon=epsilon, delta_bound=2.0 * kappa * epsilon / eta,
+        weak_bound=8.0 * (1.0 - f + np.sqrt(epsilon)), empirical_primal=empirical_primal,
     )
 
 
@@ -372,10 +432,7 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_instance(
-    d: int,
-    rng: np.random.Generator,
-    rank_c: int | None = None,
-    rank_d: int | None = None,
+    d: int, rng: np.random.Generator, rank_c: int | None = None, rank_d: int | None = None
 ) -> UhlmannInstance:
     """Random pair of d x d bipartite states with prescribed Schmidt ranks."""
 
@@ -393,10 +450,7 @@ def random_instance(
 
 
 def near_optimal_unitary(
-    inst: UhlmannInstance,
-    w: np.ndarray,
-    epsilon: float,
-    rng: np.random.Generator,
+    inst: UhlmannInstance, w: np.ndarray, epsilon: float, rng: np.random.Generator,
     deficit_fraction: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Generate a unitary with overlap ``>= F - epsilon``.
@@ -411,17 +465,15 @@ def near_optimal_unitary(
 
 
 def near_optimal_unitaries(
-    inst: UhlmannInstance,
-    w: np.ndarray,
-    epsilon: float,
-    rngs: Iterable[np.random.Generator],
+    inst: UhlmannInstance, w: np.ndarray, epsilon: float, rngs: Iterable[np.random.Generator],
     deficit_fraction: float | None = None,
 ) -> Iterator[tuple[np.ndarray, float]]:
     """Yield one unitary with overlap ``>= F - epsilon`` per generator.
 
     Each walk draws from its own generator, in this order: the target
     deficit ``deficit_fraction * epsilon`` (the fraction uniform in
-    [0.3, 1] when None), a random unitary completion ``U0`` of W, and a
+    [0.3, 1] when None), the gauge of a random unitary completion ``U0`` of
+    W (whose kernel and cokernel bases come from one SVD per call), and a
     random Hermitian generator ``H = V diag(lam) V*`` scaled to
     ``max |lam| = 1``.  Along ``R(t) = U0 V exp(i t lam) V*`` the overlap
     is the trigonometric sum
@@ -440,13 +492,14 @@ def near_optimal_unitaries(
     """
     f = inst.fidelity()
     k = states.partial_trace_a_outer(inst.c, inst.d)
+    basis = _completion_basis(w)
     rngs = iter(rngs)
     while block := list(itertools.islice(rngs, _WALK_BLOCK)):
         targets, u0s, hs = [], [], []
         for rng in block:
             frac = deficit_fraction if deficit_fraction is not None else rng.uniform(0.3, 1.0)
             targets.append(epsilon * frac)
-            u0s.append(unitary_completion(w, rng=rng))
+            u0s.append(_complete(*basis, rng))
             h = rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape)
             hs.append((h + dagger(h)) / 2)
         target, u0 = np.array(targets), np.array(u0s)

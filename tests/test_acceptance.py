@@ -21,6 +21,8 @@ from uhlmann.adversarial import (
     build_eta_family,
     build_kappa_family,
     eta_family_reverse_probe,
+    kappa_rho,
+    kappa_vec,
     round_spectral_gap,
 )
 from uhlmann.certificate import build_certificate, primal_probe, psd_core_check
@@ -33,7 +35,6 @@ from uhlmann.matcore import (
     schur_psd_check,
 )
 from uhlmann.protocol import ProtocolParams, completeness_experiment, completeness_reference_instance
-from uhlmann.states import DensityMatrix
 from uhlmann.uhlmann import (
     canonical_w,
     geometric_mean,
@@ -162,11 +163,7 @@ def test_criterion_07_kappa_family():
         (4, 1e-5, 0.01),  # kappa close to 100
     ]
     for d, lam, weight in grid:
-        diag = np.full(d, lam)
-        diag[0] = 1 - (d - 1) * lam
-        rho = DensityMatrix(np.diag(diag).astype(complex))
-        vec = np.zeros(d, dtype=complex)
-        vec[0], vec[1] = np.sqrt(weight), np.sqrt(1 - weight)
+        rho, vec = kappa_rho(d, lam), kappa_vec(d, weight)
         kappa = (vec.conj() @ rho.mat @ rho.mat @ vec).real / (vec.conj() @ rho.mat @ vec).real ** 2
         kappa_max = max(kappa_max, kappa)
         for frac in (0.3, 0.7, 1.0):

@@ -7,6 +7,8 @@ from uhlmann.adversarial import (
     build_eta_family,
     build_kappa_family,
     eta_family_reverse_probe,
+    kappa_rho,
+    kappa_vec,
     qutrit_sensitivity,
     round_spectral_gap,
 )
@@ -14,12 +16,6 @@ from uhlmann.certificate import dual_bound
 from uhlmann.errors import BadParamsError, EpsilonTooLargeError
 from uhlmann.states import DensityMatrix
 from uhlmann.uhlmann import canonical_w, obliqueness_kappa, random_instance, spectral_gap_eta
-
-
-def kappa_rho(d, lam):
-    diag = np.full(d, lam)
-    diag[0] = 1 - (d - 1) * lam
-    return DensityMatrix(np.diag(diag).astype(complex))
 
 
 # -- qutrit sensitivity -------------------------------------------------------
@@ -85,9 +81,7 @@ def test_eta_family_rejects_bad_params():
 
 def test_kappa_family_formulas():
     d, lam, w = 3, 0.02, 0.03
-    rho = kappa_rho(d, lam)
-    vec = np.zeros(d, dtype=complex)
-    vec[0], vec[1] = np.sqrt(w), np.sqrt(1 - w)
+    rho, vec = kappa_rho(d, lam), kappa_vec(d, w)
     diag = np.diag(rho.mat).real
     s_rho_s = w * diag[0] + (1 - w) * diag[1]
     s_rho2_s = w * diag[0] ** 2 + (1 - w) * diag[1] ** 2
@@ -128,8 +122,7 @@ def fam_kappa(rho, vec):
 
 
 def test_kappa_family_epsilon_guard():
-    rho = kappa_rho(3, 0.02)
-    vec = np.array([np.sqrt(0.03), np.sqrt(0.97), 0], dtype=complex)
+    rho, vec = kappa_rho(3, 0.02), kappa_vec(3, 0.03)
     with pytest.raises(EpsilonTooLargeError):
         build_kappa_family(3, rho, vec, 10.0)
 
@@ -138,8 +131,7 @@ def test_kappa_family_epsilon_guard():
 
 
 def test_boosted_kappa_preserves_obliqueness():
-    rho = kappa_rho(3, 0.01)
-    vec = np.array([np.sqrt(0.02), np.sqrt(0.98), 0], dtype=complex)
+    rho, vec = kappa_rho(3, 0.01), kappa_vec(3, 0.02)
     base = build_kappa_family(3, rho, vec, 0.1)
     boosted = build_boosted_kappa(base)
     assert boosted.fidelity >= 0.5 - 1e-9
@@ -151,8 +143,7 @@ def test_boosted_kappa_preserves_obliqueness():
 def test_boosted_kappa_can_be_large():
     # near the limit lam << weight, kappa approaches 1/F^2 from below
     lam, w = 1e-5, 0.01
-    rho = kappa_rho(3, lam)
-    vec = np.array([np.sqrt(w), np.sqrt(1 - w), 0], dtype=complex)
+    rho, vec = kappa_rho(3, lam), kappa_vec(3, w)
     base = build_kappa_family(3, rho, vec, 0.5 * fam_kappa(rho, vec) ** -0.5)
     boosted = build_boosted_kappa(base)
     assert boosted.kappa > 90
@@ -167,8 +158,7 @@ def test_boosted_kappa_can_be_large():
     "in the limit of {0,1}-concentrated spectra.",
 )
 def test_boosted_kappa_claimed_inverse_square_bound():
-    rho = kappa_rho(3, 0.02)
-    vec = np.array([np.sqrt(0.03), np.sqrt(0.97), 0], dtype=complex)
+    rho, vec = kappa_rho(3, 0.02), kappa_vec(3, 0.03)
     base = build_kappa_family(3, rho, vec, 0.1)
     boosted = build_boosted_kappa(base)
     assert boosted.kappa >= 1 / base.fidelity**2 - 1e-6

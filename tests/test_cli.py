@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from uhlmann import cli, matcore, states
+from uhlmann import adversarial, cli, matcore, states
 from uhlmann.uhlmann import canonical_w, random_instance
 
 
@@ -158,6 +158,38 @@ def test_tol_range_validated(state_files, capsys):
     code, _, err = run_cli(capsys, "canonical", "--c", c_path, "--d", d_path, "--tol", "0.5")
     assert code == 2
     assert "tol" in json.loads(err)["message"]
+
+
+# `report` on the eta family at eta = 1e-3 (d = 4), as printed before --tol
+# reached the rank cut: h = rho^1/2 sigma rho^1/2 has eigenvalue ratio
+# delta / (1 - delta) = 5e-7, above the default cut 4e-12 and below 1e-4.
+REPORT_ETA_1E3 = (
+    '{"delta_bound":20.000000000000004,"empirical_primal":null,"epsilon":0.01,'
+    '"eta":0.0009999999999999998,"fidelity":0.70760660440983003,"kappa":1,'
+    '"schema_version":1,"weak_bound":3.1391471647213596}\n'
+)
+
+
+def test_report_and_certificate_pass_tol_as_rank_tol(tmp_path, capsys):
+    fam = adversarial.build_eta_family(4, 1e-3, 0.5)
+    c_path, d_path = str(tmp_path / "c.json"), str(tmp_path / "d.json")
+    states.write_state(c_path, fam.instance.c)
+    states.write_state(d_path, fam.instance.d)
+    files = ["--c", c_path, "--d", d_path]
+    code, out, _ = run_cli(capsys, "report", *files)
+    assert code == 0 and out == REPORT_ETA_1E3
+    code, out, _ = run_cli(capsys, "report", *files, "--tol", "1e-4")
+    assert code == 0
+    cut = json.loads(out)
+    # the light half of sigma is cut away: the gap jumps to sqrt(2 (1 - delta))
+    assert cut["eta"] == pytest.approx(np.sqrt(2 * (1 - 5e-7)), rel=1e-12)
+    assert cut["delta_bound"] == pytest.approx(2 * 0.01 / cut["eta"], rel=1e-12)
+    _, default_cert, _ = run_cli(capsys, "certificate", *files)
+    _, cut_cert, _ = run_cli(capsys, "certificate", *files, "--tol", "1e-4")
+    assert json.loads(default_cert)["alpha"] == pytest.approx(-1 / 1e-3, rel=1e-12)
+    assert json.loads(cut_cert)["alpha"] == pytest.approx(-1 / cut["eta"], rel=1e-12)
+    code, _, err = run_cli(capsys, "report", *files, "--tol", "0.5")
+    assert code == 2 and "tol" in json.loads(err)["message"]
 
 
 def test_unknown_subcommand_usage(capsys):

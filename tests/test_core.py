@@ -1,0 +1,204 @@
+"""The spectral core: decomposition counts per entry point and golden values.
+
+Every spectral quantity of an instance derives from the decompositions in
+``UhlmannInstance.spectral_core``; these tests pin how many decompositions
+the public entry points make and that the numbers match the values the
+per-function implementation computed before the core existed.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+
+from conftest import walk_instances
+from uhlmann import adversarial, certificate, cli, states
+from uhlmann.uhlmann import UhlmannInstance, random_instance, rigidity_report
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Count numpy.linalg svd/eigh/eigvalsh calls; reset with ``.clear()``."""
+    counts = {}
+    for name in ("svd", "eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.fixture
+def loaded(tmp_path):
+    inst = random_instance(6, np.random.default_rng(404), rank_c=3, rank_d=4)
+    paths = [str(tmp_path / "c.json"), str(tmp_path / "d.json")]
+    states.write_state(paths[0], inst.c)
+    states.write_state(paths[1], inst.d)
+    return paths
+
+
+def _load(paths):
+    return UhlmannInstance.from_states(states.read_state(paths[0]), states.read_state(paths[1]))
+
+
+def test_rigidity_report_takes_four_decompositions(loaded, decompositions):
+    inst = _load(loaded)
+    decompositions.clear()
+    rigidity_report(inst, 0.01)
+    # eigh(rho), eigh(h), eigvalsh of the mean, one SVD for kappa
+    assert sum(decompositions.values()) <= 4
+
+
+def test_certificate_subcommand_decompositions(loaded, decompositions):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["certificate", "--c", loaded[0], "--d", loaded[1]]) == 0
+    assert sum(decompositions.values()) <= 24
+
+
+def test_dual_bound_reuses_the_certificate(loaded, decompositions):
+    inst = _load(loaded)
+    core = inst.spectral_core()
+    eta, kappa = core.eta, core.kappa
+    cert = certificate.build_certificate(inst, 0.01, alpha=-kappa / eta)
+    decompositions.clear()
+    bound = certificate.dual_bound(inst, 0.01)
+    assert decompositions == {}
+    assert bound == pytest.approx(2 * kappa * 0.01 / eta, rel=1e-9)
+    assert 2 * (cert.value + np.trace(core.p @ inst.frame.rho).real) == bound
+    # everything psd_core_check needs is in the core but its own eigvalsh
+    certificate.psd_core_check(inst)
+    assert decompositions == {"eigvalsh": 1}
+
+
+def test_primal_probe_decomposes_w_once(loaded, decompositions):
+    inst = _load(loaded)
+    decompositions.clear()
+    certificate.primal_probe(inst, 0.01, 100, 3)
+    # canonical_w and the kernel/cokernel basis of the completions
+    assert decompositions["svd"] <= 2
+
+
+def test_core_is_cached_per_rank_tol():
+    inst = walk_instances()[3]
+    assert inst.spectral_core() is inst.spectral_core(None)
+    assert inst.spectral_core(1e-6) is inst.spectral_core(1e-6)
+    assert inst.spectral_core(1e-6) is not inst.spectral_core()
+    assert inst.fidelity() == inst.spectral_core().fidelity == states.fidelity(inst.rho, inst.sigma)
+
+
+def _golden_cases():
+    fams = [(f"eta{d}", adversarial.build_eta_family(d, eta, tau).instance, None)
+            for d, eta, tau in [(4, 0.4, 0.5), (8, 0.2, 0.5), (16, 0.3, 0.7)]]
+    def kappa(d, lam, weight, eps):
+        rho, vec = adversarial.kappa_rho(d, lam), adversarial.kappa_vec(d, weight)
+        return adversarial.build_kappa_family(d, rho, vec, eps)
+
+    base, four, small = kappa(3, 0.02, 0.03, 0.1), kappa(4, 0.05, 0.2, 0.1), kappa(3, 1e-6, 0.5, 0.01)
+    return (
+        [(f"walk{k}", inst, None) for k, inst in enumerate(walk_instances())]
+        + fams
+        + [("kappa3", base.instance, None), ("kappa4", four.instance, None),
+           ("boost3", adversarial.build_boosted_kappa(base).instance, None),
+           ("walk3_tol", walk_instances()[3], 1e-6), ("kappa_small_tol", small.instance, 1e-4)]
+    )
+
+
+# (F, eta, kappa, delta_bound, value and margin at alpha = -kappa/eta, value and
+# margin at alpha = -1.5, dual_bound, psd_core_check) at eps = 0.01, computed
+# by the per-function implementation that rebuilt each spectral object itself.
+CORE_GOLDEN = {
+    "walk0": (
+        0.7491484696589364, 1.3348488857692917, 1.745380778423256, 0.02615098678255807,
+        -0.9664730930199424, -2.4950406737792802e-31, -0.9645485864112215, -1.554454579197709e-17,
+        0.026150986782556007, -1.3744261644092924e-17,
+    ),
+    "walk1": (
+        0.7043049650942369, 0.6517548319880865, 1.0000000000000018, 0.030686385460300843,
+        -0.9846568072698489, -5.213422731609151e-16, -0.9456727675836569, -7.01700617979028e-18,
+        0.03068638546030167, 2.5079607681010127e-17,
+    ),
+    "walk2": (
+        0.7376102052542832, 0.5270091362807798, 1.0000000000000009, 0.03795000622028006,
+        -0.9810249968898425, -3.7719807616791394e-15, -0.744500746075246, -7.325732601159224e-16,
+        0.03795000622031264, -7.608589436758528e-15,
+    ),
+    "walk3": (
+        0.6839137108650055, 0.18583081642793553, 2.892714385196851, 0.31132773786404094,
+        -0.8419582775768379, -4.512388165062559e-15, -0.5919219398043633, -7.71807767265425e-17,
+        0.3113277378640278, 3.777835352115141e-16,
+    ),
+    "walk4": (
+        0.4822563210159305, 1.6690699377587022, 1.4292309717087555, 0.017126076497764826,
+        -0.4043948940135902, -2.307214769829689e-32, -0.397957932262473, -7.674883722990682e-17,
+        0.017126076497764986, -1.4610042939552726e-16,
+    ),
+    "walk5": (
+        0.48968673333083795, 0.40341576790569594, 1.0000000000000018, 0.049576644224465005,
+        -0.9752116778877647, -7.676848224519913e-16, -0.41881423887314445, -8.18773517252804e-17,
+        0.04957664422446961, -9.373948838289543e-18,
+    ),
+    "walk6": (
+        0.9917484100222405, 0.8827736419441059, 1.0, 0.022655864481810537,
+        -0.988672067759095, -2.3696922051963873e-16, -0.9850000000000002, -2.320843407390826e-17,
+        0.022655864481810895, 5.169475958410885e-16,
+    ),
+    "eta4": (
+        0.8782329983125268, 0.4, 1.0, 0.049999999999999996,
+        -0.9749999999999999, -4.163336342344337e-17, -0.585, 0.0,
+        0.050000000000000266, 0.0,
+    ),
+    "eta8": (
+        0.8, 0.2, 1.0, 0.09999999999999999,
+        -0.9499999999999997, -2.8089372685427893e-16, -0.28500000000000003, 0.0,
+        0.10000000000000053, 2.7755575615628914e-17,
+    ),
+    "eta16": (
+        0.8410137480542628, 0.30000000000000004, 1.0, 0.06666666666666665,
+        -0.9666666666666663, -3.6276969295643525e-17, -0.4350000000000003, 0.0,
+        0.06666666666666732, 0.0,
+    ),
+    "kappa3": (
+        0.21954498400100142, 4.554875186742769, 12.067629689571447, 0.05298775134253949,
+        -0.5551658753660733, -2.5836200796384573e-32, -0.06197520096566006, -4.7762458047377845e-18,
+        0.05298775134254208, -5.039469940769088e-16,
+    ),
+    "kappa4": (
+        0.45825756949558394, 2.182178902359924, 3.321995464852612, 0.030446591351974216,
+        -0.6823957519430605, -1.7963096523198297e-32, -0.6621536608677042, -3.512035524200702e-19,
+        0.03044659135197403, -2.2520549337653938e-17,
+    ),
+    "boost3": (
+        0.6097724920005008, 0.9999999999999998, 12.067629689571463, 0.24135259379142932,
+        -0.6701535786229567, -5.510190382727686e-16, -0.5234876004828296, -3.914976735613742e-18,
+        0.2413525937914316, 0.0,
+    ),
+    "walk3_tol": (
+        0.6839137108650055, 0.18583081642793553, 2.892714385196851, 0.31132773786404094,
+        -0.8419582775768379, -4.512388165062559e-15, -0.5919219398043633, -7.71807767265425e-17,
+        0.3113277378640278, 3.777835352115141e-16,
+    ),
+    "kappa_small_tol": (
+        0.7071064276330684, 0.7071074882943894, 1.0, 0.028284242963176512,
+        -0.9858563785182858, -1.342164852369779e-31, -0.984998530330484, -1.0677710939188613e-19,
+        0.02828324296342899, -6.661338147750939e-16,
+    ),
+}
+
+
+def test_core_matches_golden_values():
+    eps = 0.01
+    for name, inst, tol in _golden_cases():
+        rep = rigidity_report(inst, eps, rank_tol=tol)
+        cert = certificate.build_certificate(inst, eps, -rep.kappa / rep.eta, rank_tol=tol)
+        other = certificate.build_certificate(inst, eps, -1.5, rank_tol=tol)
+        got = (
+            rep.fidelity, rep.eta, rep.kappa, rep.delta_bound,
+            cert.value, cert.feasibility_margin, other.value, other.feasibility_margin,
+            certificate.dual_bound(inst, eps, rank_tol=tol), certificate.psd_core_check(inst, rank_tol=tol),
+        )
+        np.testing.assert_allclose(got, CORE_GOLDEN[name], rtol=0, atol=1e-12, err_msg=name)
+        assert cert.feasible and other.feasible

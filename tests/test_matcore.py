@@ -234,3 +234,42 @@ def test_cmjson_write_is_17_digits(tmp_path):
     path = tmp_path / "m.json"
     matcore.write_matrix(path, np.array([[1 / 3 + 0j]]))
     assert "0.33333333333333331" in path.read_text()
+
+
+def test_cmjson_reader_keeps_bits_signed_zeros_and_errors():
+    rng = np.random.default_rng(5)
+    vals = rng.normal(size=(12, 2)).tolist() + [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [5e-324, -1e300]]
+    m = matcore.cmjson_to_matrix({"rows": 4, "cols": 4, "data": vals})
+    expected = np.array([complex(re, im) for re, im in vals]).reshape(4, 4)
+    assert m.tobytes() == expected.tobytes()
+    np.testing.assert_array_equal(np.signbit(m.real[3]), [True, False, True, False])
+    np.testing.assert_array_equal(np.signbit(m.imag[3]), [False, True, True, True])
+    bad = [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, float("nan")], [8.0, 9.0], [float("inf"), 0.0]]
+    with pytest.raises(ValueError, match=r"^cmjson entry 3 is not finite$"):
+        matcore.cmjson_to_matrix({"rows": 2, "cols": 3, "data": bad})
+    with pytest.raises(DimensionMismatchError):
+        matcore.cmjson_to_matrix({"rows": 2, "cols": 2, "data": bad[:3]})
+
+
+def test_spectral_helpers_share_one_rank_rule(rng):
+    for rank in (1, 2, 4):
+        p = random_psd(rng, 4, rank=rank)
+        eig = matcore.psd_eigen(p)
+        assert matcore.psd_function(eig, np.sqrt).tobytes() == psd_sqrt(p).tobytes()
+        assert matcore.psd_function(eig, matcore.inv_sqrt).tobytes() == matcore.psd_pinv_sqrt(p).tobytes()
+        np.testing.assert_allclose(matcore.eigen_image(eig), image_projector(p), atol=1e-10)
+        np.testing.assert_allclose(matcore.psd_function(eig, matcore.inv_sqrt) @ psd_sqrt(p),
+                                   image_projector(p), atol=1e-8)
+    # a zero matrix keeps nothing on any path
+    assert not matcore.rank_mask(np.zeros(3), 3).any()
+    np.testing.assert_array_equal(matrix_sign(np.zeros((2, 2))), np.zeros((2, 2)))
+    np.testing.assert_array_equal(matcore.eigen_image(hermitian_eigen(np.zeros((2, 2)))), np.zeros((2, 2)))
+
+
+def test_schur_margin_is_the_direct_minimum_eigenvalue(rng):
+    a, c = random_psd(rng, 3, rank=2), random_psd(rng, 2)
+    b = 0.05 * random_complex(rng, 3, 2)
+    block = np.block([[a, b], [dagger(b), c]])
+    margin = matcore.schur_psd_margin(a, b, c)
+    assert margin == np.linalg.eigvalsh((block + dagger(block)) / 2)[0]
+    assert schur_psd_check(a, b, c) == (margin >= -1e-9)
