@@ -94,7 +94,7 @@ def build_certificate(
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     _, t, y1, y2, t_norm, margin = _feasible_point(inst.spectral_core(rank_tol), alpha)
-    value = 2.0 * t_norm + alpha * (inst.fidelity() - epsilon)
+    value = 2.0 * t_norm + alpha * (inst.spectral_core(rank_tol).fidelity - epsilon)
     return DualCertificate(alpha=float(alpha), t=t, y1=y1, y2=y2, value=float(value),
                            feasible=margin >= -1e-8, feasibility_margin=margin)
 

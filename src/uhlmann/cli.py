@@ -184,6 +184,8 @@ def _cmd_round_gap(args) -> int:
 
 def _cmd_protocol(args) -> int:
     seed = _require_seed(args)
+    if args.trials < 1:
+        raise BadParamsError(f"--trials must be >= 1, got {args.trials}")
     fam = None
     if args.c and args.d:
         inst = _load_instance(args)
@@ -194,14 +196,11 @@ def _cmd_protocol(args) -> int:
         inst = protocol.completeness_reference_instance(args.n)
     params = protocol.ProtocolParams.for_instance(inst, args.n, args.r, gamma=args.gamma)
     prover = _build_prover(args.prover, inst, fam, seed)
-    p = protocol.accept_probability(inst, prover)
     xi = protocol.input_ensemble_state(inst, np.random.default_rng((seed, 0xC0)))
-    rows = []
-    accepted = 0
-    for t in range(args.trials):
-        out = protocol.run_protocol(inst, params, prover, xi, seed=(seed, t), accept_prob=p)
-        accepted += out.accepted
-        rows.append([t, out.accepted, out.j, out.i_star, out.output_state_fidelity])
+    inv = protocol.TrialInvariants.of(inst, prover, xi)
+    # one call per trial through the module, so a wrapper of run_protocol sees each
+    outs = (protocol.run_protocol(inst, params, prover, xi, (seed, t), inv) for t in range(args.trials))
+    rows = [[t, o.accepted, o.j, o.i_star, o.output_state_fidelity] for t, o in enumerate(outs)]
     if args.out:
         _emit_csv(["trial", "accepted", "j", "i_star", "output_state_fidelity"], rows, args.out)
     _emit_json(
@@ -212,9 +211,9 @@ def _cmd_protocol(args) -> int:
             "m": params.m,
             "gamma": params.gamma,
             "threshold": params.threshold,
-            "accept_probability": p,
+            "accept_probability": inv.accept_probability,
             "trials": args.trials,
-            "acceptance_rate": accepted / args.trials,
+            "acceptance_rate": sum(row[1] for row in rows) / args.trials,
             "seed": seed,
         },
         None,

@@ -286,33 +286,24 @@ def build_states(rep: ApproxRep) -> UhlmannInstance:
     return inst
 
 
-def _block_indices(d: int, g_count: int, g: int, h: int) -> np.ndarray:
-    return np.arange(d) * g_count * g_count + g * g_count + h
+def _block_diagonal(blocks: list) -> np.ndarray:
+    """``sum_k blocks[k] (x) |k><k|`` on B1 (x) (B2 (x) B3), B1 slowest, by one scatter."""
+    n, d = len(blocks), blocks[0].shape[0]
+    out = np.zeros((d, n, d, n), dtype=complex)
+    out[:, np.arange(n), :, np.arange(n)] = blocks
+    return out.reshape(d * n, d * n)
 
 
 def w_tilde(rep: ApproxRep) -> np.ndarray:
     """Optimal B-side map ``sum_{g,h} (U_hg U_g*) (x) |g,h><g,h|``."""
-    g_count = rep.group.order
-    d = rep.dim
-    w = np.zeros((d * g_count**2, d * g_count**2), dtype=complex)
-    for g in range(g_count):
-        for h in range(g_count):
-            idx = _block_indices(d, g_count, g, h)
-            block = rep.unitaries[rep.group.mult[h, g]] @ dagger(rep.unitaries[g])
-            w[np.ix_(idx, idx)] = block
-    return w
+    us, mult = rep.unitaries, rep.group.mult
+    pairs = itertools.product(range(rep.group.order), repeat=2)
+    return _block_diagonal([us[mult[h, g]] @ dagger(us[g]) for g, h in pairs])
 
 
 def _u_operator(rep: ApproxRep) -> np.ndarray:
     """The candidate transformation ``sum_h U_h (x) 1_B2 (x) |h><h|``."""
-    g_count = rep.group.order
-    u = np.zeros((rep.dim * g_count**2,) * 2, dtype=complex)
-    eye_b2 = np.eye(g_count)
-    for h in range(g_count):
-        proj = np.zeros((g_count, g_count))
-        proj[h, h] = 1.0
-        u += np.kron(rep.unitaries[h], np.kron(eye_b2, proj))
-    return u
+    return _block_diagonal(list(rep.unitaries) * rep.group.order)
 
 
 def intertwiner(rep: ApproxRep):

@@ -34,6 +34,7 @@ __all__ = [
     "ProverStrategy",
     "RunOutcome",
     "SoundnessReport",
+    "TrialInvariants",
     "completeness_experiment",
     "completeness_reference_instance",
     "derangement_prover",
@@ -184,11 +185,20 @@ def prover_output_density(prover: ProverStrategy, input_state: np.ndarray) -> np
     return grid @ dagger(grid)
 
 
-def canonical_output_density(inst: UhlmannInstance, input_state: np.ndarray) -> np.ndarray:
-    """Target output: the honest completion applied to the input."""
-    u = uhlmann.unitary_completion(uhlmann.canonical_w(inst))
-    out = u @ np.asarray(input_state, dtype=complex)
-    return np.outer(out, out.conj())
+@dataclass(frozen=True)
+class TrialInvariants:
+    """The values every trial of one (instance, prover, input) shares; see ``run_protocol``."""
+
+    accept_probability: float
+    output_state_fidelity: float
+
+    @classmethod
+    def of(cls, inst: UhlmannInstance, prover: ProverStrategy, input_state) -> "TrialInvariants":
+        u = uhlmann.unitary_completion(uhlmann.canonical_w(inst))
+        target = u @ np.asarray(input_state, dtype=complex)
+        fid = states.fidelity(_as_density(prover_output_density(prover, input_state)),
+                              _as_density(np.outer(target, target.conj())))
+        return cls(accept_probability(inst, prover), fid)
 
 
 def run_protocol(
@@ -197,25 +207,25 @@ def run_protocol(
     prover: ProverStrategy,
     input_state: np.ndarray,
     seed,
-    accept_prob: float | None = None,
+    invariants: TrialInvariants | None = None,
 ) -> RunOutcome:
     """Simulate one full protocol execution.
 
     RNG discipline (fixed, so identical inputs and seed reproduce the
     outcome bit for bit): one draw for ``i*``, then ``m - 1`` uniform
     draws compared against the exact per-round Born probability.
-    ``accept_prob`` may carry the precomputed Born value; it is a pure
-    cache and never changes the result.
+    ``invariants`` holds the seed-independent Born value and output-state
+    fidelity, ``TrialInvariants.of(inst, prover, input_state)``, which a
+    trial loop builds once; it is a pure cache and never changes the
+    result.  When omitted it is built here.
     """
-    p = accept_probability(inst, prover) if accept_prob is None else accept_prob
+    if invariants is None:
+        invariants = TrialInvariants.of(inst, prover, input_state)
     rng = np.random.default_rng(seed)
     i_star = int(rng.integers(1, params.m + 1))
-    j = int((rng.random(params.m - 1) < p).sum())
-    accepted = bool(j >= params.threshold)
-    out = prover_output_density(prover, input_state)
-    target = canonical_output_density(inst, input_state)
-    fid = states.fidelity(_as_density(out), _as_density(target))
-    return RunOutcome(accepted=accepted, j=j, i_star=i_star, output_state_fidelity=fid)
+    j = int((rng.random(params.m - 1) < invariants.accept_probability).sum())
+    return RunOutcome(accepted=bool(j >= params.threshold), j=j, i_star=i_star,
+                      output_state_fidelity=invariants.output_state_fidelity)
 
 
 def _as_density(m: np.ndarray):
@@ -231,14 +241,13 @@ def completeness_experiment(
     seed: int,
 ) -> float:
     """Empirical acceptance frequency of the honest prover."""
+    if trials < 1:
+        raise BadParamsError(f"trials must be >= 1, got {trials}")
     prover = honest_prover(inst)
-    p = accept_probability(inst, prover)
     xi = input_ensemble_state(inst, np.random.default_rng((seed, 0xC0)))
-    accepted = 0
-    for t in range(trials):
-        out = run_protocol(inst, params, prover, xi, seed=(seed, t), accept_prob=p)
-        accepted += out.accepted
-    return accepted / trials
+    inv = TrialInvariants.of(inst, prover, xi)
+    outs = (run_protocol(inst, params, prover, xi, (seed, t), inv) for t in range(trials))
+    return sum(o.accepted for o in outs) / trials
 
 
 @dataclass(frozen=True)
@@ -270,24 +279,24 @@ def soundness_probe(
     off the domain of W every completion is equally optimal, so behavior
     there is a gauge choice, not a soundness violation.
     """
+    if trials < 1:
+        raise BadParamsError(f"trials must be >= 1, got {trials}")
     if not prover_family:
         raise BadParamsError("prover_family must be nonempty")
     w = uhlmann.canonical_w(inst)
     target = domain_output_density(inst, ProverStrategy("canonical", uhlmann.unitary_completion(w)), w)
     rows = []
     for pi, prover in enumerate(prover_family):
-        p = accept_probability(inst, prover)
         xi = input_ensemble_state(inst, np.random.default_rng((seed, pi, 0xC0)))
-        accepted = 0
-        for t in range(trials):
-            out = run_protocol(inst, params, prover, xi, seed=(seed, pi, t), accept_prob=p)
-            accepted += out.accepted
+        inv = TrialInvariants.of(inst, prover, xi)
+        outs = (run_protocol(inst, params, prover, xi, (seed, pi, t), inv) for t in range(trials))
+        accepted = sum(o.accepted for o in outs)
         td = 0.5 * matcore.trace_norm(domain_output_density(inst, prover, w) - target)
         rows.append(
             {
                 "label": prover.label,
                 "acceptance": accepted / trials,
-                "accept_probability": p,
+                "accept_probability": inv.accept_probability,
                 "trace_distance": td,
                 "meets_bound": td <= 1.0 / params.r + 1e-9,
             }

@@ -12,6 +12,21 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Count numpy.linalg svd/eigh/eigvalsh calls; reset with ``.clear()``."""
+    counts = {}
+    for name in ("svd", "eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
 def random_complex(rng, rows, cols):
     return rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
 

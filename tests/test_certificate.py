@@ -3,6 +3,7 @@ import pytest
 
 from conftest import walk_instances
 from uhlmann import states
+from uhlmann.adversarial import build_eta_family
 from uhlmann.certificate import build_certificate, dual_bound, primal_probe, psd_core_check
 from uhlmann.matcore import dagger, op_norm, trace_norm
 from uhlmann.states import BipartitePureState
@@ -89,6 +90,17 @@ def test_dual_bound_matches_report(rng):
     assert dual_bound(inst, 0.05) == pytest.approx(rep.delta_bound, abs=1e-9)
     mixed = maximally_mixed_instance(3)
     assert dual_bound(mixed, 0.05) == pytest.approx(0.1, abs=1e-9)
+
+
+def test_dual_bound_identity_at_explicit_rank_tol():
+    # at rank_tol=1e-4 the cut drops a weight the default cut keeps, so F
+    # moves by 5e-4; the certificate must take F at the same cut as T, P, eta, kappa
+    inst = build_eta_family(4, eta=1e-3, tau=0.5).instance
+    core = inst.spectral_core(1e-4)
+    assert abs(core.fidelity - inst.fidelity()) > 1e-4
+    bound = dual_bound(inst, 0.01, rank_tol=1e-4)
+    assert bound == pytest.approx(2 * core.kappa * 0.01 / core.eta, rel=1e-12)
+    assert bound == pytest.approx(rigidity_report(inst, 0.01, rank_tol=1e-4).delta_bound, rel=1e-12)
 
 
 def test_primal_probe_zero_epsilon(rng):

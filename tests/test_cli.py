@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -194,3 +195,52 @@ def test_report_and_certificate_pass_tol_as_rank_tol(tmp_path, capsys):
 
 def test_unknown_subcommand_usage(capsys):
     assert cli.main(["frobnicate"]) == 2
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("prover", ["honest", "derangement", "random", "epsilon:0.05"])
+def test_protocol_matches_golden_bytes(prover, tmp_path, capsys):
+    # stdout and CSV as written before the trial-invariant values were hoisted
+    csv = tmp_path / "trials.csv"
+    code, out, _ = run_cli(
+        capsys, "protocol", "--n", "2", "--r", "2", "--trials", "50", "--seed", "3",
+        "--prover", prover, "--out", str(csv),
+    )
+    name = "protocol_" + prover.replace(":", "_")
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
+    assert csv.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("group", ["s3", "z4"])
+def test_grouprep_matches_golden_bytes(group, capsys):
+    code, out, _ = run_cli(
+        capsys, "grouprep", "--group", group, "--seed", "3", "--count", "2", "--scale", "0.3",
+    )
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"grouprep_{group}.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_protocol_rejects_trials_below_one(trials, capsys):
+    code, out, err = run_cli(capsys, "protocol", "--trials", trials, "--seed", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BadParamsError"
+
+
+def test_protocol_calls_run_protocol_once_per_trial(monkeypatch, capsys):
+    from uhlmann import protocol
+
+    calls = []
+    orig = protocol.run_protocol
+
+    def counted(*args, **kwargs):
+        calls.append(args[4] if len(args) > 4 else kwargs["seed"])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "run_protocol", counted)
+    code, _, _ = run_cli(capsys, "protocol", "--trials", "37", "--seed", "5")
+    assert code == 0
+    assert calls == [(5, t) for t in range(37)]

@@ -18,21 +18,6 @@ from uhlmann.uhlmann import UhlmannInstance, random_instance, rigidity_report
 
 
 @pytest.fixture
-def decompositions(monkeypatch):
-    """Count numpy.linalg svd/eigh/eigvalsh calls; reset with ``.clear()``."""
-    counts = {}
-    for name in ("svd", "eigh", "eigvalsh"):
-        orig = getattr(np.linalg, name)
-
-        def counted(*args, _orig=orig, _name=name, **kwargs):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _orig(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
-
-
-@pytest.fixture
 def loaded(tmp_path):
     inst = random_instance(6, np.random.default_rng(404), rank_c=3, rank_d=4)
     paths = [str(tmp_path / "c.json"), str(tmp_path / "d.json")]
@@ -110,6 +95,8 @@ def _golden_cases():
 # (F, eta, kappa, delta_bound, value and margin at alpha = -kappa/eta, value and
 # margin at alpha = -1.5, dual_bound, psd_core_check) at eps = 0.01, computed
 # by the per-function implementation that rebuilt each spectral object itself.
+# The two certificate values and dual_bound of "kappa_small_tol" take F at the
+# given rank_tol, so that dual_bound = 2 kappa eps / eta = delta_bound holds.
 CORE_GOLDEN = {
     "walk0": (
         0.7491484696589364, 1.3348488857692917, 1.745380778423256, 0.02615098678255807,
@@ -183,8 +170,8 @@ CORE_GOLDEN = {
     ),
     "kappa_small_tol": (
         0.7071064276330684, 0.7071074882943894, 1.0, 0.028284242963176512,
-        -0.9858563785182858, -1.342164852369779e-31, -0.984998530330484, -1.0677710939188613e-19,
-        0.02828324296342899, -6.661338147750939e-16,
+        -0.985855878518411, -1.342164852369779e-31, -0.9849980000000007, -1.0677710939188613e-19,
+        0.02828424296317844, -6.661338147750939e-16,
     ),
 }
 

@@ -8,6 +8,7 @@ from uhlmann import states
 from uhlmann.errors import BadParamsError, NotUnitaryError
 from uhlmann.grouprep import (
     ApproxRep,
+    _u_operator,
     FiniteGroup,
     build_states,
     convolution,
@@ -155,6 +156,24 @@ def test_w_tilde_maps_c_to_d(rng):
     wt = w_tilde(rep)
     assert op_norm(dagger(wt) @ wt - np.eye(wt.shape[0])) <= 1e-9
     assert np.linalg.norm(inst.c.coeffs @ wt.T - inst.d.coeffs) <= 1e-9
+
+
+@pytest.mark.parametrize("name,dim", [("s3", 3), ("z4", 4), ("z3", 2)])
+def test_block_builders_match_kron_reference(name, dim):
+    group = FiniteGroup.symmetric3() if name == "s3" else FiniteGroup.cyclic(int(name[1:]))
+    rep = perturbed_rep(group, dim, 0.3, np.random.default_rng(11))
+    n, us, mult = group.order, rep.unitaries, group.mult
+    w_ref = np.zeros((dim * n * n,) * 2, dtype=complex)
+    u_ref = np.zeros_like(w_ref)
+    for g in range(n):
+        proj = np.zeros((n, n))
+        proj[g, g] = 1.0
+        u_ref += np.kron(us[g], np.kron(np.eye(n), proj))
+        for h in range(n):
+            idx = np.arange(dim) * n * n + g * n + h
+            w_ref[np.ix_(idx, idx)] = us[mult[h, g]] @ dagger(us[g])
+    np.testing.assert_array_equal(w_tilde(rep), w_ref)
+    np.testing.assert_array_equal(_u_operator(rep), u_ref)
 
 
 # -- intertwiner --------------------------------------------------------------

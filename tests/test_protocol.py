@@ -1,11 +1,16 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
+from uhlmann import cli
 from uhlmann.adversarial import build_eta_family
 from uhlmann.errors import BadParamsError
 from uhlmann.protocol import (
     ProtocolParams,
     ProverStrategy,
+    TrialInvariants,
     accept_probability,
     completeness_experiment,
     completeness_reference_instance,
@@ -155,3 +160,40 @@ def test_prover_strategy_rejects_nonunitary():
 
     with pytest.raises(NotUnitaryError):
         ProverStrategy("broken", np.diag([1.0, 0.5]).astype(complex))
+
+
+@pytest.mark.parametrize("which", ["honest", "random", "derangement"])
+def test_run_protocol_same_with_precomputed_invariants(which):
+    fam = build_eta_family(4, eta=0.4, tau=0.5)
+    inst = fam.instance
+    prover = {
+        "honest": honest_prover(inst),
+        "random": random_prover(inst.dim_b, seed=3),
+        "derangement": derangement_prover(fam.adversary_r),
+    }[which]
+    params = ProtocolParams.for_instance(inst, n=2, r=2)
+    xi = input_ensemble_state(inst, np.random.default_rng(6))
+    inv = TrialInvariants.of(inst, prover, xi)
+    assert inv.accept_probability == accept_probability(inst, prover)
+    for seed in [0, 1, (7, 2)]:
+        assert run_protocol(inst, params, prover, xi, seed, inv) == run_protocol(
+            inst, params, prover, xi, seed
+        )
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_experiments_reject_trials_below_one(trials):
+    inst = completeness_reference_instance(2)
+    params = ProtocolParams.for_instance(inst, n=2, r=2)
+    with pytest.raises(BadParamsError):
+        completeness_experiment(inst, params, trials=trials, seed=1)
+    with pytest.raises(BadParamsError):
+        soundness_probe(inst, params, [honest_prover(inst)], trials=trials, seed=1)
+
+
+def test_protocol_subcommand_decompositions(decompositions):
+    # the Born value, canonical completion and output fidelity are built once,
+    # not once per trial (about 6 decompositions per trial otherwise)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["protocol", "--trials", "100", "--seed", "1"]) == 0
+    assert sum(decompositions.values()) <= 20
