@@ -249,8 +249,8 @@ def build_kappa_family(
         raise BadParamsError("rho and sigma_vec must have dimension d")
     sv = np.asarray(sigma_vec, dtype=complex)
     sv = sv / np.linalg.norm(sv)
-    w_eigs = np.linalg.eigvalsh(rho.mat)
-    if w_eigs[0] < 1e-12:
+    rho_eig = matcore.psd_eigen(rho.mat)
+    if rho_eig.values[-1] < 1e-12:
         raise NotInvertibleError("rho must be invertible")
 
     s_rho_s = float((sv.conj() @ rho.mat @ sv).real)
@@ -263,11 +263,12 @@ def build_kappa_family(
     if epsilon > 2 * f:
         raise EpsilonTooLargeError("epsilon exceeds 2 F; no rotated vector exists")
 
-    mc = matcore.psd_sqrt(rho.mat).T  # grid of (1 (x) sqrt(rho)) |Omega>
+    sqrt_rho = matcore.psd_function(rho_eig, np.sqrt)
+    mc = sqrt_rho.T  # grid of (1 (x) sqrt(rho)) |Omega>
     md = np.outer(sv.conj(), sv)
     inst = UhlmannInstance.from_states(BipartitePureState(mc), BipartitePureState(md))
 
-    v = matcore.psd_sqrt(rho.mat) @ sv
+    v = sqrt_rho @ sv
     v = v / np.linalg.norm(v)
     u = _unit_perp(v)
     cos = 1 - epsilon / f
@@ -391,7 +392,8 @@ def round_spectral_gap(
     rho_hat = (1 - mix_delta) * inst.rho.mat + mix_delta * np.eye(d) / d
     sig_hat = (1 - mix_delta) * inst.sigma.mat + mix_delta * np.eye(d) / d
 
-    mean = uhlmann._mean_rho_inv_sigma(rho_hat, sig_hat)
+    rr, rir = uhlmann._sqrt_pair(rho_hat, None)
+    mean = uhlmann._sandwiched_sqrt(rir, rr, sig_hat, None)  # rho_hat^-1 # sig_hat
     w, v = np.linalg.eigh((mean + dagger(mean)) / 2)
     keep = w >= eta_target
     if not keep.any():
@@ -403,14 +405,14 @@ def round_spectral_gap(
     sig_rounded = (sig_rounded + dagger(sig_rounded)) / 2
 
     x_c, x_d = inst.frame.x_c, inst.frame.x_d
-    mc_new = matcore.psd_sqrt(rho_hat) @ x_c.T
+    mc_new = rr @ x_c.T
 
     # D-side: purifications of sig_rounded have grids sqrt(sig_rounded) A x_d.T
     # with A unitary, and overlap Tr(A* N) with N = sqrt(sig_rounded) sqrt(sigma).
     # A = sgn(N) attains ||N||_1 = F(sigma, sig_rounded), the gentle-measurement
     # fidelity, as an actual state overlap.
     sr_new = matcore.psd_sqrt(sig_rounded)
-    n = sr_new @ matcore.psd_sqrt(inst.sigma.mat)
+    n = sr_new @ inst.spectral_core().sqrt_sigma
     align = uhlmann.unitary_completion(matcore.matrix_sign(n))
     md_new = sr_new @ align @ x_d.T
 

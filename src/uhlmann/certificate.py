@@ -6,7 +6,9 @@ side has an explicit feasible point: with ``A = sqrt(sigma) sqrt(rho)``,
 
     Y1 = sqrt(T* T),   Y2 = T (sqrt(T* T))^-1 T*,   T = (alpha A* + P rho W*) / 2
 
-are dual-feasible with objective ``2 ||T||_1 + alpha (F - eps)``.  At
+are dual-feasible with objective ``2 ||T||_1 + alpha (F - eps)``.  They are
+the polar factors of T: one SVD ``T = U S V*`` gives ``Y1 = V S V*``,
+``Y2 = U S U*`` and ``||T||_1 = sum S``.  At
 ``alpha = -kappa/eta`` the objective equals ``(kappa/eta) eps - Tr(P rho)``,
 which by weak duality upper-bounds half the worst-case rigidity residual;
 the primal side is probed empirically by a constrained unitary search.
@@ -65,20 +67,22 @@ class PrimalProbe:
 def _feasible_point(core: uhlmann.SpectralCore, alpha: float) -> tuple:
     """``(alpha, T, Y1, Y2, ||T||_1, margin)``, all that depends on alpha alone.
 
-    Kept on the core for the last alpha: ``dual_bound`` after a certificate
-    at the same alpha decomposes nothing.
+    One SVD ``T = U S V*`` gives ``Y1 = V S V*`` and ``Y2 = U S U*`` on the kept
+    singular values, and ``||T||_1 = sum S``.  Kept on the core for the last alpha:
+    ``dual_bound`` after a certificate at the same alpha decomposes nothing.
     """
     point = core.certificate_point
     if point is not None and point[0] == alpha:
         return point
-    w, p = core.w, core.p
-    t = 0.5 * (alpha * dagger(core.a) + p @ core.inst.frame.rho @ dagger(w))
-    y1 = matcore.psd_sqrt(dagger(t) @ t, tol=1e-8, rank_tol=core.rank_tol)
-    y2 = t @ matcore.pseudoinverse(y1, rank_tol=core.rank_tol) @ dagger(t)
+    t = 0.5 * (alpha * dagger(core.a) + core.p @ core.inst.frame.rho @ dagger(core.w))
+    f = matcore.svd(t)
+    s = np.where(matcore.rank_mask(f.singulars, t.shape[0], core.rank_tol), f.singulars, 0.0)
+    y1, y2, t_norm = (f.v * s) @ dagger(f.v), (f.u * s) @ dagger(f.u), float(f.singulars.sum())
+    del f  # the factors need not outlive the PSD check's 2d x 2d block
     # Constraint block minus right-hand side reduces to [[Y1, T*], [T, Y2]];
     # the Schur and direct paths must agree on its PSD-ness.
     margin = matcore.schur_psd_margin(y1, dagger(t), y2, tol=1e-8)
-    core.certificate_point = (alpha, t, y1, y2, matcore.trace_norm(t), margin)
+    core.certificate_point = (alpha, t, y1, y2, t_norm, margin)
     return core.certificate_point
 
 
@@ -93,8 +97,9 @@ def build_certificate(
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    _, t, y1, y2, t_norm, margin = _feasible_point(inst.spectral_core(rank_tol), alpha)
-    value = 2.0 * t_norm + alpha * (inst.spectral_core(rank_tol).fidelity - epsilon)
+    core = inst.spectral_core(rank_tol)
+    _, t, y1, y2, t_norm, margin = _feasible_point(core, alpha)
+    value = 2.0 * t_norm + alpha * (core.fidelity - epsilon)
     return DualCertificate(alpha=float(alpha), t=t, y1=y1, y2=y2, value=float(value),
                            feasible=margin >= -1e-8, feasibility_margin=margin)
 

@@ -102,13 +102,17 @@ def _cmd_canonical(args) -> int:
     return 0
 
 
+def _probe_best(args, inst) -> float | None:
+    """The primal probe's best residual, or None without ``--probe-trials``."""
+    if not args.probe_trials:
+        return None
+    seed = _require_seed(args)
+    return certificate.primal_probe(inst, args.epsilon, args.probe_trials, seed).best_residual
+
+
 def _cmd_report(args) -> int:
     inst = _load_instance(args)
-    empirical = None
-    if args.probe_trials:
-        seed = _require_seed(args)
-        probe = certificate.primal_probe(inst, args.epsilon, args.probe_trials, seed)
-        empirical = probe.best_residual
+    empirical = _probe_best(args, inst)
     rep = uhlmann.rigidity_report(inst, args.epsilon, rank_tol=args.tol, empirical_primal=empirical)
     _emit_json(rep.to_dict(), args.out)
     return 0
@@ -122,12 +126,7 @@ def _cmd_certificate(args) -> int:
     cert = certificate.build_certificate(inst, args.epsilon, alpha, rank_tol=args.tol)
     payload = cert.to_dict()
     payload["dual_bound"] = certificate.dual_bound(inst, args.epsilon, rank_tol=args.tol)
-    if args.probe_trials:
-        seed = _require_seed(args)
-        probe = certificate.primal_probe(inst, args.epsilon, args.probe_trials, seed)
-        payload["primal_best"] = probe.best_residual
-    else:
-        payload["primal_best"] = None
+    payload["primal_best"] = _probe_best(args, inst)
     _emit_json(payload, args.out)
     return 0
 
@@ -276,26 +275,28 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--c", required=required, help="state file for |C>")
         sp.add_argument("--d", required=required, help="state file for |D>")
 
-    def add_common(sp, tol=1e-9):
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=tol)
+    def add_common(sp, seed=False, tol=False, tol_default=None):
+        if seed:
+            sp.add_argument("--seed", type=int, default=None)
+        if tol:
+            sp.add_argument("--tol", type=float, default=tol_default)
         sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
     sp = sub.add_parser("canonical", help="write the canonical transformation W")
     add_states(sp)
-    add_common(sp)
+    add_common(sp, tol=True, tol_default=1e-9)
     sp.set_defaults(func=_cmd_canonical)
 
     sp = sub.add_parser("report", help="rigidity report for a state pair")
     add_states(sp)
-    add_common(sp, tol=None)  # rank tolerance; None keeps the library default
+    add_common(sp, seed=True, tol=True)  # rank tolerance; None keeps the library default
     sp.add_argument("--epsilon", type=float, default=0.01)
     sp.add_argument("--probe-trials", type=int, default=0)
     sp.set_defaults(func=_cmd_report)
 
     sp = sub.add_parser("certificate", help="dual certificate and bound")
     add_states(sp)
-    add_common(sp, tol=None)
+    add_common(sp, seed=True, tol=True)
     sp.add_argument("--epsilon", type=float, default=0.01)
     sp.add_argument("--alpha", type=float, default=None, help="default: -kappa/eta")
     sp.add_argument("--probe-trials", type=int, default=0)
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("protocol", help="Monte-Carlo protocol experiments")
     add_states(sp, required=False)
-    add_common(sp)
+    add_common(sp, seed=True)
     sp.add_argument("--n", type=int, default=2)
     sp.add_argument("--r", type=int, default=2)
     sp.add_argument("--gamma", type=float, default=None, help="default: honest accept probability")
@@ -341,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_protocol)
 
     sp = sub.add_parser("grouprep", help="stability sweep over perturbed representations")
-    add_common(sp)
+    add_common(sp, seed=True)
     sp.add_argument("--group", default="z4", help="z<n>, s3, or a JSON table file")
     sp.add_argument("--dim", type=int, default=0)
     sp.add_argument("--scale", type=float, default=0.2)
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.tol is not None:
+        if getattr(args, "tol", None) is not None:
             _check_tol(args.tol)
         return args.func(args)
     except (

@@ -153,43 +153,27 @@ def exact_representation(group: FiniteGroup, dim: int) -> list:
     gets its natural 3-dimensional permutation action.
     """
     n = group.order
-    if dim == n:
-        mats = []
-        for g in range(n):
-            m = np.zeros((n, n), dtype=complex)
-            for h in range(n):
-                m[group.mult[g, h], h] = 1.0
-            mats.append(m)
-        return mats
-    if _is_cyclic(group):
+    if dim == n:  # column h of the matrix of g is |gh>
+        return [np.eye(n, dtype=complex)[:, group.mult[g]] for g in range(n)]
+    gen = _cyclic_generator(group)
+    if gen is not None:
         omega_n = np.exp(2j * np.pi / n)
-        gen = _cyclic_generator(group)
         powers = _element_powers(group, gen)
         return [
             np.diag([omega_n ** (powers[g] * (j % n)) for j in range(dim)]).astype(complex)
             for g in range(n)
         ]
-    if n == 6 and dim == 3 and _looks_like_s3(group):
-        perms = list(itertools.permutations(range(3)))
-        mats = []
-        for p in perms:
-            m = np.zeros((3, 3), dtype=complex)
-            for i in range(3):
-                m[p[i], i] = 1.0
-            mats.append(m)
-        return mats
+    if n == 6 and dim == 3:  # the non-cyclic group of order 6 is S3; column i is |p(i)>
+        return [np.eye(3, dtype=complex)[:, list(p)] for p in itertools.permutations(range(3))]
     raise BadParamsError(f"no built-in exact representation of this group at dim={dim}")
 
 
-def _is_cyclic(group: FiniteGroup) -> bool:
-    return any(len(_element_powers(group, g)) == group.order for g in range(group.order))
-
-
-def _cyclic_generator(group: FiniteGroup) -> int:
+def _cyclic_generator(group: FiniteGroup) -> int | None:
+    """An element generating the whole group, or None when the group is not cyclic."""
     for g in range(group.order):
         if len(_element_powers(group, g)) == group.order:
             return g
-    raise BadParamsError("group is not cyclic")
+    return None
 
 
 def _element_powers(group: FiniteGroup, g: int) -> dict:
@@ -201,10 +185,6 @@ def _element_powers(group: FiniteGroup, g: int) -> dict:
         cur = group.mult[cur, g]
         k += 1
     return powers
-
-
-def _looks_like_s3(group: FiniteGroup) -> bool:
-    return group.order == 6 and not _is_cyclic(group)
 
 
 def perturbed_rep(

@@ -127,7 +127,7 @@ class RunOutcome:
 
 def honest_prover(inst: UhlmannInstance) -> ProverStrategy:
     """Deterministic unitary completion of the canonical transformation."""
-    return ProverStrategy("honest", uhlmann.unitary_completion(uhlmann.canonical_w(inst)))
+    return ProverStrategy("honest", inst.spectral_core().completion)
 
 
 def random_prover(d: int, seed: int) -> ProverStrategy:
@@ -194,8 +194,7 @@ class TrialInvariants:
 
     @classmethod
     def of(cls, inst: UhlmannInstance, prover: ProverStrategy, input_state) -> "TrialInvariants":
-        u = uhlmann.unitary_completion(uhlmann.canonical_w(inst))
-        target = u @ np.asarray(input_state, dtype=complex)
+        target = inst.spectral_core().completion @ np.asarray(input_state, dtype=complex)
         fid = states.fidelity(_as_density(prover_output_density(prover, input_state)),
                               _as_density(np.outer(target, target.conj())))
         return cls(accept_probability(inst, prover), fid)
@@ -283,8 +282,9 @@ def soundness_probe(
         raise BadParamsError(f"trials must be >= 1, got {trials}")
     if not prover_family:
         raise BadParamsError("prover_family must be nonempty")
-    w = uhlmann.canonical_w(inst)
-    target = domain_output_density(inst, ProverStrategy("canonical", uhlmann.unitary_completion(w)), w)
+    core = inst.spectral_core()
+    w = core.canonical_w
+    target = domain_output_density(inst, ProverStrategy("canonical", core.completion), w)
     rows = []
     for pi, prover in enumerate(prover_family):
         xi = input_ensemble_state(inst, np.random.default_rng((seed, pi, 0xC0)))

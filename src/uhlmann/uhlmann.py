@@ -116,9 +116,11 @@ class SpectralCore:
     ``mean = rho^-1 # sigma = rho^-1/2 h^1/2 rho^-1/2``, whose eigvalsh gives
     eta; kappa takes one SVD.  In the identity frame (conjugated matrices,
     validated on first use) eigh(sigma) and one SVD give ``a = sqrt(sigma)
-    sqrt(rho)``, ``w = sgn(a)`` and ``p = w* w``.  All is computed on first
-    use; every rank decision applies ``rank_tol`` by its matcore rule.
-    ``certificate_point`` keeps the certificate's blocks for the last alpha.
+    sqrt(rho)``, ``w = sgn(a)`` and ``p = w* w``.  One SVD each gives the
+    read-only ``canonical_w = sgn(Tr_A |D><C|)`` and its unitary completion
+    ``completion``.  All is computed on first use; every rank decision
+    applies ``rank_tol`` by its matcore rule.  ``certificate_point`` keeps
+    the certificate's blocks for the last alpha.
     """
 
     def __init__(self, inst: UhlmannInstance, rank_tol: float | None):
@@ -197,6 +199,19 @@ class SpectralCore:
     def p(self) -> np.ndarray:
         return dagger(self.w) @ self.w
 
+    @cached_property
+    def canonical_w(self) -> np.ndarray:
+        k = states.partial_trace_a_outer(self.inst.d, self.inst.c)
+        w = matcore.matrix_sign(k, self.rank_tol)
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def completion(self) -> np.ndarray:
+        u = unitary_completion(self.canonical_w)
+        u.flags.writeable = False
+        return u
+
 
 @dataclass(frozen=True)
 class IdentityFrame:
@@ -236,8 +251,8 @@ class IdentityFrame:
 
 
 def canonical_w(inst: UhlmannInstance, rank_tol: float | None = None) -> np.ndarray:
-    """Canonical Uhlmann transformation ``sgn(Tr_A |D><C|)`` on subsystem B."""
-    return matcore.matrix_sign(states.partial_trace_a_outer(inst.d, inst.c), rank_tol=rank_tol)
+    """Canonical Uhlmann transformation ``sgn(Tr_A |D><C|)`` on B, cached read-only."""
+    return inst.spectral_core(rank_tol).canonical_w
 
 
 def three_form_deviation(inst: UhlmannInstance, rank_tol: float | None = None) -> float:
@@ -250,10 +265,10 @@ def three_form_deviation(inst: UhlmannInstance, rank_tol: float | None = None) -
     """
     fr = inst.frame
     w1 = fr.rotate_b_operator(canonical_w(inst, rank_tol=rank_tol))
-    rr = matcore.psd_sqrt(fr.rho, rank_tol=rank_tol)
+    rr, rir = _sqrt_pair(fr.rho, rank_tol)
     sr = matcore.psd_sqrt(fr.sigma, rank_tol=rank_tol)
     w2 = matcore.matrix_sign(sr @ rr, rank_tol=rank_tol)
-    mean = _mean_rho_inv_sigma(fr.rho, fr.sigma, rank_tol=rank_tol)
+    mean = _sandwiched_sqrt(rir, rr, fr.sigma, rank_tol)  # rho^-1 # sigma
     w3 = matcore.pseudoinverse(rr @ sr, rank_tol=rank_tol) @ rr @ mean @ rr
     return max(matcore.op_norm(w1 - w2), matcore.op_norm(w2 - w3), matcore.op_norm(w1 - w3))
 
@@ -274,8 +289,7 @@ def geometric_mean(a, b, rank_tol: float | None = None) -> np.ndarray:
         if matcore.op_norm_exceeds(m - dagger(m), 1e-9):
             raise NotPsdError("geometric mean requires Hermitian inputs")
     ar, air = _sqrt_pair(a, rank_tol)
-    inner = matcore.psd_sqrt(air @ b @ air, tol=1e-8, rank_tol=rank_tol)
-    return ar @ inner @ ar
+    return _sandwiched_sqrt(ar, air, b, rank_tol)
 
 
 def _sqrt_pair(m: np.ndarray, rank_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -284,10 +298,9 @@ def _sqrt_pair(m: np.ndarray, rank_tol: float | None) -> tuple[np.ndarray, np.nd
     return tuple(matcore.psd_function(eig, fn, rank_tol) for fn in (np.sqrt, matcore.inv_sqrt))
 
 
-def _mean_rho_inv_sigma(rho: np.ndarray, sigma: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
-    """``rho^-1 # sigma = rho^-1/2 (rho^1/2 sigma rho^1/2)^1/2 rho^-1/2``."""
-    rr, rir = _sqrt_pair(rho, rank_tol)
-    return rir @ matcore.psd_sqrt(rr @ sigma @ rr, tol=1e-8, rank_tol=rank_tol) @ rir
+def _sandwiched_sqrt(outer, inner, b, rank_tol: float | None) -> np.ndarray:
+    """``outer (inner b inner)^1/2 outer``: ``a # b`` from roots ``(a^1/2, a^-1/2)``."""
+    return outer @ matcore.psd_sqrt(inner @ b @ inner, tol=1e-8, rank_tol=rank_tol) @ outer
 
 
 def spectral_gap_eta(inst: UhlmannInstance, rank_tol: float | None = None) -> float:
@@ -330,9 +343,7 @@ def projector_structure_check(inst: UhlmannInstance, w: np.ndarray, tol: float =
     )
 
 
-def unitary_completion(
-    w: np.ndarray, rank_tol: float | None = None, rng: np.random.Generator | None = None
-) -> np.ndarray:
+def unitary_completion(w: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
     """Extend a partial isometry to a unitary.
 
     Pairs an orthonormal basis of ``ker(W)`` with one of ``coker(W)``;
@@ -401,12 +412,11 @@ def rigidity_report(
     inst: UhlmannInstance, epsilon: float, rank_tol: float | None = None,
     empirical_primal: float | None = None,
 ) -> RigidityReport:
-    """Assemble fidelity, eta, kappa, and both robustness bounds."""
+    """Assemble fidelity, eta, kappa, and both robustness bounds, all at ``rank_tol``."""
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    f = inst.fidelity()
     core = inst.spectral_core(rank_tol)
-    eta, kappa = core.eta, core.kappa
+    f, eta, kappa = core.fidelity, core.eta, core.kappa
     return RigidityReport(
         fidelity=f, eta=eta, kappa=kappa, epsilon=epsilon, delta_bound=2.0 * kappa * epsilon / eta,
         weak_bound=8.0 * (1.0 - f + np.sqrt(epsilon)), empirical_primal=empirical_primal,

@@ -103,6 +103,18 @@ def test_dual_bound_identity_at_explicit_rank_tol():
     assert bound == pytest.approx(rigidity_report(inst, 0.01, rank_tol=1e-4).delta_bound, rel=1e-12)
 
 
+def test_certificate_feasible_at_explicit_rank_tol():
+    # T has a singular value at 8.9e-3 of its largest: above the 1e-4 cut,
+    # below its square root.  Cut on the eigenvalues of T*T, Y1 lost that
+    # direction while T kept it, and the margin fell to -5.4e-3.
+    inst = random_instance(6, np.random.default_rng(106))
+    core = inst.spectral_core(1e-4)
+    cert = build_certificate(inst, 0.01, -core.kappa / core.eta, rank_tol=1e-4)
+    s = np.linalg.svd(cert.t, compute_uv=False)
+    assert ((s > 1e-4 * s[0]) & (s < 1e-2 * s[0])).any()
+    assert cert.feasible and cert.feasibility_margin >= -1e-12
+
+
 def test_primal_probe_zero_epsilon(rng):
     inst = random_instance(3, rng)
     probe = primal_probe(inst, 0.0, trials=10, seed=7)

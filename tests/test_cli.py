@@ -193,6 +193,37 @@ def test_report_and_certificate_pass_tol_as_rank_tol(tmp_path, capsys):
     assert code == 2 and "tol" in json.loads(err)["message"]
 
 
+def test_report_tol_takes_fidelity_at_the_cut(tmp_path, capsys):
+    inst = adversarial.build_eta_family(4, 1e-3, 0.5).instance
+    c_path, d_path = str(tmp_path / "c.json"), str(tmp_path / "d.json")
+    states.write_state(c_path, inst.c)
+    states.write_state(d_path, inst.d)
+    code, out, _ = run_cli(capsys, "report", "--c", c_path, "--d", d_path, "--tol", "1e-4")
+    assert code == 0
+    cut = json.loads(out)
+    f = inst.spectral_core(1e-4).fidelity
+    assert cut["fidelity"] == f
+    assert cut["fidelity"] == pytest.approx(0.70710660440983, abs=1e-12)
+    assert cut["weak_bound"] == pytest.approx(8 * (1 - f + np.sqrt(0.01)), rel=1e-14)
+
+
+@pytest.mark.parametrize("argv", [
+    ["canonical", "--seed", "1"],
+    ["adversarial", "eta", "--seed", "1"],
+    ["round-gap", "--eta-target", "0.3", "--seed", "1"],
+    ["adversarial", "eta", "--tol", "1e-6"],
+    ["round-gap", "--eta-target", "0.3", "--tol", "1e-6"],
+    ["protocol", "--seed", "1", "--tol", "1e-6"],
+    ["grouprep", "--seed", "1", "--tol", "1e-6"],
+])
+def test_flags_no_handler_reads_are_rejected(argv, state_files, capsys):
+    _, c_path, d_path = state_files
+    files = ["--c", c_path, "--d", d_path] if argv[0] in ("canonical", "round-gap") else []
+    code, out, err = run_cli(capsys, *argv, *files)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_unknown_subcommand_usage(capsys):
     assert cli.main(["frobnicate"]) == 2
 

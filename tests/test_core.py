@@ -13,8 +13,15 @@ import numpy as np
 import pytest
 
 from conftest import walk_instances
-from uhlmann import adversarial, certificate, cli, states
-from uhlmann.uhlmann import UhlmannInstance, random_instance, rigidity_report
+from uhlmann import adversarial, certificate, cli, matcore, states
+from uhlmann.matcore import dagger
+from uhlmann.uhlmann import (
+    UhlmannInstance,
+    canonical_w,
+    random_instance,
+    rigidity_report,
+    three_form_deviation,
+)
 
 
 @pytest.fixture
@@ -41,7 +48,33 @@ def test_rigidity_report_takes_four_decompositions(loaded, decompositions):
 def test_certificate_subcommand_decompositions(loaded, decompositions):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["certificate", "--c", loaded[0], "--d", loaded[1]]) == 0
-    assert sum(decompositions.values()) <= 24
+    assert sum(decompositions.values()) <= 15
+
+
+def test_certificate_at_a_new_alpha_takes_one_svd_of_t(loaded, decompositions):
+    inst = _load(loaded)
+    core = inst.spectral_core()
+    certificate.build_certificate(inst, 0.01, alpha=-core.kappa / core.eta)
+    decompositions.clear()
+    certificate.build_certificate(inst, 0.01, alpha=-1.5)
+    # the SVD of T, and schur_psd_margin's pseudoinverse and three eigvalsh
+    assert decompositions == {"svd": 2, "eigvalsh": 3}
+
+
+def test_three_form_deviation_decompositions(loaded, decompositions):
+    inst = _load(loaded)
+    _ = inst.frame
+    decompositions.clear()
+    three_form_deviation(inst)
+    assert sum(decompositions.values()) <= 9
+
+
+def test_round_spectral_gap_decompositions(loaded, decompositions):
+    inst = _load(loaded)
+    _ = inst.frame
+    decompositions.clear()
+    adversarial.round_spectral_gap(inst, 0.3)
+    assert sum(decompositions.values()) <= 11
 
 
 def test_dual_bound_reuses_the_certificate(loaded, decompositions):
@@ -75,6 +108,17 @@ def test_core_is_cached_per_rank_tol():
     assert inst.fidelity() == inst.spectral_core().fidelity == states.fidelity(inst.rho, inst.sigma)
 
 
+def test_canonical_w_is_cached_read_only_per_rank_tol():
+    inst = walk_instances()[3]
+    w = canonical_w(inst)
+    assert w is canonical_w(inst) is inst.spectral_core().canonical_w
+    assert not w.flags.writeable and not inst.spectral_core().completion.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 0.0
+    assert canonical_w(inst, 1e-6) is canonical_w(inst, 1e-6)
+    assert canonical_w(inst, 1e-6) is not w
+
+
 def _golden_cases():
     fams = [(f"eta{d}", adversarial.build_eta_family(d, eta, tau).instance, None)
             for d, eta, tau in [(4, 0.4, 0.5), (8, 0.2, 0.5), (16, 0.3, 0.7)]]
@@ -95,8 +139,9 @@ def _golden_cases():
 # (F, eta, kappa, delta_bound, value and margin at alpha = -kappa/eta, value and
 # margin at alpha = -1.5, dual_bound, psd_core_check) at eps = 0.01, computed
 # by the per-function implementation that rebuilt each spectral object itself.
-# The two certificate values and dual_bound of "kappa_small_tol" take F at the
-# given rank_tol, so that dual_bound = 2 kappa eps / eta = delta_bound holds.
+# F and the two certificate values and dual_bound of "kappa_small_tol" take F
+# at the given rank_tol, so that dual_bound = 2 kappa eps / eta = delta_bound
+# holds and the report's F is the one its bounds use.
 CORE_GOLDEN = {
     "walk0": (
         0.7491484696589364, 1.3348488857692917, 1.745380778423256, 0.02615098678255807,
@@ -169,7 +214,7 @@ CORE_GOLDEN = {
         0.3113277378640278, 3.777835352115141e-16,
     ),
     "kappa_small_tol": (
-        0.7071064276330684, 0.7071074882943894, 1.0, 0.028284242963176512,
+        0.7071060740794128, 0.7071074882943894, 1.0, 0.028284242963176512,
         -0.985855878518411, -1.342164852369779e-31, -0.9849980000000007, -1.0677710939188613e-19,
         0.02828424296317844, -6.661338147750939e-16,
     ),
@@ -189,3 +234,16 @@ def test_core_matches_golden_values():
         )
         np.testing.assert_allclose(got, CORE_GOLDEN[name], rtol=0, atol=1e-12, err_msg=name)
         assert cert.feasible and other.feasible
+
+
+def test_polar_blocks_match_the_pseudoinverse_formulas():
+    # Y1 = sqrt(T*T) and Y2 = T Y1^+ T*, as built before one SVD of T gave both
+    for name, inst, tol in _golden_cases():
+        core = inst.spectral_core(tol)
+        for alpha in (-core.kappa / core.eta, -1.5):
+            cert = certificate.build_certificate(inst, 0.01, alpha, rank_tol=tol)
+            t = cert.t
+            y1 = matcore.psd_sqrt(dagger(t) @ t, tol=1e-8, rank_tol=tol)
+            y2 = t @ matcore.pseudoinverse(y1, rank_tol=tol) @ dagger(t)
+            np.testing.assert_allclose(cert.y1, y1, rtol=0, atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(cert.y2, y2, rtol=0, atol=1e-12, err_msg=name)

@@ -82,6 +82,13 @@ def test_exact_reps_have_zero_defect():
         assert rep_defect(rep) <= 1e-10
 
 
+def test_klein_four_has_no_built_in_rep_at_dim_2():
+    # not cyclic, so no character powers; dim 2 is not its order either
+    klein = FiniteGroup.from_table([[a ^ b for b in range(4)] for a in range(4)])
+    with pytest.raises(BadParamsError):
+        exact_representation(klein, 2)
+
+
 def test_z2_defect_formula():
     # U1 = diag(1, e^{i theta}): only the (g,h) = (1,1) term contributes,
     # giving 2 rho_11 (1 - cos 2 theta) / 4 = rho_11 sin^2(theta)

@@ -193,7 +193,8 @@ def test_experiments_reject_trials_below_one(trials):
 
 def test_protocol_subcommand_decompositions(decompositions):
     # the Born value, canonical completion and output fidelity are built once,
-    # not once per trial (about 6 decompositions per trial otherwise)
+    # not once per trial (about 6 decompositions per trial otherwise), and the
+    # canonical W and its completion once per command
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["protocol", "--trials", "100", "--seed", "1"]) == 0
-    assert sum(decompositions.values()) <= 20
+    assert sum(decompositions.values()) <= 14
