@@ -10,7 +10,7 @@ certificate value.
 
 import numpy as np
 
-from uhlmann import canonical_w, random_instance, rigidity_report, rigidity_residual
+from uhlmann import random_instance, rigidity_report, rigidity_residual
 from uhlmann.certificate import build_certificate, dual_bound, primal_probe
 from uhlmann.uhlmann import near_optimal_unitary
 
@@ -39,7 +39,6 @@ print(f"implied bound 2(value + Tr(P rho)) = {dual_bound(inst, eps):.6e}")
 
 print()
 print("=== probing the primal side ===")
-w = canonical_w(inst)
 probe = primal_probe(inst, eps, trials=200, seed=7)
 print(f"best residual over 200 near-optimal unitaries = {probe.best_residual:.6e}")
 print(f"its overlap = {probe.best_overlap:.8f} >= F - eps = {rep.fidelity - eps:.8f}")
@@ -48,6 +47,6 @@ print(f"bound / best residual = {rep.delta_bound / probe.best_residual:.2f}")
 print()
 print("residuals of a few near-optimal unitaries against the bound:")
 for k in range(5):
-    r, ov = near_optimal_unitary(inst, w, eps, np.random.default_rng((2, k)))
-    res = rigidity_residual(inst, w, r)
+    r, ov = near_optimal_unitary(inst, eps, np.random.default_rng((2, k)))
+    res = rigidity_residual(inst, r)
     print(f"  deficit = {rep.fidelity - ov:.2e}  residual = {res:.3e}  bound = {rep.delta_bound:.3e}")

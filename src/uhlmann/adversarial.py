@@ -153,8 +153,7 @@ def build_eta_family(d: int, eta: float, tau: float) -> EtaFamily:
     if abs(ov - (f - epsilon)) > 1e-9:
         raise BadParamsError(f"adversary overlap {ov} != F - eps = {f - epsilon}")
 
-    w = uhlmann.canonical_w(inst)
-    residual = uhlmann.rigidity_residual(inst, w, r)
+    residual = uhlmann.rigidity_residual(inst, r)
     eta_measured = uhlmann.spectral_gap_eta(inst)
     bound = certificate.dual_bound(inst, epsilon)
     if f < 0.5 - 1e-12:
@@ -249,8 +248,7 @@ def build_kappa_family(
         raise BadParamsError("rho and sigma_vec must have dimension d")
     sv = np.asarray(sigma_vec, dtype=complex)
     sv = sv / np.linalg.norm(sv)
-    rho_eig = matcore.psd_eigen(rho.mat)
-    if rho_eig.values[-1] < 1e-12:
+    if rho.eigen.values[-1] < 1e-12:
         raise NotInvertibleError("rho must be invertible")
 
     s_rho_s = float((sv.conj() @ rho.mat @ sv).real)
@@ -263,7 +261,7 @@ def build_kappa_family(
     if epsilon > 2 * f:
         raise EpsilonTooLargeError("epsilon exceeds 2 F; no rotated vector exists")
 
-    sqrt_rho = matcore.psd_function(rho_eig, np.sqrt)
+    sqrt_rho = matcore.psd_function(rho.eigen, np.sqrt)
     mc = sqrt_rho.T  # grid of (1 (x) sqrt(rho)) |Omega>
     md = np.outer(sv.conj(), sv)
     inst = UhlmannInstance.from_states(BipartitePureState(mc), BipartitePureState(md))
@@ -281,8 +279,7 @@ def build_kappa_family(
     ov = states.overlap(inst.d, r, inst.c).real
     if abs(ov - (f - epsilon)) > 1e-8:
         raise BadParamsError(f"adversary overlap {ov} != F - eps = {f - epsilon}")
-    w = uhlmann.canonical_w(inst)
-    residual = uhlmann.rigidity_residual(inst, w, r)
+    residual = uhlmann.rigidity_residual(inst, r)
     if residual < kappa * epsilon**2 - 1e-8:
         raise BadParamsError("adversary residual fell below kappa eps^2")
     kap_measured = uhlmann.obliqueness_kappa(inst)
@@ -392,8 +389,8 @@ def round_spectral_gap(
     rho_hat = (1 - mix_delta) * inst.rho.mat + mix_delta * np.eye(d) / d
     sig_hat = (1 - mix_delta) * inst.sigma.mat + mix_delta * np.eye(d) / d
 
-    rr, rir = uhlmann._sqrt_pair(rho_hat, None)
-    mean = uhlmann._sandwiched_sqrt(rir, rr, sig_hat, None)  # rho_hat^-1 # sig_hat
+    rr, rir = uhlmann._sqrt_pair(rho_hat)
+    mean = uhlmann._sandwiched_sqrt(rir, rr, sig_hat)  # rho_hat^-1 # sig_hat
     w, v = np.linalg.eigh((mean + dagger(mean)) / 2)
     keep = w >= eta_target
     if not keep.any():

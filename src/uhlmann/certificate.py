@@ -152,7 +152,6 @@ def primal_probe(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    w = uhlmann.canonical_w(inst)
     f = inst.fidelity()
     best_res = 0.0
     best_ov = f
@@ -160,12 +159,12 @@ def primal_probe(
         ov = states.overlap(inst.d, cand, inst.c).real
         if ov < f - epsilon - 1e-9:
             continue  # infeasible candidate: not part of the probe
-        res = uhlmann.rigidity_residual(inst, w, cand)
+        res = uhlmann.rigidity_residual(inst, cand)
         if res > best_res:
             best_res, best_ov = res, float(ov)
     rngs = (np.random.default_rng((seed, i)) for i in range(trials))
-    for r, ov in uhlmann.near_optimal_unitaries(inst, w, epsilon, rngs):
-        res = uhlmann.rigidity_residual(inst, w, r)
+    for r, ov in uhlmann.near_optimal_unitaries(inst, epsilon, rngs):
+        res = uhlmann.rigidity_residual(inst, r)
         if res > best_res:
             best_res, best_ov = res, ov
     return PrimalProbe(best_residual=best_res, best_overlap=best_ov, trials=trials, seed=seed)

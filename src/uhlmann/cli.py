@@ -55,9 +55,7 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
 
 
 def _emit_csv(header: list, rows: list, out_path: str | None) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     _write("\n".join(lines) + "\n", out_path)
 
 
@@ -185,8 +183,10 @@ def _cmd_protocol(args) -> int:
     seed = _require_seed(args)
     if args.trials < 1:
         raise BadParamsError(f"--trials must be >= 1, got {args.trials}")
+    if bool(args.c) != bool(args.d):
+        raise BadParamsError("--c and --d must be given together")
     fam = None
-    if args.c and args.d:
+    if args.c:
         inst = _load_instance(args)
     elif args.prover == "derangement":
         fam = adversarial.build_eta_family(2**args.n, args.eta, args.tau)
@@ -237,6 +237,8 @@ def _build_prover(spec_str: str, inst, fam, seed: int) -> protocol.ProverStrateg
 
 def _cmd_grouprep(args) -> int:
     seed = _require_seed(args)
+    if args.count < 1:
+        raise BadParamsError(f"--count must be >= 1, got {args.count}")
     group = _build_group(args.group)
     dim = args.dim if args.dim else (3 if group.order == 6 else group.order)
     rows = []
@@ -245,9 +247,7 @@ def _cmd_grouprep(args) -> int:
         rep = grouprep.perturbed_rep(group, dim, args.scale, rng)
         res = grouprep.stability_check(rep)
         rows.append({"index": k, **dataclasses.asdict(res)})
-    lines = []
-    for row in rows:
-        lines.append("{" + ",".join(f'"{k}":{_fmt(row[k])}' for k in sorted(row)) + "}")
+    lines = ("{" + ",".join(f'"{k}":{_fmt(row[k])}' for k in sorted(row)) + "}" for row in rows)
     _write("\n".join(lines) + "\n", args.out)
     return 0
 

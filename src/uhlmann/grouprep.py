@@ -232,7 +232,7 @@ def rep_defect(rep: ApproxRep) -> float:
 
 def _purification_grid(rho: DensityMatrix) -> np.ndarray:
     """Grid of the standard purification ``(1 (x) sqrt(rho)) |Omega>``."""
-    g = matcore.psd_sqrt(rho.mat).T
+    g = matcore.psd_function(rho.eigen, np.sqrt).T
     return g / np.linalg.norm(g)
 
 

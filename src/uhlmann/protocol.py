@@ -140,10 +140,7 @@ def derangement_prover(adversary_r: np.ndarray) -> ProverStrategy:
 
 def epsilon_prover(inst: UhlmannInstance, epsilon: float, seed: int) -> ProverStrategy:
     """Near-optimal adversary at overlap deficit close to ``epsilon``."""
-    w = uhlmann.canonical_w(inst)
-    r, _ = uhlmann.near_optimal_unitary(
-        inst, w, epsilon, np.random.default_rng(seed), deficit_fraction=1.0
-    )
+    r, _ = uhlmann.near_optimal_unitary(inst, epsilon, np.random.default_rng(seed), deficit_fraction=1.0)
     return ProverStrategy(f"epsilon:{epsilon:g}", r)
 
 
@@ -282,16 +279,15 @@ def soundness_probe(
         raise BadParamsError(f"trials must be >= 1, got {trials}")
     if not prover_family:
         raise BadParamsError("prover_family must be nonempty")
-    core = inst.spectral_core()
-    w = core.canonical_w
-    target = domain_output_density(inst, ProverStrategy("canonical", core.completion), w)
+    canonical = ProverStrategy("canonical", inst.spectral_core().completion)
+    target = domain_output_density(inst, canonical)
     rows = []
     for pi, prover in enumerate(prover_family):
         xi = input_ensemble_state(inst, np.random.default_rng((seed, pi, 0xC0)))
         inv = TrialInvariants.of(inst, prover, xi)
         outs = (run_protocol(inst, params, prover, xi, (seed, pi, t), inv) for t in range(trials))
         accepted = sum(o.accepted for o in outs)
-        td = 0.5 * matcore.trace_norm(domain_output_density(inst, prover, w) - target)
+        td = 0.5 * matcore.trace_norm(domain_output_density(inst, prover) - target)
         rows.append(
             {
                 "label": prover.label,
@@ -304,18 +300,17 @@ def soundness_probe(
     return SoundnessReport(r=params.r, rows=rows)
 
 
-def domain_output_density(
-    inst: UhlmannInstance, prover: ProverStrategy, w: np.ndarray
-) -> np.ndarray:
+def domain_output_density(inst: UhlmannInstance, prover: ProverStrategy) -> np.ndarray:
     """Joint AB state after the prover acts on the W-domain part of ``|C>``.
 
-    The B side of ``|C>`` is projected onto ``Dom(W) = Image(W* W)``
-    before routing through the prover; the ancilla (initialized to |0>)
-    is traced out and the result renormalized by the domain weight
-    ``<C|(1 x W* W)|C>``, which is the same for every prover.
+    With W the canonical transformation, the B side of ``|C>`` is projected
+    onto ``Dom(W) = Image(W* W)`` before routing through the prover; the
+    ancilla (initialized to |0>) is traced out and the result renormalized
+    by the domain weight ``<C|(1 x W* W)|C>``, the same for every prover.
     """
     if prover.dim_b != inst.dim_b:
         raise DimensionMismatchError("prover acts on the wrong dimension")
+    w = uhlmann.canonical_w(inst)
     proj = dagger(w) @ w
     mc = inst.c.coeffs @ proj.T
     weight = float(np.linalg.norm(mc) ** 2)
@@ -333,7 +328,8 @@ def domain_output_density(
 
 def input_ensemble_state(inst: UhlmannInstance, rng: np.random.Generator) -> np.ndarray:
     """Draw a pure input from the eigen-ensemble of ``reduce_b(C)``."""
-    w, v = np.linalg.eigh(states.reduce_b(inst.c).mat)
+    eig = states.reduce_b(inst.c).eigen  # the draw indexes eigh's ascending order
+    w, v = eig.values[::-1], eig.vectors[:, ::-1]
     w = np.clip(w.real, 0, None)
     w /= w.sum()
     idx = int(rng.choice(w.shape[0], p=w))

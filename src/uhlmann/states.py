@@ -16,7 +16,7 @@ here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,9 +89,11 @@ class BipartitePureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, trace-one matrix."""
+    """Hermitian, PSD, trace-one matrix; ``eigen`` is the ``matcore.psd_eigen``
+    decomposition that validated it, which every reader of its spectrum reuses."""
 
     mat: np.ndarray
+    eigen: matcore.HermitianEigen = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         m = as_matrix(self.mat)
@@ -99,9 +101,7 @@ class DensityMatrix:
             raise DimensionMismatchError("density matrix must be square")
         if matcore.op_norm_exceeds(m - dagger(m), 1e-10):
             raise NotPsdError("density matrix is not Hermitian within 1e-10")
-        w = np.linalg.eigvalsh((m + dagger(m)) / 2)
-        if w.size and w[0] < -1e-10:
-            raise NotPsdError(f"density matrix min eigenvalue {w[0]:.3e} < -1e-10")
+        object.__setattr__(self, "eigen", matcore.psd_eigen(m))  # NotPsdError below -1e-10
         if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
             raise NotPsdError(f"density matrix trace {np.trace(m)} != 1 within 1e-10")
         object.__setattr__(self, "mat", m)
@@ -204,7 +204,8 @@ def fidelity(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.ndarray)
     s = sigma.mat if isinstance(sigma, DensityMatrix) else as_matrix(sigma)
     if r.shape != s.shape:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {s.shape}")
-    rs = matcore.psd_sqrt(r)
+    eig = rho.eigen if isinstance(rho, DensityMatrix) else matcore.psd_eigen(r)
+    rs = matcore.psd_function(eig, np.sqrt)
     return float(np.trace(matcore.psd_sqrt(matcore.symmetrized(rs @ s @ rs, 1e-10))).real)
 
 

@@ -97,7 +97,9 @@ class UhlmannInstance:
 
     def spectral_core(self, rank_tol: float | None = None) -> "SpectralCore":
         """The instance's ``SpectralCore`` at ``rank_tol``, built once per value."""
-        return self._cores.setdefault(rank_tol, SpectralCore(self, rank_tol))
+        if rank_tol not in self._cores:
+            self._cores[rank_tol] = SpectralCore(self, rank_tol)
+        return self._cores[rank_tol]
 
     @cached_property
     def _cores(self) -> dict:
@@ -111,16 +113,17 @@ class UhlmannInstance:
 class SpectralCore:
     """The decompositions every spectral quantity of an instance derives from.
 
-    eigh(rho) gives ``sqrt_rho``, ``rho_pinv_sqrt`` and Image(rho); eigh of
+    ``rho.eigen`` gives ``sqrt_rho``, ``rho_pinv_sqrt`` and Image(rho); eigh of
     ``h = rho^1/2 sigma rho^1/2`` gives F, the projector onto Image(h) and
     ``mean = rho^-1 # sigma = rho^-1/2 h^1/2 rho^-1/2``, whose eigvalsh gives
     eta; kappa takes one SVD.  In the identity frame (conjugated matrices,
-    validated on first use) eigh(sigma) and one SVD give ``a = sqrt(sigma)
-    sqrt(rho)``, ``w = sgn(a)`` and ``p = w* w``.  One SVD each gives the
-    read-only ``canonical_w = sgn(Tr_A |D><C|)`` and its unitary completion
-    ``completion``.  All is computed on first use; every rank decision
-    applies ``rank_tol`` by its matcore rule.  ``certificate_point`` keeps
-    the certificate's blocks for the last alpha.
+    validated on first use) ``sigma.eigen`` and one SVD give ``a = sqrt(sigma)
+    sqrt(rho)``, ``w = sgn(a)`` and ``p = w* w``.  One SVD gives the read-only
+    ``canonical_w = sgn(Tr_A |D><C|)``, one more its ``completion_basis`` (W and
+    bases of its kernel and cokernel), which the unitary ``completion`` and
+    every walk's random completion share.  All is computed on first use;
+    every rank decision applies ``rank_tol`` by its matcore rule.
+    ``certificate_point`` keeps the certificate's blocks for the last alpha.
     """
 
     def __init__(self, inst: UhlmannInstance, rank_tol: float | None):
@@ -131,20 +134,16 @@ class SpectralCore:
         return matcore.psd_function(eig, fn, self.rank_tol)
 
     @cached_property
-    def _rho_eig(self) -> matcore.HermitianEigen:
-        return matcore.psd_eigen(self.inst.rho.mat)
-
-    @cached_property
     def sqrt_rho(self) -> np.ndarray:
-        return self._apply(self._rho_eig)
+        return self._apply(self.inst.rho.eigen)
 
     @cached_property
     def rho_pinv_sqrt(self) -> np.ndarray:
-        return self._apply(self._rho_eig, matcore.inv_sqrt)
+        return self._apply(self.inst.rho.eigen, matcore.inv_sqrt)
 
     @cached_property
     def sqrt_sigma(self) -> np.ndarray:
-        return self._apply(matcore.psd_eigen(self.inst.sigma.mat))
+        return self._apply(self.inst.sigma.eigen)
 
     @cached_property
     def _h(self) -> np.ndarray:
@@ -181,7 +180,8 @@ class SpectralCore:
         if not np.abs(self._h_eig.values).max(initial=0.0) > 0.0:
             raise ZeroFidelityError("rho^1/2 sigma rho^1/2 vanishes")
         p = matcore.eigen_image(self._h_eig, self.rank_tol)
-        leak = (np.eye(self.inst.dim_a) - matcore.eigen_image(self._rho_eig, self.rank_tol)) @ p
+        image_rho = matcore.eigen_image(self.inst.rho.eigen, self.rank_tol)
+        leak = (np.eye(self.inst.dim_a) - image_rho) @ p
         if matcore.op_norm_exceeds(leak, 1e-6):
             raise IllConditionedError(f"projector leaks {matcore.op_norm(leak):.3e} outside Image(rho)")
         return float(matcore.op_norm(self.rho_pinv_sqrt @ p @ self.sqrt_rho) ** 2)
@@ -207,8 +207,12 @@ class SpectralCore:
         return w
 
     @cached_property
+    def completion_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _completion_basis(self.canonical_w)
+
+    @cached_property
     def completion(self) -> np.ndarray:
-        u = unitary_completion(self.canonical_w)
+        u = _complete(*self.completion_basis, None)
         u.flags.writeable = False
         return u
 
@@ -255,7 +259,7 @@ def canonical_w(inst: UhlmannInstance, rank_tol: float | None = None) -> np.ndar
     return inst.spectral_core(rank_tol).canonical_w
 
 
-def three_form_deviation(inst: UhlmannInstance, rank_tol: float | None = None) -> float:
+def three_form_deviation(inst: UhlmannInstance) -> float:
     """Max pairwise deviation of the equivalent expressions for W.
 
     Evaluated in the identity frame, where the B-side density matrices are
@@ -264,16 +268,16 @@ def three_form_deviation(inst: UhlmannInstance, rank_tol: float | None = None) -
     (3) ``(rho^1/2 sigma^1/2)^-1 rho^1/2 (rho^-1 # sigma) rho^1/2``.
     """
     fr = inst.frame
-    w1 = fr.rotate_b_operator(canonical_w(inst, rank_tol=rank_tol))
-    rr, rir = _sqrt_pair(fr.rho, rank_tol)
-    sr = matcore.psd_sqrt(fr.sigma, rank_tol=rank_tol)
-    w2 = matcore.matrix_sign(sr @ rr, rank_tol=rank_tol)
-    mean = _sandwiched_sqrt(rir, rr, fr.sigma, rank_tol)  # rho^-1 # sigma
-    w3 = matcore.pseudoinverse(rr @ sr, rank_tol=rank_tol) @ rr @ mean @ rr
+    w1 = fr.rotate_b_operator(canonical_w(inst))
+    rr, rir = _sqrt_pair(fr.rho)
+    sr = matcore.psd_sqrt(fr.sigma)
+    w2 = matcore.matrix_sign(sr @ rr)
+    mean = _sandwiched_sqrt(rir, rr, fr.sigma)  # rho^-1 # sigma
+    w3 = matcore.pseudoinverse(rr @ sr) @ rr @ mean @ rr
     return max(matcore.op_norm(w1 - w2), matcore.op_norm(w2 - w3), matcore.op_norm(w1 - w3))
 
 
-def geometric_mean(a, b, rank_tol: float | None = None) -> np.ndarray:
+def geometric_mean(a, b) -> np.ndarray:
     """Matrix geometric mean ``A # B`` of two Hermitian PSD matrices.
 
     ``A # B = A^1/2 (A^-1/2 B A^-1/2)^1/2 A^1/2`` with Moore-Penrose
@@ -288,19 +292,19 @@ def geometric_mean(a, b, rank_tol: float | None = None) -> np.ndarray:
     for m in (a, b):
         if matcore.op_norm_exceeds(m - dagger(m), 1e-9):
             raise NotPsdError("geometric mean requires Hermitian inputs")
-    ar, air = _sqrt_pair(a, rank_tol)
-    return _sandwiched_sqrt(ar, air, b, rank_tol)
+    ar, air = _sqrt_pair(a)
+    return _sandwiched_sqrt(ar, air, b)
 
 
-def _sqrt_pair(m: np.ndarray, rank_tol: float | None) -> tuple[np.ndarray, np.ndarray]:
+def _sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``m^1/2`` and ``m^-1/2`` from one eigendecomposition."""
     eig = matcore.psd_eigen(m)
-    return tuple(matcore.psd_function(eig, fn, rank_tol) for fn in (np.sqrt, matcore.inv_sqrt))
+    return tuple(matcore.psd_function(eig, fn) for fn in (np.sqrt, matcore.inv_sqrt))
 
 
-def _sandwiched_sqrt(outer, inner, b, rank_tol: float | None) -> np.ndarray:
+def _sandwiched_sqrt(outer, inner, b) -> np.ndarray:
     """``outer (inner b inner)^1/2 outer``: ``a # b`` from roots ``(a^1/2, a^-1/2)``."""
-    return outer @ matcore.psd_sqrt(inner @ b @ inner, tol=1e-8, rank_tol=rank_tol) @ outer
+    return outer @ matcore.psd_sqrt(inner @ b @ inner, tol=1e-8) @ outer
 
 
 def spectral_gap_eta(inst: UhlmannInstance, rank_tol: float | None = None) -> float:
@@ -326,20 +330,20 @@ def obliqueness_kappa(inst: UhlmannInstance, rank_tol: float | None = None) -> f
     return inst.spectral_core(rank_tol).kappa
 
 
-def projector_structure_check(inst: UhlmannInstance, w: np.ndarray, tol: float = 1e-8) -> bool:
-    """Check ``WW* = Proj Image(sigma^1/2 rho sigma^1/2)`` and the W*W twin.
+def projector_structure_check(inst: UhlmannInstance) -> bool:
+    """Check ``WW* = Proj Image(sigma^1/2 rho sigma^1/2)`` and the W*W twin within 1e-8.
 
-    Evaluated in the identity frame with the conjugated reduced matrices.
+    Evaluated for the canonical W in the identity frame with the conjugated reduced matrices.
     """
     fr = inst.frame
-    wr = fr.rotate_b_operator(w)
+    wr = fr.rotate_b_operator(canonical_w(inst))
     rr = matcore.psd_sqrt(fr.rho)
     sr = matcore.psd_sqrt(fr.sigma)
     left = matcore.image_projector(sr @ fr.rho @ sr)
     right = matcore.image_projector(rr @ fr.sigma @ rr)
     return (
-        matcore.op_norm(wr @ dagger(wr) - left) <= tol
-        and matcore.op_norm(dagger(wr) @ wr - right) <= tol
+        matcore.op_norm(wr @ dagger(wr) - left) <= 1e-8
+        and matcore.op_norm(dagger(wr) @ wr - right) <= 1e-8
     )
 
 
@@ -382,11 +386,12 @@ def _complete(w, kernel, coker, rng: np.random.Generator | None) -> np.ndarray:
     return u
 
 
-def rigidity_residual(inst: UhlmannInstance, w: np.ndarray, r: np.ndarray) -> float:
-    """The squared distance ``|| (1 (x) (W - R) W*W) |C> ||^2``."""
+def rigidity_residual(inst: UhlmannInstance, r: np.ndarray) -> float:
+    """The squared distance ``|| (1 (x) (W - R) W*W) |C> ||^2``, W = ``canonical_w(inst)``."""
     r = matcore.as_matrix(r)
     if matcore.op_norm_exceeds(dagger(r) @ r - np.eye(r.shape[0]), 1e-8):
         raise NotUnitaryError("R must be unitary within 1e-8")
+    w = canonical_w(inst)
     p = dagger(w) @ w
     moved = inst.c.coeffs @ ((w - r) @ p).T
     return float(np.linalg.norm(moved) ** 2)
@@ -460,22 +465,23 @@ def random_instance(
 
 
 def near_optimal_unitary(
-    inst: UhlmannInstance, w: np.ndarray, epsilon: float, rng: np.random.Generator,
+    inst: UhlmannInstance, epsilon: float, rng: np.random.Generator,
     deficit_fraction: float | None = None,
 ) -> tuple[np.ndarray, float]:
     """Generate a unitary with overlap ``>= F - epsilon``.
 
     The batch of one of ``near_optimal_unitaries``: walks from a random
-    unitary completion ``U0`` of W along ``U0 V exp(i t lam) V*``, bisecting
-    ``t`` on the closed-form overlap ``sum_k a_k exp(i t lam_k)``.  Returns
-    the unitary and its real overlap, as computed by ``states.overlap``.
+    unitary completion ``U0`` of the canonical W along ``U0 V exp(i t lam)
+    V*``, bisecting ``t`` on the closed-form overlap ``sum_k a_k exp(i t
+    lam_k)``.  Returns the unitary and its real overlap, as computed by
+    ``states.overlap``.
     """
-    ((r, ov),) = near_optimal_unitaries(inst, w, epsilon, [rng], deficit_fraction)
+    ((r, ov),) = near_optimal_unitaries(inst, epsilon, [rng], deficit_fraction)
     return r, ov
 
 
 def near_optimal_unitaries(
-    inst: UhlmannInstance, w: np.ndarray, epsilon: float, rngs: Iterable[np.random.Generator],
+    inst: UhlmannInstance, epsilon: float, rngs: Iterable[np.random.Generator],
     deficit_fraction: float | None = None,
 ) -> Iterator[tuple[np.ndarray, float]]:
     """Yield one unitary with overlap ``>= F - epsilon`` per generator.
@@ -483,9 +489,8 @@ def near_optimal_unitaries(
     Each walk draws from its own generator, in this order: the target
     deficit ``deficit_fraction * epsilon`` (the fraction uniform in
     [0.3, 1] when None), the gauge of a random unitary completion ``U0`` of
-    W (whose kernel and cokernel bases come from one SVD per call), and a
-    random Hermitian generator ``H = V diag(lam) V*`` scaled to
-    ``max |lam| = 1``.  Along ``R(t) = U0 V exp(i t lam) V*`` the overlap
+    the canonical W (from the core's ``completion_basis``), and a random
+    Hermitian generator ``H = V diag(lam) V*`` scaled to ``max |lam| = 1``.  Along ``R(t) = U0 V exp(i t lam) V*`` the overlap
     is the trigonometric sum
 
         <D| (1 (x) R(t)) |C> = Tr(R(t) K) = sum_k a_k exp(i t lam_k),
@@ -502,7 +507,7 @@ def near_optimal_unitaries(
     """
     f = inst.fidelity()
     k = states.partial_trace_a_outer(inst.c, inst.d)
-    basis = _completion_basis(w)
+    basis = inst.spectral_core().completion_basis
     rngs = iter(rngs)
     while block := list(itertools.islice(rngs, _WALK_BLOCK)):
         targets, u0s, hs = [], [], []
@@ -510,7 +515,7 @@ def near_optimal_unitaries(
             frac = deficit_fraction if deficit_fraction is not None else rng.uniform(0.3, 1.0)
             targets.append(epsilon * frac)
             u0s.append(_complete(*basis, rng))
-            h = rng.normal(size=w.shape) + 1j * rng.normal(size=w.shape)
+            h = rng.normal(size=basis[0].shape) + 1j * rng.normal(size=basis[0].shape)
             hs.append((h + dagger(h)) / 2)
         target, u0 = np.array(targets), np.array(u0s)
         try:

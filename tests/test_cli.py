@@ -261,6 +261,22 @@ def test_protocol_rejects_trials_below_one(trials, capsys):
     assert json.loads(err)["error"] == "BadParamsError"
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_grouprep_rejects_count_below_one(count, capsys):
+    code, out, err = run_cli(capsys, "grouprep", "--count", count, "--seed", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BadParamsError"
+
+
+@pytest.mark.parametrize("flag", ["--c", "--d"])
+def test_protocol_requires_both_state_files(flag, state_files, capsys):
+    _, c_path, _ = state_files
+    for path in (c_path, "missing.json"):
+        code, out, err = run_cli(capsys, "protocol", flag, path, "--trials", "5", "--seed", "1")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "BadParamsError"
+
+
 def test_protocol_calls_run_protocol_once_per_trial(monkeypatch, capsys):
     from uhlmann import protocol
 

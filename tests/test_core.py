@@ -21,6 +21,7 @@ from uhlmann.uhlmann import (
     random_instance,
     rigidity_report,
     three_form_deviation,
+    unitary_completion,
 )
 
 
@@ -48,7 +49,7 @@ def test_rigidity_report_takes_four_decompositions(loaded, decompositions):
 def test_certificate_subcommand_decompositions(loaded, decompositions):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["certificate", "--c", loaded[0], "--d", loaded[1]]) == 0
-    assert sum(decompositions.values()) <= 15
+    assert sum(decompositions.values()) <= 13
 
 
 def test_certificate_at_a_new_alpha_takes_one_svd_of_t(loaded, decompositions):
@@ -100,6 +101,15 @@ def test_primal_probe_decomposes_w_once(loaded, decompositions):
     assert decompositions["svd"] <= 2
 
 
+def test_second_primal_probe_takes_no_svd(loaded, decompositions):
+    inst = _load(loaded)
+    certificate.primal_probe(inst, 0.01, 100, 3)
+    decompositions.clear()
+    certificate.primal_probe(inst, 0.01, 100, 3)
+    # W and its completion basis are the core's; only the walks' eigh remain
+    assert "svd" not in decompositions
+
+
 def test_core_is_cached_per_rank_tol():
     inst = walk_instances()[3]
     assert inst.spectral_core() is inst.spectral_core(None)
@@ -117,6 +127,13 @@ def test_canonical_w_is_cached_read_only_per_rank_tol():
         w[0, 0] = 0.0
     assert canonical_w(inst, 1e-6) is canonical_w(inst, 1e-6)
     assert canonical_w(inst, 1e-6) is not w
+
+
+def test_cached_completion_matches_unitary_completion():
+    for inst in walk_instances():
+        core = inst.spectral_core()
+        assert core.completion.tobytes() == unitary_completion(canonical_w(inst)).tobytes()
+        assert core.completion_basis is core.completion_basis
 
 
 def _golden_cases():

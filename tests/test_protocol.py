@@ -197,4 +197,11 @@ def test_protocol_subcommand_decompositions(decompositions):
     # canonical W and its completion once per command
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["protocol", "--trials", "100", "--seed", "1"]) == 0
-    assert sum(decompositions.values()) <= 14
+    assert sum(decompositions.values()) <= 11
+
+
+def test_epsilon_protocol_decompositions(decompositions):
+    # the walk's random completion shares the honest completion's basis of W
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["protocol", "--prover", "epsilon:0.05", "--trials", "100", "--seed", "1"]) == 0
+    assert sum(decompositions.values()) <= 12

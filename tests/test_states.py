@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_complex, random_unitary
 from uhlmann import matcore, states
-from uhlmann.errors import DimensionMismatchError, NotNormalizedError
+from uhlmann.errors import DimensionMismatchError, NotNormalizedError, NotPsdError
 from uhlmann.matcore import dagger
 from uhlmann.states import (
     BipartitePureState,
@@ -66,6 +68,31 @@ def overlap_bruteforce(d, r, c):
 def test_rejects_denormalized_state():
     with pytest.raises(NotNormalizedError):
         BipartitePureState(np.eye(2, dtype=complex) * 0.8)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.array([[0.5, 1e-9], [0.0, 0.5]]),  # not Hermitian by 1e-9
+        np.diag([1.0 + 1e-9, -1e-9]),  # an eigenvalue at -1e-9
+        np.diag([0.5, 0.5 + 1e-9]),  # trace 1 + 1e-9
+    ],
+)
+def test_density_matrix_rejects(mat):
+    with pytest.raises(NotPsdError):
+        DensityMatrix(mat.astype(complex))
+
+
+def test_density_matrix_keeps_its_eigendecomposition(rng):
+    p = random_complex(rng, 4, 3)
+    rho = DensityMatrix(p @ dagger(p) / np.trace(p @ dagger(p)).real)
+    np.testing.assert_allclose(rho.eigen.reconstruct(), rho.mat, rtol=0, atol=1e-15)
+    assert np.all(np.diff(rho.eigen.values) <= 0)
+    assert rho.eigen.values[-1] >= -1e-10
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.eigen = None
+    with pytest.raises(TypeError):
+        DensityMatrix(rho.mat, eigen=rho.eigen)
 
 
 def test_omega_grid_and_reflection(rng):

@@ -151,10 +151,10 @@ def test_kappa_pure_sigma_formula(rng):
 
 def test_projector_structure(rng):
     inst = random_instance(4, rng, rank_c=4, rank_d=4)
-    assert projector_structure_check(inst, canonical_w(inst))
+    assert projector_structure_check(inst)
     low = random_instance(5, rng, rank_c=3, rank_d=2)
     w = canonical_w(low)
-    assert projector_structure_check(low, w)
+    assert projector_structure_check(low)
     rank = int(np.round(np.trace(dagger(w) @ w).real))
     assert rank == np.linalg.matrix_rank(states.partial_trace_a_outer(low.d, low.c), tol=1e-10)
 
@@ -196,7 +196,7 @@ def test_residual_zero_for_completions(rng):
     inst = random_instance(4, rng)
     w = canonical_w(inst)
     for _ in range(5):
-        assert rigidity_residual(inst, w, unitary_completion(w, rng=rng)) <= 1e-9
+        assert rigidity_residual(inst, unitary_completion(w, rng=rng)) <= 1e-9
 
 
 def test_residual_matches_bruteforce(rng):
@@ -210,14 +210,13 @@ def test_residual_matches_bruteforce(rng):
         for j in range(3):
             for jp in range(3):
                 moved[i, j] += op[j, jp] * inst.c.coeffs[i, jp]
-    assert rigidity_residual(inst, w, r) == pytest.approx(np.linalg.norm(moved) ** 2, abs=1e-12)
+    assert rigidity_residual(inst, r) == pytest.approx(np.linalg.norm(moved) ** 2, abs=1e-12)
 
 
 def test_residual_requires_unitary(rng):
     inst = random_instance(3, rng)
-    w = canonical_w(inst)
     with pytest.raises(NotUnitaryError):
-        rigidity_residual(inst, w, 0.5 * np.eye(3))
+        rigidity_residual(inst, 0.5 * np.eye(3))
 
 
 def test_rigidity_report_examples(rng):
@@ -232,27 +231,25 @@ def test_rigidity_report_examples(rng):
 def test_robust_rigidity_bound_random(rng):
     for _ in range(5):
         inst = random_instance(4, rng)
-        w = canonical_w(inst)
         rep = rigidity_report(inst, 1e-2)
         for _ in range(20):
-            r, ov = near_optimal_unitary(inst, w, 1e-2, rng)
+            r, ov = near_optimal_unitary(inst, 1e-2, rng)
             assert ov >= rep.fidelity - 1e-2 - 1e-9
-            assert rigidity_residual(inst, w, r) <= rep.delta_bound + 1e-6
+            assert rigidity_residual(inst, r) <= rep.delta_bound + 1e-6
 
 
 def test_batched_walks_match_single_walks():
     # More walks than one block, so the block boundary is crossed.
     n = 70
     for k, inst in enumerate(walk_instances()):
-        w = canonical_w(inst)
         f = inst.fidelity()
         for eps in (1e-4, 1e-2):
             batch = list(
-                near_optimal_unitaries(inst, w, eps, (np.random.default_rng((k, i)) for i in range(n)))
+                near_optimal_unitaries(inst, eps, (np.random.default_rng((k, i)) for i in range(n)))
             )
             assert len(batch) == n
             for i, (r, ov) in enumerate(batch):
-                r1, ov1 = near_optimal_unitary(inst, w, eps, np.random.default_rng((k, i)))
+                r1, ov1 = near_optimal_unitary(inst, eps, np.random.default_rng((k, i)))
                 np.testing.assert_allclose(r, r1, rtol=0, atol=1e-12)
                 assert ov == pytest.approx(ov1, abs=1e-12)
                 assert f - eps - 1e-12 <= ov <= f + 1e-12
@@ -261,10 +258,9 @@ def test_batched_walks_match_single_walks():
 
 def test_fixed_deficit_walk_lands_on_target():
     inst = walk_instances()[3]
-    w = canonical_w(inst)
     f = inst.fidelity()
     for i in range(5):
-        _, ov = near_optimal_unitary(inst, w, 1e-3, np.random.default_rng(i), deficit_fraction=1.0)
+        _, ov = near_optimal_unitary(inst, 1e-3, np.random.default_rng(i), deficit_fraction=1.0)
         assert f - 1e-3 - 1e-12 <= ov <= f - 1e-3 + 1e-9
 
 

@@ -1,0 +1,230 @@
+"""Compare the outputs of two checkouts of this repository, byte for byte.
+
+Usage::
+
+    python tools/compare_outputs.py OLD_ROOT NEW_ROOT [--keep DIR]
+
+Each root is a checkout (its package under ``src/``, its demos under
+``demos/``).  The script runs itself once per root in a fresh interpreter
+with ``PYTHONPATH=<root>/src``; that run writes one file per output into
+its own directory, and the two directories are then compared file by file.
+Exit status 0 when every output matches, 1 otherwise (the differing names
+are printed).  ``--keep DIR`` keeps both dumps under ``DIR/old`` and
+``DIR/new``.
+
+Outputs, each recorded with the exit code, stdout, stderr and every file
+written:
+
+* seven state pairs: random at d = 3, 5, 6, 32, 64 (``default_rng(100 + d)``),
+  full rank at d = 8, and the eta family at d = 4, eta = 1e-3;
+* per pair: ``canonical`` (default, ``--tol 1e-6``), ``report`` and
+  ``certificate`` (default, with a probe, ``--tol 1e-4``; the certificate
+  also at ``--alpha -1.5``) and two ``round-gap`` settings with their state
+  files;
+* the four ``adversarial`` families at two settings each, ``protocol`` with
+  every prover (with its CSV), its default, ``--n 3`` and a state-file
+  pair, and ``grouprep`` on s3, z4, z6, z2 and z3 at dim 2;
+* library values, as exact bytes: ``three_form_deviation``,
+  ``psd_core_check``, ``projector_structure_check``, ``primal_probe``,
+  ``rigidity_residual``, ``near_optimal_unitaries``, the canonical
+  completion, ``states.fidelity``, ``input_ensemble_state``,
+  ``geometric_mean``, ``soundness_probe`` rows and
+  ``completeness_experiment``;
+* the stdout of every ``demos/*.py``.
+
+Functions that took the canonical W as a second argument before it became
+the core's own are called with it when their signature still asks for it,
+so older checkouts compare too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import filecmp
+import inspect
+import io
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+PAIRS = ("rand3", "rand5", "rand6", "rand32", "rand64", "full8", "eta4")
+
+
+def _hex(a) -> str:
+    import numpy as np
+
+    a = np.ascontiguousarray(a)
+    return f"{a.dtype} {a.shape} {a.tobytes().hex()}"
+
+
+def _with_w(fn, inst, *args):
+    """``fn(inst, *args)``, passing the canonical W second where ``fn`` still asks for it."""
+    from uhlmann import uhlmann
+
+    if "w" in inspect.signature(fn).parameters:
+        return fn(inst, uhlmann.canonical_w(inst), *args)
+    return fn(inst, *args)
+
+
+class Dump:
+    def __init__(self, out: pathlib.Path):
+        self.out = out
+
+    def put(self, name: str, text: str) -> None:
+        (self.out / name).write_text(text, encoding="utf-8")
+
+    def value(self, name: str, thunk) -> None:
+        try:
+            text = repr(thunk())
+        except Exception as exc:  # the error is the output
+            text = f"{type(exc).__name__}: {exc}"
+        self.put(name, text + "\n")
+
+    def cli(self, name: str, argv: list, files: tuple = ()) -> None:
+        from uhlmann import cli
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        parts = [f"exit {code}", out.getvalue(), err.getvalue()]
+        for path in files:
+            parts.append(pathlib.Path(path).read_text() if os.path.exists(path) else "(none)")
+            if os.path.exists(path):
+                os.remove(path)
+        self.put(name, "\n--\n".join(parts))
+
+
+def _pairs():
+    import numpy as np
+
+    from uhlmann import adversarial, uhlmann
+
+    out = {}
+    for d in (3, 5, 6, 32, 64):
+        out[f"rand{d}"] = uhlmann.random_instance(d, np.random.default_rng(100 + d))
+    out["full8"] = uhlmann.random_instance(8, np.random.default_rng(108), rank_c=8, rank_d=8)
+    out["eta4"] = adversarial.build_eta_family(4, 1e-3, 0.5).instance
+    return out
+
+
+def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
+    import numpy as np
+
+    from uhlmann import adversarial, certificate, protocol, states, uhlmann
+
+    rec = Dump(out)
+    os.chdir(out)  # relative paths, so error messages match across checkouts
+    insts = _pairs()
+    for name, inst in insts.items():
+        states.write_state(f"{name}_c.json", inst.c)
+        states.write_state(f"{name}_d.json", inst.d)
+    for name in PAIRS:
+        files = ["--c", f"{name}_c.json", "--d", f"{name}_d.json"]
+        rec.cli(f"{name}.canonical", ["canonical", *files])
+        rec.cli(f"{name}.canonical_tol", ["canonical", *files, "--tol", "1e-6", "--out", "w.json"], ("w.json",))
+        for cmd in ("report", "certificate"):
+            rec.cli(f"{name}.{cmd}", [cmd, *files])
+            rec.cli(f"{name}.{cmd}_probe", [cmd, *files, "--probe-trials", "20", "--seed", "4"])
+            rec.cli(f"{name}.{cmd}_tol", [cmd, *files, "--tol", "1e-4"])
+        rec.cli(f"{name}.certificate_alpha", ["certificate", *files, "--alpha", "-1.5"])
+        for k, extra in enumerate((["--eta-target", "0.3"], ["--eta-target", "0.1", "--mix-delta", "1e-4"])):
+            rec.cli(f"{name}.round_gap{k}", ["round-gap", *files, *extra, "--out-c", "rc.json",
+                                              "--out-d", "rd.json"], ("rc.json", "rd.json"))
+
+    adv = {
+        "eta": [[], ["--d", "8", "--eta", "0.2", "--tau", "0.7"]],
+        "kappa": [[], ["--d", "4", "--lam", "0.05", "--weight", "0.2", "--epsilon", "0.1"]],
+        "boost": [[], ["--d", "4", "--lam", "0.05", "--weight", "0.2", "--epsilon", "0.1"]],
+        "qutrit": [[], ["--epsilon", "0.01"]],
+    }
+    for fam, settings in adv.items():
+        for k, extra in enumerate(settings):
+            rec.cli(f"adversarial.{fam}{k}", ["adversarial", fam, *extra])
+
+    for prover in ("honest", "derangement", "random", "epsilon:0.05"):
+        rec.cli(f"protocol.{prover}", ["protocol", "--prover", prover, "--trials", "50", "--seed", "3",
+                                        "--out", "p.csv"], ("p.csv",))
+    rec.cli("protocol.default", ["protocol"])
+    rec.cli("protocol.n3", ["protocol", "--n", "3", "--trials", "20", "--seed", "2"])
+    states.write_state("p4_c.json", uhlmann.random_instance(4, np.random.default_rng(404)).c)
+    states.write_state("p4_d.json", uhlmann.random_instance(4, np.random.default_rng(405)).d)
+    rec.cli("protocol.files", ["protocol", "--c", "p4_c.json", "--d", "p4_d.json", "--r", "3",
+                                "--prover", "epsilon:0.02", "--trials", "20", "--seed", "1"])
+    for group, extra in (("s3", []), ("z4", []), ("z6", []), ("z2", []), ("z3", ["--dim", "2"])):
+        rec.cli(f"grouprep.{group}", ["grouprep", "--group", group, "--seed", "3", "--count", "2",
+                                       "--scale", "0.3", *extra])
+    rec.cli("grouprep.default", ["grouprep"])
+
+    for name, inst in _pairs().items():
+        core = inst.spectral_core()
+        rec.value(f"{name}.three_form", lambda: uhlmann.three_form_deviation(inst))
+        rec.value(f"{name}.psd_core", lambda: certificate.psd_core_check(inst))
+        rec.value(f"{name}.projector_check", lambda: _with_w(uhlmann.projector_structure_check, inst))
+        rec.value(f"{name}.probe", lambda: certificate.primal_probe(inst, 0.01, 30, 5))
+        rec.value(f"{name}.completion", lambda: _hex(core.completion))
+        rec.value(f"{name}.fidelity", lambda: states.fidelity(inst.rho, inst.sigma))
+        rec.value(f"{name}.residual", lambda: _with_w(
+            uhlmann.rigidity_residual, inst, uhlmann._haar_unitary(inst.dim_b, np.random.default_rng(6))))
+        rec.value(f"{name}.walks", lambda: [
+            (_hex(r), ov) for r, ov in _with_w(uhlmann.near_optimal_unitaries, inst, 0.01,
+                                                (np.random.default_rng((9, i)) for i in range(3)))])
+        rec.value(f"{name}.input_state", lambda: _hex(protocol.input_ensemble_state(
+            inst, np.random.default_rng(11))))
+    rng = np.random.default_rng(77)
+    for k, d in enumerate((2, 4, 7)):
+        a, b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
+        rec.value(f"geometric_mean{k}", lambda: _hex(uhlmann.geometric_mean(a @ a.conj().T, b @ b.conj().T)))
+
+    ref = protocol.completeness_reference_instance(2)
+    params = protocol.ProtocolParams.for_instance(ref, n=2, r=2)
+    provers = [protocol.honest_prover(ref), protocol.epsilon_prover(ref, 0.01, seed=3),
+               protocol.random_prover(ref.dim_b, seed=3)]
+    rec.value("soundness_probe", lambda: protocol.soundness_probe(ref, params, provers, trials=100, seed=8).rows)
+    rec.value("completeness", lambda: protocol.completeness_experiment(ref, params, trials=200, seed=5))
+    fam = adversarial.build_eta_family(4, 0.4, 0.5)
+    fparams = protocol.ProtocolParams.for_instance(fam.instance, n=2, r=2)
+    rec.value("soundness_probe_eta", lambda: protocol.soundness_probe(
+        fam.instance, fparams, [protocol.derangement_prover(fam.adversary_r)], trials=50, seed=1).rows)
+
+    for demo in sorted(demos.glob("*.py")):
+        run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=os.environ)
+        rec.put(f"demo.{demo.stem}", f"exit {run.returncode}\n{run.stdout}\n--\n{run.stderr}")
+
+
+def _run_dump(root: pathlib.Path, out: pathlib.Path) -> None:
+    out.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--dump", str(out), str(root / "demos")],
+                   env=env, check=True)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("roots", nargs="*", help="OLD_ROOT NEW_ROOT")
+    p.add_argument("--keep", default=None, help="keep the two dumps under this directory")
+    p.add_argument("--dump", nargs=2, metavar=("OUT", "DEMOS"), help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.dump:
+        dump(pathlib.Path(args.dump[0]).resolve(), pathlib.Path(args.dump[1]).resolve())
+        return 0
+    if len(args.roots) != 2:
+        p.error("give OLD_ROOT and NEW_ROOT")
+    with tempfile.TemporaryDirectory() as tmp:
+        base = pathlib.Path(args.keep or tmp).resolve()
+        old, new = base / "old", base / "new"
+        for root, out in ((args.roots[0], old), (args.roots[1], new)):
+            _run_dump(pathlib.Path(root).resolve(), out)
+        names = sorted({f.name for f in old.iterdir()} | {f.name for f in new.iterdir()})
+        differ = [n for n in names if not ((old / n).exists() and (new / n).exists()
+                                           and filecmp.cmp(old / n, new / n, shallow=False))]
+        for n in differ:
+            print(f"differs: {n}")
+        print(f"{len(names) - len(differ)} of {len(names)} outputs identical")
+        return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
