@@ -229,6 +229,8 @@ def _unit_perp(v: np.ndarray) -> np.ndarray:
 
 def kappa_rho(d: int, lam: float) -> DensityMatrix:
     """``diag(1 - (d-1) lam, lam, ..., lam)``: the family's rho with small eigenvalue ``lam``."""
+    if d < 2:
+        raise BadParamsError("d must be >= 2")
     diag = np.full(d, lam)
     diag[0] = 1.0 - (d - 1) * lam
     return DensityMatrix(np.diag(diag).astype(complex))
@@ -242,8 +244,6 @@ def kappa_vec(d: int, weight: float) -> np.ndarray:
 def build_kappa_family(
     d: int, rho: DensityMatrix, sigma_vec: np.ndarray, epsilon: float
 ) -> KappaFamily:
-    if d < 2:
-        raise BadParamsError("d must be >= 2")
     if rho.dim != d or sigma_vec.shape != (d,):
         raise BadParamsError("rho and sigma_vec must have dimension d")
     sv = np.asarray(sigma_vec, dtype=complex)

@@ -95,8 +95,7 @@ def build_certificate(
     the constraint block minus its right-hand side, and the direct minimum
     eigenvalue of the same difference; both must agree.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    uhlmann.check_epsilon(epsilon)
     core = inst.spectral_core(rank_tol)
     _, t, y1, y2, t_norm, margin = _feasible_point(core, alpha)
     value = 2.0 * t_norm + alpha * (core.fidelity - epsilon)
@@ -152,6 +151,7 @@ def primal_probe(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    uhlmann.check_epsilon(epsilon)
     f = inst.fidelity()
     best_res = 0.0
     best_ov = f

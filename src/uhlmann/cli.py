@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -267,7 +268,12 @@ def _build_group(name: str) -> grouprep.FiniteGroup:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every ``main`` call: never mutate it.
+
+    Argparse looks up ``sys.stdout``/``sys.stderr`` only when it prints.
+    """
     p = argparse.ArgumentParser(prog="uhlmann", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -344,6 +344,8 @@ def completeness_reference_instance(n: int) -> UhlmannInstance:
     then has eigenvalues ``{sqrt(2), 1, ..., 1}`` on its support, so the
     gap is exactly 1 while the fidelity stays below 1.
     """
+    if n < 1:
+        raise BadParamsError("n and r must be positive integers")
     d = 2**n
     sigma_diag = np.array([2.0 / d] + [1.0 / d] * (d - 2) + [0.0])
     mc = np.eye(d, dtype=complex) / np.sqrt(d)

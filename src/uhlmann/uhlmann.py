@@ -31,6 +31,7 @@ import numpy as np
 
 from . import matcore, states
 from .errors import (
+    BadParamsError,
     DimensionMismatchError,
     FrameMismatchError,
     IllConditionedError,
@@ -49,6 +50,7 @@ __all__ = [
     "SpectralCore",
     "UhlmannInstance",
     "canonical_w",
+    "check_epsilon",
     "flip",
     "geometric_mean",
     "near_optimal_unitary",
@@ -418,14 +420,19 @@ def rigidity_report(
     empirical_primal: float | None = None,
 ) -> RigidityReport:
     """Assemble fidelity, eta, kappa, and both robustness bounds, all at ``rank_tol``."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    check_epsilon(epsilon)
     core = inst.spectral_core(rank_tol)
     f, eta, kappa = core.fidelity, core.eta, core.kappa
     return RigidityReport(
         fidelity=f, eta=eta, kappa=kappa, epsilon=epsilon, delta_bound=2.0 * kappa * epsilon / eta,
         weak_bound=8.0 * (1.0 - f + np.sqrt(epsilon)), empirical_primal=empirical_primal,
     )
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Raise BadParamsError unless the overlap deficit ``epsilon`` is finite and >= 0."""
+    if not 0.0 <= epsilon < np.inf:
+        raise BadParamsError(f"epsilon must be finite and >= 0, got {epsilon}")
 
 
 def flip(inst: UhlmannInstance) -> UhlmannInstance:
@@ -505,6 +512,7 @@ def near_optimal_unitaries(
     Walks run in blocks of ``_WALK_BLOCK``, so memory does not grow with
     the number of generators; the generators are consumed block by block.
     """
+    check_epsilon(epsilon)
     f = inst.fidelity()
     k = states.partial_trace_a_outer(inst.c, inst.d)
     basis = inst.spectral_core().completion_basis

@@ -206,3 +206,9 @@ def test_rounding_rejects_out_of_range_targets():
         round_spectral_gap(fam.instance, eta_target=1.5)
     with pytest.raises(BadParamsError):
         round_spectral_gap(fam.instance, eta_target=0.3, mix_delta=2.0)
+
+
+@pytest.mark.parametrize("d", [1, 0, -1])
+def test_kappa_rho_rejects_d_below_two(d):
+    with pytest.raises(BadParamsError, match=r"^d must be >= 2$"):
+        kappa_rho(d, 0.02)

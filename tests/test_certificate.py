@@ -5,11 +5,13 @@ from conftest import walk_instances
 from uhlmann import states
 from uhlmann.adversarial import build_eta_family
 from uhlmann.certificate import build_certificate, dual_bound, primal_probe, psd_core_check
+from uhlmann.errors import BadParamsError
 from uhlmann.matcore import dagger, op_norm, trace_norm
 from uhlmann.states import BipartitePureState
 from uhlmann.uhlmann import (
     UhlmannInstance,
     canonical_w,
+    near_optimal_unitaries,
     obliqueness_kappa,
     random_instance,
     rigidity_report,
@@ -177,3 +179,25 @@ def test_primal_probe_golden_unreachable_target():
                     (6, (2.6307663259828424, -0.2939293391833147))):
         probe = primal_probe(insts[k], 5.0, 10, 40 + k)
         np.testing.assert_allclose((probe.best_residual, probe.best_overlap), gold, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf"), -float("inf")])
+def test_epsilon_must_be_finite_and_nonnegative(eps):
+    inst = random_instance(3, np.random.default_rng(21))
+    for call in (
+        lambda: rigidity_report(inst, eps),
+        lambda: build_certificate(inst, eps, alpha=-1.0),
+        lambda: dual_bound(inst, eps),
+        lambda: primal_probe(inst, eps, trials=2, seed=0),
+        lambda: list(near_optimal_unitaries(inst, eps, [np.random.default_rng(0)])),
+    ):
+        with pytest.raises(BadParamsError, match="epsilon must be finite and >= 0"):
+            call()
+
+
+def test_epsilon_zero_is_accepted():
+    inst = random_instance(3, np.random.default_rng(21))
+    assert rigidity_report(inst, 0.0).delta_bound == 0.0
+    assert build_certificate(inst, 0.0, alpha=-1.0).feasible
+    ((_, ov),) = near_optimal_unitaries(inst, 0.0, [np.random.default_rng(0)])
+    assert ov >= inst.fidelity() - 1e-9

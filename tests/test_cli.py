@@ -1,5 +1,9 @@
+import argparse
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -291,3 +295,88 @@ def test_protocol_calls_run_protocol_once_per_trial(monkeypatch, capsys):
     code, _, _ = run_cli(capsys, "protocol", "--trials", "37", "--seed", "5")
     assert code == 0
     assert calls == [(5, t) for t in range(37)]
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_protocol_rejects_n_below_one(n, capsys):
+    code, out, err = run_cli(capsys, "protocol", "--n", n, "--trials", "5", "--seed", "1")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "BadParamsError", "message": "n and r must be positive integers"}
+
+
+@pytest.mark.parametrize("family", ["kappa", "boost"])
+@pytest.mark.parametrize("d", ["0", "1", "-1"])
+def test_adversarial_kappa_rejects_d_below_two(family, d, capsys):
+    code, out, err = run_cli(capsys, "adversarial", family, "--d", d)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "BadParamsError", "message": "d must be >= 2"}
+
+
+@pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
+def test_epsilon_must_be_finite_and_nonnegative(eps, state_files, capsys):
+    _, c_path, d_path = state_files
+    files = ["--c", c_path, "--d", d_path]
+    for argv in (["report", *files, "--epsilon", eps], ["certificate", *files, "--epsilon", eps],
+                 ["protocol", "--prover", f"epsilon:{eps}", "--trials", "5", "--seed", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "BadParamsError"
+        assert error["message"].startswith("epsilon must be finite and >= 0")
+
+
+def test_epsilon_zero_is_accepted(state_files, capsys):
+    _, c_path, d_path = state_files
+    files = ["--c", c_path, "--d", d_path]
+    for argv in (["report", *files, "--epsilon", "0"], ["certificate", *files, "--epsilon", "0"],
+                 ["protocol", "--prover", "epsilon:0", "--trials", "5", "--seed", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["schema_version"] == 1
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_shared_parser_matches_fresh_processes(state_files, tmp_path, monkeypatch, capsys):
+    # one process runs the sequence, usage errors and --help in the middle;
+    # each call must print what a fresh interpreter prints for the same argv
+    _, c_path, d_path = state_files
+    files = ["--c", c_path, "--d", d_path]
+    sequence = [
+        ["report", *files],
+        ["report", *files, "--bogus"],
+        ["certificate", *files, "--probe-trials", "5", "--seed", "2"],
+        ["--help"],
+        ["protocol", "--trials", "20", "--seed", "4"],
+        ["canonical", "--c", str(tmp_path / "missing.json"), "--d", d_path],
+        ["grouprep", "--group", "s3", "--count", "2", "--seed", "3"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    monkeypatch.delenv("CI_STRICT", raising=False)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    codes = []
+    for argv in sequence:
+        code, out, err = run_cli(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "uhlmann", *argv], cwd=tmp_path, env=env,
+                               capture_output=True, timeout=120)
+        assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        codes.append(code)
+    assert codes == [0, 2, 0, 0, 0, 2, 0]
+
+
+def test_second_call_builds_no_parser(monkeypatch, capsys):
+    assert run_cli(capsys, "adversarial", "eta")[0] == 0
+    # count through __init__: a subclass patched over argparse.ArgumentParser
+    # recurses, since argparse's own __init__ looks its class up by name
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(capsys, "adversarial", "eta")[0] == 0
+    assert run_cli(capsys, "adversarial", "eta", "--bogus")[0] == 2
+    assert built == []

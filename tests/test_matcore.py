@@ -273,3 +273,30 @@ def test_schur_margin_is_the_direct_minimum_eigenvalue(rng):
     margin = matcore.schur_psd_margin(a, b, c)
     assert margin == np.linalg.eigvalsh((block + dagger(block)) / 2)[0]
     assert schur_psd_check(a, b, c) == (margin >= -1e-9)
+
+
+@pytest.mark.parametrize("bad", [
+    complex(np.nan, 0.0), complex(np.inf, 0.0), complex(-np.inf, 0.0),
+    complex(0.0, np.nan), complex(0.0, np.inf), complex(0.0, -np.inf),
+    complex(np.nan, np.inf),
+])
+def test_as_matrix_rejects_a_nonfinite_real_or_imaginary_part(bad):
+    m = np.ones((2, 3), dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match=r"^matrix entries must be finite \(no NaN/Inf\)$"):
+        matcore.as_matrix(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_matrix_rejects_a_nonfinite_real_array(bad):
+    with pytest.raises(ValueError, match=r"^matrix entries must be finite \(no NaN/Inf\)$"):
+        matcore.as_matrix(np.array([[0.0, bad]]))
+
+
+def test_as_matrix_passes_finite_arrays_through(rng):
+    m = random_complex(rng, 3, 2)
+    m[0, 0] = complex(np.finfo(float).max, -np.finfo(float).max)
+    assert matcore.as_matrix(m).tobytes() == m.tobytes()
+    real = rng.normal(size=(2, 2))
+    out = matcore.as_matrix(real)
+    assert out.dtype == complex and out.tobytes() == real.astype(complex).tobytes()

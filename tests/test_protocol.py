@@ -205,3 +205,9 @@ def test_epsilon_protocol_decompositions(decompositions):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["protocol", "--prover", "epsilon:0.05", "--trials", "100", "--seed", "1"]) == 0
     assert sum(decompositions.values()) <= 12
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_completeness_reference_instance_rejects_n_below_one(n):
+    with pytest.raises(BadParamsError, match=r"^n and r must be positive integers$"):
+        completeness_reference_instance(n)

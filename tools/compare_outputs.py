@@ -24,6 +24,10 @@ written:
 * the four ``adversarial`` families at two settings each, ``protocol`` with
   every prover (with its CSV), its default, ``--n 3`` and a state-file
   pair, and ``grouprep`` on s3, z4, z6, z2 and z3 at dim 2;
+* usage errors (no arguments, an unknown subcommand, an unknown flag, a
+  missing required flag, a bad type, a bad choice) and ``--help`` for the
+  program and two subcommands, run after the calls above in the same
+  interpreter, with ``COLUMNS=80`` so help wraps alike;
 * library values, as exact bytes: ``three_form_deviation``,
   ``psd_core_check``, ``projector_structure_check``, ``primal_probe``,
   ``rigidity_residual``, ``near_optimal_unitaries``, the canonical
@@ -134,6 +138,14 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
             rec.cli(f"{name}.round_gap{k}", ["round-gap", *files, *extra, "--out-c", "rc.json",
                                               "--out-d", "rd.json"], ("rc.json", "rd.json"))
 
+    # usage errors and help in the middle of the run, through the parser the calls above built
+    files = ["--c", "rand3_c.json", "--d", "rand3_d.json"]
+    for name, argv in (("none", []), ("help", ["--help"]), ("report_help", ["report", "--help"]),
+                       ("protocol_help", ["protocol", "-h"]), ("unknown_command", ["frobnicate"]),
+                       ("unknown_flag", ["report", *files, "--bogus"]), ("missing_required", ["canonical"]),
+                       ("bad_type", ["protocol", "--n", "two"]), ("bad_choice", ["adversarial", "zeta"])):
+        rec.cli(f"usage.{name}", argv)
+
     adv = {
         "eta": [[], ["--d", "8", "--eta", "0.2", "--tau", "0.7"]],
         "kappa": [[], ["--d", "4", "--lam", "0.05", "--weight", "0.2", "--epsilon", "0.1"]],
@@ -196,7 +208,7 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
 
 def _run_dump(root: pathlib.Path, out: pathlib.Path) -> None:
     out.mkdir(parents=True)
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED="0", COLUMNS="80")
     subprocess.run([sys.executable, os.path.abspath(__file__), "--dump", str(out), str(root / "demos")],
                    env=env, check=True)
 
