@@ -231,6 +231,8 @@ def kappa_rho(d: int, lam: float) -> DensityMatrix:
     """``diag(1 - (d-1) lam, lam, ..., lam)``: the family's rho with small eigenvalue ``lam``."""
     if d < 2:
         raise BadParamsError("d must be >= 2")
+    if not 0.0 <= lam <= 1.0 / (d - 1):
+        raise BadParamsError(f"lam must lie in [0, 1/(d-1)], got {lam}")
     diag = np.full(d, lam)
     diag[0] = 1.0 - (d - 1) * lam
     return DensityMatrix(np.diag(diag).astype(complex))
@@ -238,6 +240,8 @@ def kappa_rho(d: int, lam: float) -> DensityMatrix:
 
 def kappa_vec(d: int, weight: float) -> np.ndarray:
     """``sqrt(weight)|0> + sqrt(1 - weight)|1>``: the family's target vector."""
+    if not 0.0 <= weight <= 1.0:
+        raise BadParamsError(f"weight must lie in [0, 1], got {weight}")
     return np.array([np.sqrt(weight), np.sqrt(1.0 - weight)] + [0.0] * (d - 2), dtype=complex)
 
 

@@ -62,26 +62,18 @@ class FiniteGroup:
             raise BadParamsError("multiplication table must be square and nonempty")
         if mult.min() < 0 or mult.max() >= n:
             raise BadParamsError("table entries must be element indices")
-        identity = None
-        for e in range(n):
-            if all(mult[e, g] == g and mult[g, e] == g for g in range(n)):
-                identity = e
-                break
-        if identity is None:
+        ids = np.flatnonzero(((mult == np.arange(n)) & (mult.T == np.arange(n))).all(axis=1))
+        if ids.size == 0:
             raise BadParamsError("no identity element")
-        inverse = np.full(n, -1, dtype=int)
-        for g in range(n):
-            for h in range(n):
-                if mult[g, h] == identity and mult[h, g] == identity:
-                    inverse[g] = h
-                    break
-            if inverse[g] < 0:
-                raise BadParamsError(f"element {g} has no inverse")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if mult[mult[a, b], c] != mult[a, mult[b, c]]:
-                        raise BadParamsError(f"associativity fails at ({a},{b},{c})")
+        identity = int(ids[0])
+        is_inverse = (mult == identity) & (mult.T == identity)
+        lacking = np.flatnonzero(~is_inverse.any(axis=1))
+        if lacking.size:
+            raise BadParamsError(f"element {lacking[0]} has no inverse")
+        inverse = is_inverse.argmax(axis=1)
+        broken = np.argwhere(mult[mult] != mult[:, mult])  # (ab)c against a(bc)
+        if broken.size:
+            raise BadParamsError("associativity fails at ({},{},{})".format(*broken[0]))
         labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
         if len(labels) != n:
             raise BadParamsError("labels length must match the order")
@@ -115,16 +107,16 @@ class FiniteGroup:
 
 @dataclass(frozen=True)
 class ApproxRep:
-    """Candidate representation: unitaries, sampling measure, test state."""
+    """Candidate representation: a (|G|, d, d) stack of unitaries, sampling measure, test state."""
 
     group: FiniteGroup
-    unitaries: tuple
+    unitaries: np.ndarray
     mu: np.ndarray
     rho: DensityMatrix
 
     @classmethod
     def create(cls, group, unitaries, rho, mu=None) -> "ApproxRep":
-        us = tuple(matcore.as_matrix(u) for u in unitaries)
+        us = [matcore.as_matrix(u) for u in unitaries]
         if len(us) != group.order:
             raise DimensionMismatchError("need one unitary per group element")
         d = us[0].shape[0]
@@ -138,11 +130,11 @@ class ApproxRep:
             raise BadParamsError("mu must be a probability vector over the group")
         if rho.dim != d:
             raise DimensionMismatchError("rho must act on the representation space")
-        return cls(group=group, unitaries=us, mu=mu, rho=rho)
+        return cls(group=group, unitaries=np.stack(us), mu=mu, rho=rho)
 
     @property
     def dim(self) -> int:
-        return self.unitaries[0].shape[0]
+        return self.unitaries.shape[1]
 
 
 def exact_representation(group: FiniteGroup, dim: int) -> list:
@@ -152,6 +144,8 @@ def exact_representation(group: FiniteGroup, dim: int) -> list:
     its left-regular permutation representation at dim = order; S3 also
     gets its natural 3-dimensional permutation action.
     """
+    if dim < 1:
+        raise BadParamsError(f"dim must be >= 1, got {dim}")
     n = group.order
     if dim == n:  # column h of the matrix of g is |gh>
         return [np.eye(n, dtype=complex)[:, group.mult[g]] for g in range(n)]
@@ -200,6 +194,8 @@ def perturbed_rep(
     Each ``H_g`` is independent with operator norm 1, so the defect is
     tunable through ``scale`` with a known exact reference.
     """
+    if not np.isfinite(scale):
+        raise BadParamsError(f"scale must be finite, got {scale}")
     base = exact_representation(group, dim)
     us = []
     for mat in base:
@@ -217,17 +213,17 @@ def perturbed_rep(
 def rep_defect(rep: ApproxRep) -> float:
     """Multiplication defect ``E_{g~mu, h~G} ||U_h U_g - U_hg||_rho^2``.
 
-    Exact double sum; ``||A||_rho = sqrt(Tr(A* A rho))``.
+    Exact double sum over the grid ``[g, h]``; ``||A||_rho = sqrt(Tr(A* A rho))``.
     """
-    g_count = rep.group.order
-    total = 0.0
-    for g in range(g_count):
-        if rep.mu[g] == 0.0:
-            continue
-        for h in range(g_count):
-            a = rep.unitaries[h] @ rep.unitaries[g] - rep.unitaries[rep.group.mult[h, g]]
-            total += rep.mu[g] / g_count * np.trace(dagger(a) @ a @ rep.rho.mat).real
-    return float(total)
+    us, n = rep.unitaries, rep.group.order
+    a = us @ us[:, None] - us[rep.group.mult.T]
+    return _rho_weighted_sum(a, (rep.mu / n)[:, None], rep.rho)
+
+
+def _rho_weighted_sum(a: np.ndarray, weight: np.ndarray, rho: DensityMatrix) -> float:
+    """``sum_k weight[k] Tr(a_k* a_k rho).real`` over a stack, added in index order."""
+    norms = np.trace(dagger(a) @ a @ rho.mat, axis1=-2, axis2=-1).real
+    return sum((weight * norms).ravel().tolist(), 0.0)
 
 
 def _purification_grid(rho: DensityMatrix) -> np.ndarray:
@@ -244,31 +240,23 @@ def build_states(rep: ApproxRep) -> UhlmannInstance:
     ``D`` carries ``U_hg`` instead.  Both A-side reductions equal the
     purifying marginal, so the pair has fidelity 1.
     """
-    g_count = rep.group.order
-    d = rep.dim
+    n, d, us = rep.group.order, rep.dim, rep.unitaries
     psi = _purification_grid(rep.rho)
-    arr_c = np.zeros((d, d, g_count, g_count), dtype=complex)
-    arr_d = np.zeros((d, d, g_count, g_count), dtype=complex)
-    for g in range(g_count):
-        weight = np.sqrt(rep.mu[g] / g_count)
-        if weight == 0.0:
-            continue
-        moved_c = psi @ rep.unitaries[g].T
-        for h in range(g_count):
-            arr_c[:, :, g, h] = weight * moved_c
-            arr_d[:, :, g, h] = weight * (psi @ rep.unitaries[rep.group.mult[h, g]].T)
-    dim_b = d * g_count * g_count
-    mc = arr_c.reshape(d, dim_b)
-    md = arr_d.reshape(d, dim_b)
+    weight = np.sqrt(rep.mu / n)[:, None, None, None]
+    blocks_c = np.broadcast_to(psi @ us[:, None].mT, (n, n, d, d))
+    blocks_d = psi @ us[rep.group.mult.T].mT
+    # blocks are indexed [g, h]; a zero weight leaves its blocks at +0.0
+    mc, md = (np.where(weight > 0, weight * b, 0).transpose(2, 3, 0, 1).reshape(d, -1)
+              for b in (blocks_c, blocks_d))
     inst = UhlmannInstance.from_states(BipartitePureState(mc), BipartitePureState(md))
     if matcore.op_norm_exceeds(inst.rho.mat - inst.sigma.mat, 1e-9):
         raise ConsistencyError("A-side reductions of C and D should coincide")
     return inst
 
 
-def _block_diagonal(blocks: list) -> np.ndarray:
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
     """``sum_k blocks[k] (x) |k><k|`` on B1 (x) (B2 (x) B3), B1 slowest, by one scatter."""
-    n, d = len(blocks), blocks[0].shape[0]
+    n, d = blocks.shape[:2]
     out = np.zeros((d, n, d, n), dtype=complex)
     out[:, np.arange(n), :, np.arange(n)] = blocks
     return out.reshape(d * n, d * n)
@@ -276,14 +264,14 @@ def _block_diagonal(blocks: list) -> np.ndarray:
 
 def w_tilde(rep: ApproxRep) -> np.ndarray:
     """Optimal B-side map ``sum_{g,h} (U_hg U_g*) (x) |g,h><g,h|``."""
-    us, mult = rep.unitaries, rep.group.mult
-    pairs = itertools.product(range(rep.group.order), repeat=2)
-    return _block_diagonal([us[mult[h, g]] @ dagger(us[g]) for g, h in pairs])
+    us = rep.unitaries
+    prods = us[rep.group.mult.T] @ dagger(us[:, None])  # [g, h] = U_hg U_g*
+    return _block_diagonal(prods.reshape(-1, rep.dim, rep.dim))
 
 
 def _u_operator(rep: ApproxRep) -> np.ndarray:
     """The candidate transformation ``sum_h U_h (x) 1_B2 (x) |h><h|``."""
-    return _block_diagonal(list(rep.unitaries) * rep.group.order)
+    return _block_diagonal(np.tile(rep.unitaries, (rep.group.order, 1, 1)))
 
 
 def intertwiner(rep: ApproxRep):
@@ -294,27 +282,18 @@ def intertwiner(rep: ApproxRep):
     ``v* (1 (x) rep_mats[g]) v`` is the self-convolution
     ``|G|^-1 sum_h U_h* U_hg``.
     """
-    g_count = rep.group.order
-    d = rep.dim
-    rep_mats = []
-    for g in range(g_count):
-        r = np.zeros((g_count, g_count), dtype=complex)
-        for h in range(g_count):
-            r[h, rep.group.mult[h, g]] = 1.0
-        rep_mats.append(r)
-    v = np.zeros((d * g_count, d), dtype=complex)
-    for h in range(g_count):
-        v[h::g_count, :] = rep.unitaries[h] / np.sqrt(g_count)
+    n, d = rep.group.order, rep.dim
+    rep_mats = np.eye(n, dtype=complex)[rep.group.mult.T]
+    v = (rep.unitaries / np.sqrt(n)).transpose(1, 0, 2).reshape(d * n, d)
     return rep_mats, v
 
 
-def convolution(rep: ApproxRep, g: int) -> np.ndarray:
-    """``|G|^-1 sum_h U_h* U_hg``, the conjugated representation element."""
-    g_count = rep.group.order
-    acc = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for h in range(g_count):
-        acc += dagger(rep.unitaries[h]) @ rep.unitaries[rep.group.mult[h, g]]
-    return acc / g_count
+def convolution(rep: ApproxRep, g) -> np.ndarray:
+    """``|G|^-1 sum_h U_h* U_hg``, the conjugated representation element
+    (stacked over ``g`` when ``g`` is an index array)."""
+    us, cols = rep.unitaries, rep.group.mult[:, g]
+    left = dagger(us).reshape(us.shape[:1] + (1,) * (cols.ndim - 1) + us.shape[1:])
+    return (left @ us[cols]).sum(axis=0) / rep.group.order
 
 
 @dataclass(frozen=True)
@@ -340,16 +319,10 @@ def stability_check(rep: ApproxRep) -> StabilityResult:
     """
     inst = build_states(rep)
     wt = w_tilde(rep)
-    u = _u_operator(rep)
-    moved = inst.c.coeffs @ (u - wt).T
-    residual = float(np.linalg.norm(moved) ** 2)
+    residual = float(np.linalg.norm(inst.c.coeffs @ (_u_operator(rep) - wt).T) ** 2)
     defect = rep_defect(rep)
-    dist = 0.0
-    for g in range(rep.group.order):
-        if rep.mu[g] == 0.0:
-            continue
-        a = rep.unitaries[g] - convolution(rep, g)
-        dist += rep.mu[g] * np.trace(dagger(a) @ a @ rep.rho.mat).real
+    conj = convolution(rep, np.arange(rep.group.order))
+    dist = _rho_weighted_sum(rep.unitaries - conj, rep.mu, rep.rho)
     eta = uhlmann.spectral_gap_eta(inst)
     kappa = uhlmann.obliqueness_kappa(inst)
     if abs(eta - 1.0) > 1e-8 or abs(kappa - 1.0) > 1e-8:
@@ -360,7 +333,7 @@ def stability_check(rep: ApproxRep) -> StabilityResult:
         raise ConsistencyError("W~ does not map C to D")
     return StabilityResult(
         defect_epsilon=defect,
-        stability_distance=float(dist),
+        stability_distance=dist,
         uhlmann_residual=residual,
         eta=eta,
         kappa=kappa,

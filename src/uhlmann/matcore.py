@@ -69,7 +69,7 @@ def as_matrix(m) -> np.ndarray:
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
-    return m.conj().T
+    return m.conj().mT
 
 
 @dataclass(frozen=True)

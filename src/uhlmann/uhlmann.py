@@ -543,7 +543,7 @@ def near_optimal_unitaries(
             down = f - _walk_overlap(a, lam, mid) < target
             lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
         t_final = np.where(weak, t_weak, lo)
-        rot = (v * np.exp(1j * t_final[:, None, None] * lam[:, None, :])) @ v.conj().swapaxes(1, 2)
+        rot = (v * np.exp(1j * t_final[:, None, None] * lam[:, None, :])) @ dagger(v)
         for r in u0 @ rot:
             yield r, float(states.overlap(inst.d, r, inst.c).real)
 

@@ -212,3 +212,26 @@ def test_rounding_rejects_out_of_range_targets():
 def test_kappa_rho_rejects_d_below_two(d):
     with pytest.raises(BadParamsError, match=r"^d must be >= 2$"):
         kappa_rho(d, 0.02)
+
+
+@pytest.mark.parametrize("lam", [-0.1, 0.34, np.nan, np.inf, -np.inf])
+def test_kappa_rho_rejects_lam_outside_unit_range(lam):
+    # d = 4: rho's heavy eigenvalue 1 - 3 lam is a probability only for lam in [0, 1/3]
+    with pytest.raises(BadParamsError, match=r"^lam must lie in \[0, 1/\(d-1\)\], got "):
+        kappa_rho(4, lam)
+
+
+def test_kappa_rho_accepts_lam_range_ends():
+    np.testing.assert_array_equal(np.diag(kappa_rho(4, 0.0).mat).real, [1, 0, 0, 0])
+    np.testing.assert_array_equal(np.diag(kappa_rho(2, 1.0).mat).real, [0, 1])
+
+
+@pytest.mark.parametrize("weight", [2.0, -0.5, 1.0 + 1e-12, np.nan, np.inf])
+def test_kappa_vec_rejects_weight_outside_unit_range(weight):
+    with pytest.raises(BadParamsError, match=r"^weight must lie in \[0, 1\], got "):
+        kappa_vec(3, weight)
+
+
+def test_kappa_vec_accepts_weight_range_ends():
+    np.testing.assert_array_equal(kappa_vec(3, 0.0), [0, 1, 0])
+    np.testing.assert_array_equal(kappa_vec(3, 1.0), [1, 0, 0])

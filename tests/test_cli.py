@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,41 @@ def test_adversarial_kappa_rejects_d_below_two(family, d, capsys):
     code, out, err = run_cli(capsys, "adversarial", family, "--d", d)
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "BadParamsError", "message": "d must be >= 2"}
+
+
+def run_cli_strict(capsys, *argv):
+    """``run_cli`` with warnings as errors, so numpy's RuntimeWarnings cannot reach stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--dim", "-1"], "dim must be >= 1, got -1"),
+    (["--scale", "inf"], "scale must be finite, got inf"),
+    (["--scale", "nan"], "scale must be finite, got nan"),
+])
+def test_grouprep_rejects_bad_dim_and_scale(argv, message, capsys):
+    code, out, err = run_cli_strict(capsys, "grouprep", "--seed", "1", "--count", "1", *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "BadParamsError", "message": message}
+
+
+@pytest.mark.parametrize("family", ["kappa", "boost"])
+@pytest.mark.parametrize("argv,message", [
+    (["--weight", "2"], "weight must lie in [0, 1], got 2.0"),
+    (["--weight", "nan"], "weight must lie in [0, 1], got nan"),
+    (["--weight", "-0.5"], "weight must lie in [0, 1], got -0.5"),
+    (["--lam", "-0.1"], "lam must lie in [0, 1/(d-1)], got -0.1"),
+    (["--lam", "inf"], "lam must lie in [0, 1/(d-1)], got inf"),
+    (["--d", "3", "--lam", "0.6"], "lam must lie in [0, 1/(d-1)], got 0.6"),
+])
+def test_adversarial_kappa_rejects_bad_weight_and_lam(family, argv, message, capsys):
+    code, out, err = run_cli_strict(capsys, "adversarial", family, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "BadParamsError", "message": message}
 
 
 @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])

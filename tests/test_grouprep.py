@@ -1,13 +1,15 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_density
 from uhlmann import states
-from uhlmann.errors import BadParamsError, NotUnitaryError
+from uhlmann.errors import BadParamsError, DimensionMismatchError, NotUnitaryError
 from uhlmann.grouprep import (
     ApproxRep,
+    _purification_grid,
     _u_operator,
     FiniteGroup,
     build_states,
@@ -60,10 +62,27 @@ def test_group_from_file(tmp_path):
 
 
 def test_group_rejects_broken_tables():
-    with pytest.raises(BadParamsError):
-        FiniteGroup.from_table([[0, 1], [1, 1]])  # 1 has no inverse... and no identity row
-    with pytest.raises(BadParamsError):
-        FiniteGroup.from_table([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # associativity fails
+    with pytest.raises(BadParamsError, match=r"^element 1 has no inverse$"):
+        FiniteGroup.from_table([[0, 1], [1, 1]])
+    with pytest.raises(BadParamsError, match=r"^element 1 has no inverse$"):
+        FiniteGroup.from_table([[0, 1, 2], [1, 2, 0], [2, 1, 0]])  # 1 * 2 = 2 * 1 = 0 fails on one side
+    with pytest.raises(BadParamsError, match=r"^no identity element$"):
+        FiniteGroup.from_table([[0, 0], [0, 0]])
+    # identity 0 and self-inverse elements, but (1 1) 2 = 2 while 1 (1 2) = 0;
+    # (1,1,2) is the first failing triple in (a, b, c) order
+    with pytest.raises(BadParamsError, match=r"^associativity fails at \(1,1,2\)$"):
+        FiniteGroup.from_table([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+
+
+def test_group_identity_and_inverse_are_the_first_found():
+    # Klein four with labels permuted so that the identity is element 2
+    perm = [2, 0, 3, 1]
+    table = [[perm.index(perm[a] ^ perm[b]) for b in range(4)] for a in range(4)]
+    g = FiniteGroup.from_table(table)
+    assert g.identity == 1  # perm[1] = 0 is the identity of the xor table
+    assert g.inverse.dtype == np.dtype(int)
+    assert (g.mult[np.arange(4), g.inverse] == g.identity).all()
+    assert (g.inverse == np.arange(4)).all()  # every Klein element is its own inverse
 
 
 # -- representations ----------------------------------------------------------
@@ -116,6 +135,36 @@ def test_approxrep_validation():
         ApproxRep.create(group, [np.eye(2), 0.9 * np.eye(2)], rho)
     with pytest.raises(BadParamsError):
         ApproxRep.create(group, [np.eye(2), np.eye(2)], rho, mu=[0.7, 0.7])
+    with pytest.raises(DimensionMismatchError, match=r"^unitaries must share one dimension$"):
+        ApproxRep.create(group, [np.eye(2), np.eye(3)], rho)
+    # the elements are checked in order: a non-unitary first element is reported first
+    with pytest.raises(NotUnitaryError):
+        ApproxRep.create(group, [0.9 * np.eye(2), np.eye(3)], rho)
+
+
+def test_approxrep_stacks_the_unitaries():
+    group = FiniteGroup.cyclic(3)
+    us = exact_representation(group, 2)
+    rep = ApproxRep.create(group, us, DensityMatrix(np.eye(2, dtype=complex) / 2))
+    assert rep.unitaries.shape == (3, 2, 2) and rep.unitaries.dtype == complex
+    np.testing.assert_array_equal(rep.unitaries, np.stack(us))
+    assert rep.dim == 2
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_exact_representation_rejects_dim_below_one(dim):
+    with pytest.raises(BadParamsError, match=r"^dim must be >= 1, got "):
+        exact_representation(FiniteGroup.cyclic(3), dim)
+    with pytest.raises(BadParamsError, match=r"^dim must be >= 1, got "):
+        perturbed_rep(FiniteGroup.cyclic(3), dim, 0.2, np.random.default_rng(1))
+
+
+@pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan])
+def test_perturbed_rep_rejects_non_finite_scale(scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BadParamsError, match=r"^scale must be finite, got "):
+            perturbed_rep(FiniteGroup.cyclic(3), 3, scale, np.random.default_rng(1))
 
 
 # -- encoded states -----------------------------------------------------------
@@ -181,6 +230,57 @@ def test_block_builders_match_kron_reference(name, dim):
             w_ref[np.ix_(idx, idx)] = us[mult[h, g]] @ dagger(us[g])
     np.testing.assert_array_equal(w_tilde(rep), w_ref)
     np.testing.assert_array_equal(_u_operator(rep), u_ref)
+
+
+@pytest.mark.parametrize("name,dim", [("s3", 3), ("z4", 2), ("z5", 5)])
+def test_gathers_match_loop_reference(name, dim):
+    # the loops over the multiplication table that the gathers replaced, as the exact reference
+    group = FiniteGroup.symmetric3() if name == "s3" else FiniteGroup.cyclic(int(name[1:]))
+    n, rng = group.order, np.random.default_rng(23)
+    mu = np.arange(n, dtype=float) % 3
+    rep = perturbed_rep(group, dim, 0.3, rng, rho=random_density_matrix(rng, dim), mu=mu / mu.sum())
+    us, mult, rho = rep.unitaries, group.mult, rep.rho.mat
+    defect = 0.0
+    conv = np.zeros((n, dim, dim), dtype=complex)
+    for g in range(n):
+        for h in range(n):
+            conv[g] += dagger(us[h]) @ us[mult[h, g]]
+            if rep.mu[g] > 0:
+                a = us[h] @ us[g] - us[mult[h, g]]
+                defect += rep.mu[g] / n * np.trace(dagger(a) @ a @ rho).real
+    conv /= n
+    dist = 0.0
+    for g in range(n):
+        if rep.mu[g] > 0:
+            a = us[g] - conv[g]
+            dist += rep.mu[g] * np.trace(dagger(a) @ a @ rho).real
+    assert rep_defect(rep) == defect
+    assert stability_check(rep).stability_distance == dist
+    for g in range(n):
+        np.testing.assert_array_equal(convolution(rep, g), conv[g])
+
+    psi = _purification_grid(rep.rho)
+    ref_c = np.zeros((dim, dim, n, n), dtype=complex)
+    ref_d = np.zeros_like(ref_c)
+    for g in range(n):
+        weight = np.sqrt(rep.mu[g] / n)
+        if weight > 0:
+            for h in range(n):
+                ref_c[:, :, g, h] = weight * (psi @ us[g].T)
+                ref_d[:, :, g, h] = weight * (psi @ us[mult[h, g]].T)
+    inst = build_states(rep)
+    assert inst.c.coeffs.tobytes() == ref_c.reshape(dim, -1).tobytes()  # bytes: +0.0 where mu(g) = 0
+    assert inst.d.coeffs.tobytes() == ref_d.reshape(dim, -1).tobytes()
+    mats, v = intertwiner(rep)
+    for g in range(n):
+        ref = np.zeros((n, n), dtype=complex)
+        for h in range(n):
+            ref[h, mult[h, g]] = 1.0
+        np.testing.assert_array_equal(mats[g], ref)
+    ref_v = np.zeros((dim * n, dim), dtype=complex)
+    for h in range(n):
+        ref_v[h::n, :] = us[h] / np.sqrt(n)
+    np.testing.assert_array_equal(v, ref_v)
 
 
 # -- intertwiner --------------------------------------------------------------
@@ -266,6 +366,27 @@ def test_w_tilde_equals_canonical_on_support(rng):
     wt = w_tilde(rep)
     p = dagger(w) @ w
     assert op_norm(wt @ p - w) <= 1e-8
+
+
+def test_zero_weight_blocks_are_positive_zero(rng):
+    # a zero mu(g) leaves its C and D blocks exactly +0.0, as an untouched zero array would be
+    group = FiniteGroup.cyclic(3)
+    rep = perturbed_rep(group, 2, 0.3, rng, mu=[0.0, 0.5, 0.5])
+    inst = build_states(rep)
+    for coeffs in (inst.c.coeffs, inst.d.coeffs):
+        blocks = coeffs.reshape(2, 2, 3, 3)[:, :, 0]
+        assert not blocks.any()
+        assert not np.signbit(blocks.real).any() and not np.signbit(blocks.imag).any()
+        assert np.signbit(coeffs.reshape(2, 2, 3, 3)[:, :, 1:].real).any()  # weighted blocks do have signs
+
+
+def test_convolution_stacks_over_index_arrays(rng):
+    group = FiniteGroup.symmetric3()
+    rep = perturbed_rep(group, 3, 0.3, rng)
+    stacked = convolution(rep, np.arange(group.order))
+    assert stacked.shape == (group.order, 3, 3)
+    for g in range(group.order):
+        np.testing.assert_array_equal(stacked[g], convolution(rep, g))
 
 
 def test_nonuniform_mu_with_zero_weights(rng):

@@ -34,6 +34,14 @@ written:
   completion, ``states.fidelity``, ``input_ensemble_state``,
   ``geometric_mean``, ``soundness_probe`` rows and
   ``completeness_experiment``;
+* a grouprep library sweep, one output per representation: z1 to z8 and s3
+  at dims 2, 3 and the group order (where a built-in exact representation
+  exists), each with the maximally mixed and a random rho, and with uniform
+  and a non-uniform mu that has a zero weight.  Each records ``rep_defect``,
+  the C and D grids of ``build_states``, ``w_tilde``, ``intertwiner``,
+  ``convolution`` at every element and the ``stability_check`` fields;
+  further outputs record the errors of broken ``from_table`` tables and of
+  bad ``ApproxRep.create`` inputs;
 * the stdout of every ``demos/*.py``.
 
 Functions that took the canonical W as a second argument before it became
@@ -48,6 +56,7 @@ import contextlib
 import filecmp
 import inspect
 import io
+import itertools
 import os
 import pathlib
 import subprocess
@@ -201,9 +210,65 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
     rec.value("soundness_probe_eta", lambda: protocol.soundness_probe(
         fam.instance, fparams, [protocol.derangement_prover(fam.adversary_r)], trials=50, seed=1).rows)
 
+    _grouprep_sweep(rec)
+
     for demo in sorted(demos.glob("*.py")):
         run = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=os.environ)
         rec.put(f"demo.{demo.stem}", f"exit {run.returncode}\n{run.stdout}\n--\n{run.stderr}")
+
+
+def _grouprep_sweep(rec: Dump) -> None:
+    import numpy as np
+
+    from uhlmann import grouprep, states
+    from uhlmann.errors import BadParamsError
+
+    groups = {f"z{n}": grouprep.FiniteGroup.cyclic(n) for n in range(1, 9)}
+    groups["s3"] = grouprep.FiniteGroup.symmetric3()
+    for name, group in groups.items():
+        n = group.order
+        for dim in sorted({2, 3, n}):
+            rng = np.random.default_rng((n, dim))
+            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            gram = a @ a.conj().T
+            rhos = {"mixed": None, "random": states.DensityMatrix(gram / np.trace(gram).real)}
+            skewed = np.arange(n, dtype=float) % 3  # element 0, and every third one, gets weight 0
+            mus = {"uniform": None, "skewed": skewed / skewed.sum() if skewed.sum() else None}
+            for (rho_name, rho), (mu_name, mu) in itertools.product(rhos.items(), mus.items()):
+                key = f"grouprep_lib.{name}.d{dim}.{rho_name}.{mu_name}"
+                try:
+                    rep = grouprep.perturbed_rep(group, dim, 0.3, np.random.default_rng((n, dim, 1)), rho=rho, mu=mu)
+                except BadParamsError as exc:  # no built-in exact representation: the error is the output
+                    rec.put(key, f"{type(exc).__name__}: {exc}\n")
+                    continue
+                inst = grouprep.build_states(rep)
+                mats, v = grouprep.intertwiner(rep)
+                lines = [f"defect {grouprep.rep_defect(rep)!r}", f"c {_hex(inst.c.coeffs)}",
+                         f"d {_hex(inst.d.coeffs)}", f"w_tilde {_hex(grouprep.w_tilde(rep))}",
+                         f"rep_mats {_hex(np.asarray(mats))}", f"v {_hex(v)}",
+                         *(f"convolution{g} {_hex(grouprep.convolution(rep, g))}" for g in range(n)),
+                         f"stability {grouprep.stability_check(rep)!r}"]
+                rec.put(key, "\n".join(lines) + "\n")
+
+    tables = {"ragged": [[0, 1], [1]], "empty": [], "out_of_range": [[0, 1], [1, 2]],
+              "no_identity": [[0, 0], [0, 0]], "no_inverse": [[0, 1], [1, 1]],
+              "no_inverse3": [[0, 1, 2], [1, 2, 0], [2, 1, 0]], "non_associative": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+              "non_associative4": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 0, 0]],
+              "bad_labels": ([[0, 1], [1, 0]], ["e"])}
+    for name, table in tables.items():
+        args = table if isinstance(table, tuple) else (table,)
+        rec.value(f"grouprep_err.table_{name}", lambda: grouprep.FiniteGroup.from_table(*args).inverse)
+    z2 = grouprep.FiniteGroup.cyclic(2)
+    mixed = states.DensityMatrix(np.eye(2, dtype=complex) / 2)
+    eye2, eye3 = np.eye(2), np.eye(3)
+    for name, us, kw in (("count", [eye2], {}), ("shapes", [eye2, eye3], {}),
+                         ("not_unitary", [eye2, 0.9 * eye2], {}),
+                         ("not_unitary_then_shape", [0.9 * eye2, eye3], {}),
+                         ("ndim", [eye2, np.ones(2)], {}), ("nan", [eye2, np.full((2, 2), np.nan)], {}),
+                         ("mu", [eye2, eye2], {"mu": [0.7, 0.7]}), ("mu_shape", [eye2, eye2], {"mu": [1.0]}),
+                         ("rho_dim", [eye3, eye3], {"rho": states.DensityMatrix(eye3 / 3)})):
+        rec.value(f"grouprep_err.create_{name}", lambda: grouprep.ApproxRep.create(
+            z2, us, kw.get("rho", mixed), mu=kw.get("mu")).mu)
 
 
 def _run_dump(root: pathlib.Path, out: pathlib.Path) -> None:
