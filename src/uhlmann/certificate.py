@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, states, uhlmann
-from .errors import FrameMismatchError
+from .errors import BadParamsError, FrameMismatchError
 from .matcore import dagger
 from .uhlmann import UhlmannInstance
 
@@ -140,17 +140,16 @@ def primal_probe(
     """Probe the primal side: maximize the residual over feasible unitaries.
 
     Candidates are the bisection walks of ``uhlmann.near_optimal_unitaries``,
-    one per trial on the substream ``default_rng((seed, i))``, all passed in
-    one batched call, plus any caller-supplied unitaries that satisfy the
-    overlap constraint.  A walk bisects on the closed-form overlap
-    ``sum_k a_k exp(i t lam_k)`` along its path; the overlap it reports, and
-    ``best_overlap`` with it, comes from ``states.overlap`` on the final
-    unitary, and every candidate passes the unitarity check of
-    ``rigidity_residual``.  By weak duality every probed residual stays
-    below the dual bound.
+    one per trial on the substream ``default_rng((seed, i))``, read a block
+    of ``uhlmann._WALK_BLOCK`` at a time: each block takes one unitarity
+    check (``rigidity_residual``'s, at 1e-8) and one residual product on its
+    stack, and only the norms and overlaps are reduced per walk.  Any
+    caller-supplied unitaries that satisfy the overlap constraint are scored
+    one by one.  By weak duality every probed residual stays below the dual
+    bound.  BadParamsError unless ``trials >= 1``.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise BadParamsError("trials must be >= 1")
     uhlmann.check_epsilon(epsilon)
     f = inst.fidelity()
     best_res = 0.0
@@ -163,8 +162,8 @@ def primal_probe(
         if res > best_res:
             best_res, best_ov = res, float(ov)
     rngs = (np.random.default_rng((seed, i)) for i in range(trials))
-    for r, ov in uhlmann.near_optimal_unitaries(inst, epsilon, rngs):
-        res = uhlmann.rigidity_residual(inst, r)
-        if res > best_res:
-            best_res, best_ov = res, ov
+    for rs, overlaps in uhlmann._walk_blocks(inst, epsilon, rngs, None):
+        for res, ov in zip(uhlmann._rigidity_residuals(inst, rs), overlaps):
+            if res > best_res:
+                best_res, best_ov = res, ov
     return PrimalProbe(best_residual=best_res, best_overlap=best_ov, trials=trials, seed=seed)

@@ -34,6 +34,9 @@ from .errors import (
 )
 
 SCHEMA_VERSION = 1
+# Exit code 1; every other library, input or file error exits 2.
+_NUMERICAL_FAILURES = (NoConvergenceError, ConsistencyError, IllConditionedError,
+                       np.linalg.LinAlgError, FloatingPointError)
 
 
 def _fmt(x) -> str:
@@ -368,22 +371,11 @@ def main(argv=None) -> int:
         if getattr(args, "tol", None) is not None:
             _check_tol(args.tol)
         return args.func(args)
-    except (
-        NoConvergenceError,
-        ConsistencyError,
-        IllConditionedError,
-        np.linalg.LinAlgError,
-        FloatingPointError,
-    ) as exc:
+    except (*_NUMERICAL_FAILURES, UhlmannError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
         )
-        return 1
-    except (UhlmannError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
-        )
-        return 2
+        return 1 if isinstance(exc, _NUMERICAL_FAILURES) else 2
 
 
 if __name__ == "__main__":

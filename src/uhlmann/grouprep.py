@@ -56,12 +56,15 @@ class FiniteGroup:
 
     @classmethod
     def from_table(cls, table, labels=None) -> "FiniteGroup":
-        mult = np.asarray(table, dtype=int)
-        n = mult.shape[0]
-        if mult.shape != (n, n) or n < 1:
+        cells = np.array(table, dtype=object)  # ragged rows stay lists, entries keep their types
+        n = cells.shape[0] if cells.ndim else 0
+        if cells.shape != (n, n) or n < 1:
             raise BadParamsError("multiplication table must be square and nonempty")
-        if mult.min() < 0 or mult.max() >= n:
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in cells.flat):
+            raise BadParamsError("table entries must be integers")
+        if not ((cells >= 0) & (cells < n)).all():
             raise BadParamsError("table entries must be element indices")
+        mult = cells.astype(int)
         ids = np.flatnonzero(((mult == np.arange(n)) & (mult.T == np.arange(n))).all(axis=1))
         if ids.size == 0:
             raise BadParamsError("no identity element")

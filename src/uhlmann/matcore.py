@@ -228,19 +228,24 @@ def op_norm(m) -> float:
 
 
 def op_norm_exceeds(m, tol: float) -> bool:
-    """``op_norm(m) > tol``, deciding most inputs without an SVD.
+    """``op_norm(m) > tol`` for a matrix, or for any matrix of an (n, d, d) stack.
 
     The Frobenius norm bounds the operator norm from above, so a Frobenius
-    norm at most ``tol`` settles the answer as False; only a larger one
-    falls back to the exact operator norm.  The screen keeps a relative
-    margin of ``_SCREEN_MARGIN`` below ``tol``, which covers the rounding
-    of both norms where they coincide (rank one), so the decision is the
-    same as ``op_norm(m) > tol`` on every input.  A non-finite norm fails
-    the screen, so such input reaches ``op_norm`` exactly as before.
+    norm at most ``tol`` settles a matrix as False; only a matrix with a
+    larger one falls back to its exact operator norm.  The screen keeps a
+    relative margin of ``_SCREEN_MARGIN`` below ``tol``, which covers the
+    rounding of both norms where they coincide (rank one), so each matrix
+    gets the same decision as ``op_norm(m) > tol``.  A non-finite norm fails
+    the screen, so such input reaches ``op_norm`` exactly as before.  The
+    screen compares squared norms, a whole stack's in one ``vecdot``; only
+    the matrices that fail it are decomposed.
     """
-    if np.linalg.norm(m) <= tol * (1.0 - _SCREEN_MARGIN):
-        return False
-    return op_norm(m) > tol
+    m = np.asarray(m)
+    stack = m if m.ndim == 3 else m[None]
+    rows = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
+    squares = np.vecdot(rows, rows).real.tolist()  # squared Frobenius norms
+    bound = (tol * (1.0 - _SCREEN_MARGIN)) ** 2
+    return any(not sq <= bound and op_norm(x) > tol for sq, x in zip(squares, stack))
 
 
 def symmetrized(h: np.ndarray, tol: float) -> np.ndarray:

@@ -356,7 +356,9 @@ def unitary_completion(w: np.ndarray, rng: np.random.Generator | None = None) ->
     passing ``rng`` mixes the kernel pairing by a Haar-random unitary
     (any such gauge is a valid completion).
     """
-    return _complete(*_completion_basis(w), rng)
+    w, kernel, coker = _completion_basis(w)
+    n = kernel.shape[1]
+    return _complete(w, kernel, coker, _haar_unitary(n, rng) if rng is not None and n else None)
 
 
 def _completion_basis(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -376,27 +378,34 @@ def _completion_basis(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w, kernel, coker
 
 
-def _complete(w, kernel, coker, rng: np.random.Generator | None) -> np.ndarray:
-    """``W + coker G kernel*`` with the gauge G drawn from ``rng`` (identity if None)."""
+def _complete(w, kernel, coker, gauges: np.ndarray | None) -> np.ndarray:
+    """``W + coker G kernel*`` for a gauge G or a stack of them (identity if None), checked at once."""
     n_missing = kernel.shape[1]
     if n_missing == 0:
         return w.copy()
-    gauge = np.eye(n_missing, dtype=complex) if rng is None else _haar_unitary(n_missing, rng)
-    u = w + coker @ gauge @ dagger(kernel)
+    gauges = np.eye(n_missing, dtype=complex) if gauges is None else gauges
+    u = w + coker @ gauges @ dagger(kernel)
     if matcore.op_norm_exceeds(dagger(u) @ u - np.eye(w.shape[0]), 1e-8):
         raise NotPartialIsometryError("completion failed the unitarity check")
     return u
 
 
 def rigidity_residual(inst: UhlmannInstance, r: np.ndarray) -> float:
-    """The squared distance ``|| (1 (x) (W - R) W*W) |C> ||^2``, W = ``canonical_w(inst)``."""
-    r = matcore.as_matrix(r)
-    if matcore.op_norm_exceeds(dagger(r) @ r - np.eye(r.shape[0]), 1e-8):
+    """The squared distance ``|| (1 (x) (W - R) W*W) |C> ||^2``, W = ``canonical_w(inst)``.
+
+    The batch of one of ``_rigidity_residuals``; R must be unitary within 1e-8.
+    """
+    return _rigidity_residuals(inst, matcore.as_matrix(r)[None])[0]
+
+
+def _rigidity_residuals(inst: UhlmannInstance, rs: np.ndarray) -> list[float]:
+    """``rigidity_residual`` of each R of a stack: the unitarity check and ``C ((W - R) W*W)^T``
+    run once on the stack, the norm per R."""
+    if matcore.op_norm_exceeds(dagger(rs) @ rs - np.eye(rs.shape[-2]), 1e-8):
         raise NotUnitaryError("R must be unitary within 1e-8")
     w = canonical_w(inst)
-    p = dagger(w) @ w
-    moved = inst.c.coeffs @ ((w - r) @ p).T
-    return float(np.linalg.norm(moved) ** 2)
+    moved = inst.c.coeffs @ ((w - rs) @ (dagger(w) @ w)).mT
+    return [float(np.linalg.norm(m) ** 2) for m in moved]
 
 
 @dataclass(frozen=True)
@@ -445,12 +454,20 @@ def flip(inst: UhlmannInstance) -> UhlmannInstance:
 # ---------------------------------------------------------------------------
 
 
+def _complex_normal(shape, rng: np.random.Generator) -> np.ndarray:
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return _haar_unitaries(_complex_normal((d, d), rng))
+
+
+def _haar_unitaries(z: np.ndarray) -> np.ndarray:
+    """The Haar unitary of each complex Gaussian matrix in ``z`` (one matrix or a stack)."""
     q, r = np.linalg.qr(z)
-    phase = np.diag(r).copy()
+    phase = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phase /= np.abs(phase)
-    return q * phase
+    return q * phase[..., None, :]
 
 
 def random_instance(
@@ -459,9 +476,7 @@ def random_instance(
     """Random pair of d x d bipartite states with prescribed Schmidt ranks."""
 
     def grid(rank):
-        a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
-        b = rng.normal(size=(rank, d)) + 1j * rng.normal(size=(rank, d))
-        m = a @ b
+        m = _complex_normal((d, rank), rng) @ _complex_normal((rank, d), rng)
         return m / np.linalg.norm(m)
 
     rank_c = rank_c if rank_c is not None else int(rng.integers(1, d + 1))
@@ -475,14 +490,8 @@ def near_optimal_unitary(
     inst: UhlmannInstance, epsilon: float, rng: np.random.Generator,
     deficit_fraction: float | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Generate a unitary with overlap ``>= F - epsilon``.
-
-    The batch of one of ``near_optimal_unitaries``: walks from a random
-    unitary completion ``U0`` of the canonical W along ``U0 V exp(i t lam)
-    V*``, bisecting ``t`` on the closed-form overlap ``sum_k a_k exp(i t
-    lam_k)``.  Returns the unitary and its real overlap, as computed by
-    ``states.overlap``.
-    """
+    """A unitary with overlap ``>= F - epsilon`` and its real overlap ``<D| (1 (x) R) |C>``:
+    the batch of one of ``near_optimal_unitaries``, which describes the walk."""
     ((r, ov),) = near_optimal_unitaries(inst, epsilon, [rng], deficit_fraction)
     return r, ov
 
@@ -494,11 +503,11 @@ def near_optimal_unitaries(
     """Yield one unitary with overlap ``>= F - epsilon`` per generator.
 
     Each walk draws from its own generator, in this order: the target
-    deficit ``deficit_fraction * epsilon`` (the fraction uniform in
-    [0.3, 1] when None), the gauge of a random unitary completion ``U0`` of
-    the canonical W (from the core's ``completion_basis``), and a random
-    Hermitian generator ``H = V diag(lam) V*`` scaled to ``max |lam| = 1``.  Along ``R(t) = U0 V exp(i t lam) V*`` the overlap
-    is the trigonometric sum
+    deficit ``deficit_fraction * epsilon`` (the fraction uniform in [0.3, 1]
+    when None), the Haar gauge of a random unitary completion ``U0`` of the
+    canonical W (none when W is full rank), and a random Hermitian generator
+    ``H = V diag(lam) V*`` scaled to ``max |lam| = 1``.  Along
+    ``R(t) = U0 V exp(i t lam) V*`` the overlap is the trigonometric sum
 
         <D| (1 (x) R(t)) |C> = Tr(R(t) K) = sum_k a_k exp(i t lam_k),
 
@@ -506,28 +515,38 @@ def near_optimal_unitaries(
     the walk costs O(d) per walk.  ``t`` doubles from pi/4 (at most six
     times) until the deficit reaches the target, then 60 bisection steps
     land on the feasible side of it; a generator too weak to reach the
-    target keeps the last, still feasible, ``t``.  Each ``R`` is then
-    built once and yielded with its real overlap from ``states.overlap``.
+    target keeps the last, still feasible, ``t``.  Each ``R`` is yielded
+    with its real overlap ``<D| (1 (x) R) |C>``.
 
-    Walks run in blocks of ``_WALK_BLOCK``, so memory does not grow with
-    the number of generators; the generators are consumed block by block.
+    Only the draws and the overlaps' final ``vdot`` run per walk; all else
+    runs once per block of ``_WALK_BLOCK`` walks (one QR of the gauges, one
+    unitarity check of the completions, one eigh, the bisection on arrays
+    of ``t``), so memory does not grow with the number of generators.
     """
+    for rs, overlaps in _walk_blocks(inst, epsilon, rngs, deficit_fraction):
+        yield from zip(rs, overlaps)
+
+
+def _walk_blocks(inst, epsilon, rngs, deficit_fraction) -> Iterator[tuple[np.ndarray, list[float]]]:
+    """``near_optimal_unitaries`` a block at a time: the (n, d, d) stack of R and its overlaps."""
     check_epsilon(epsilon)
     f = inst.fidelity()
     k = states.partial_trace_a_outer(inst.c, inst.d)
-    basis = inst.spectral_core().completion_basis
+    w, kernel, coker = inst.spectral_core().completion_basis
+    n_missing = kernel.shape[1]
     rngs = iter(rngs)
     while block := list(itertools.islice(rngs, _WALK_BLOCK)):
-        targets, u0s, hs = [], [], []
+        targets, zs, hs = [], [], []
         for rng in block:
             frac = deficit_fraction if deficit_fraction is not None else rng.uniform(0.3, 1.0)
             targets.append(epsilon * frac)
-            u0s.append(_complete(*basis, rng))
-            h = rng.normal(size=basis[0].shape) + 1j * rng.normal(size=basis[0].shape)
-            hs.append((h + dagger(h)) / 2)
-        target, u0 = np.array(targets), np.array(u0s)
+            if n_missing:
+                zs.append(_complex_normal((n_missing, n_missing), rng))
+            hs.append(_complex_normal(w.shape, rng))
+        target, hs = np.array(targets), np.array(hs)
+        u0 = _complete(w, kernel, coker, _haar_unitaries(np.array(zs)) if n_missing else None)
         try:
-            lam, v = np.linalg.eigh(np.array(hs))
+            lam, v = np.linalg.eigh((hs + dagger(hs)) / 2)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(str(exc)) from exc
         lam /= np.maximum(np.abs(lam).max(axis=1, keepdims=True), 1e-30)
@@ -543,9 +562,9 @@ def near_optimal_unitaries(
             down = f - _walk_overlap(a, lam, mid) < target
             lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
         t_final = np.where(weak, t_weak, lo)
-        rot = (v * np.exp(1j * t_final[:, None, None] * lam[:, None, :])) @ dagger(v)
-        for r in u0 @ rot:
-            yield r, float(states.overlap(inst.d, r, inst.c).real)
+        rs = u0 @ ((v * np.exp(1j * t_final[:, None, None] * lam[:, None, :])) @ dagger(v))
+        # from_states normalizes both states, so these are the coefficients states.overlap reads
+        yield rs, [float(np.vdot(inst.d.coeffs, m).real) for m in inst.c.coeffs @ rs.mT]
 
 
 def _walk_overlap(a: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:

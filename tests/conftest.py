@@ -14,9 +14,9 @@ def rng():
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Count numpy.linalg svd/eigh/eigvalsh calls; reset with ``.clear()``."""
+    """Count numpy.linalg svd/eigh/eigvalsh/qr calls; reset with ``.clear()``."""
     counts = {}
-    for name in ("svd", "eigh", "eigvalsh"):
+    for name in ("svd", "eigh", "eigvalsh", "qr"):
         orig = getattr(np.linalg, name)
 
         def counted(*args, _orig=orig, _name=name, **kwargs):

@@ -181,6 +181,36 @@ def test_primal_probe_golden_unreachable_target():
         np.testing.assert_allclose((probe.best_residual, probe.best_overlap), gold, rtol=0, atol=1e-12)
 
 
+# (best_residual, best_overlap) as float.hex at eps = 0, 1e-2 and 5, 130 trials
+# (past two blocks of 64 walks), seed 29, as computed by scoring the walks one
+# at a time (one rigidity_residual and one states.overlap call per walk): the
+# rank-deficient walk instance 5 (a 3-dimensional kernel) and a full-rank pair.
+PROBE_GOLDEN_130 = {
+    "deficient": [("0x1.4f2301b463067p-50", "0x1.f5707063c39bap-2"),
+                  ("0x1.66f5dcdd1079bp-5", "0x1.eb441bdd5fddbp-2"),
+                  ("0x1.c3d929e83b25bp+1", "-0x1.8e33bce286223p-2")],
+    "full": [("0x1.72d9002dc8e38p-47", "0x1.8322962b0173bp-1"),
+             ("0x1.31e3e0697f340p-5", "0x1.7ec574d388bf2p-1"),
+             ("0x1.93ba20db79cb2p+1", "-0x1.82e87a43676ffp-2")],
+}
+
+
+def test_primal_probe_golden_past_one_block():
+    insts = {"deficient": walk_instances()[5],
+             "full": random_instance(4, np.random.default_rng(4040), rank_c=4, rank_d=4)}
+    for name, inst in insts.items():
+        for eps, gold in zip((0.0, 1e-2, 5.0), PROBE_GOLDEN_130[name]):
+            probe = primal_probe(inst, eps, 130, 29)
+            assert (probe.best_residual.hex(), probe.best_overlap.hex()) == gold
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_primal_probe_rejects_trials_below_one(trials):
+    inst = random_instance(3, np.random.default_rng(21))
+    with pytest.raises(BadParamsError, match=r"^trials must be >= 1$"):
+        primal_probe(inst, 0.01, trials, 1)
+
+
 @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf"), -float("inf")])
 def test_epsilon_must_be_finite_and_nonnegative(eps):
     inst = random_instance(3, np.random.default_rng(21))

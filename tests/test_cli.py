@@ -266,6 +266,15 @@ def test_protocol_rejects_trials_below_one(trials, capsys):
     assert json.loads(err)["error"] == "BadParamsError"
 
 
+@pytest.mark.parametrize("cmd", ["report", "certificate"])
+def test_probe_trials_below_one_is_a_bad_param(cmd, state_files, capsys):
+    _, c_path, d_path = state_files
+    code, out, err = run_cli(capsys, cmd, "--c", c_path, "--d", d_path, "--probe-trials", "-3", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "BadParamsError", "message": "trials must be >= 1"}
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_grouprep_rejects_count_below_one(count, capsys):
     code, out, err = run_cli(capsys, "grouprep", "--count", count, "--seed", "1")
@@ -327,6 +336,21 @@ def run_cli_strict(capsys, *argv):
 ])
 def test_grouprep_rejects_bad_dim_and_scale(argv, message, capsys):
     code, out, err = run_cli_strict(capsys, "grouprep", "--seed", "1", "--count", "1", *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "BadParamsError", "message": message}
+
+
+@pytest.mark.parametrize("table,message", [
+    ([[0, 1.9], [1.2, 0]], "table entries must be integers"),
+    ([[False, True], [True, False]], "table entries must be integers"),
+    ([[0, 1], [1]], "multiplication table must be square and nonempty"),
+])
+def test_grouprep_rejects_malformed_table_files(table, message, tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"order": 2, "table": table}))
+    code, out, err = run_cli_strict(capsys, "grouprep", "--group", str(path), "--dim", "2",
+                                    "--count", "1", "--seed", "1")
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "BadParamsError", "message": message}

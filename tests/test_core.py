@@ -99,6 +99,8 @@ def test_primal_probe_decomposes_w_once(loaded, decompositions):
     certificate.primal_probe(inst, 0.01, 100, 3)
     # canonical_w and the kernel/cokernel basis of the completions
     assert decompositions["svd"] <= 2
+    # one QR of the stacked Haar gauges per block of 64 walks
+    assert decompositions["qr"] <= 2
 
 
 def test_second_primal_probe_takes_no_svd(loaded, decompositions):

@@ -74,6 +74,28 @@ def test_group_rejects_broken_tables():
         FiniteGroup.from_table([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 
+def test_group_rejects_non_integer_entries():
+    for table in ([[0, 1.9], [1.2, 0]], [[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]],
+                  [[0, True], [True, 0]], np.array([[0, 1], [1, 0]], dtype=float),
+                  np.array([[0, 1], [1, 0]], dtype=bool), [[0, "1"], ["1", 0]], [[0, 1], [[1], 0]]):
+        with pytest.raises(BadParamsError, match=r"^table entries must be integers$"):
+            FiniteGroup.from_table(table)
+    for table in (np.array([[0, 1], [1, 0]], dtype=np.int32), [[0, np.int64(1)], [np.uint8(1), 0]]):
+        assert FiniteGroup.from_table(table).mult.tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(BadParamsError, match=r"^table entries must be element indices$"):
+        FiniteGroup.from_table([[0, 10**30], [1, 0]])  # too large for int64, still an index error
+
+
+def test_group_rejects_ragged_tables(tmp_path):
+    for table in ([[0, 1], [1]], [[0], [1, 0]], [], 3):
+        with pytest.raises(BadParamsError, match=r"^multiplication table must be square and nonempty$"):
+            FiniteGroup.from_table(table)
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"order": 2, "table": [[0, 1], [1]]}))
+    with pytest.raises(BadParamsError, match=r"^multiplication table must be square and nonempty$"):
+        FiniteGroup.from_file(path)
+
+
 def test_group_identity_and_inverse_are_the_first_found():
     # Klein four with labels permuted so that the identity is element 2
     perm = [2, 0, 3, 1]

@@ -174,6 +174,35 @@ def test_op_norm_exceeds_matches_op_norm(rng):
     assert not op_norm_exceeds(np.zeros((3, 3)), 0.0)
 
 
+def test_op_norm_exceeds_on_a_stack(rng):
+    # A stack is decided as any(op_norm(x) > tol for x in it), each matrix as
+    # op_norm alone decides it: c * I_d with c <= tol < c sqrt(d) passes the
+    # screen on, exceeders, and unitarity residuals of exact unitaries.
+    d, tol = 4, 1e-8
+    eye = np.eye(d, dtype=complex)
+    fine = [c * eye for c in (0.5 * tol, tol)]
+    fine += [dagger(u) @ u - eye for u in (random_unitary(rng, d), eye[::-1], 1j * eye)]
+    fine += [1e-10 * random_complex(rng, d, d)]
+    bad = [tol * (1 + 1e-6) * eye, 2 * tol * eye, 1e-7 * random_complex(rng, d, d)]
+    for m in fine + bad:
+        assert op_norm_exceeds(m[None], tol) == op_norm_exceeds(m, tol) == (op_norm(m) > tol)
+    for k in range(len(bad) + 1):
+        for order in (1, -1):
+            stack = np.array((fine + bad[:k])[::order])
+            assert op_norm_exceeds(stack, tol) == any(op_norm(x) > tol for x in stack) == (k > 0)
+    assert not op_norm_exceeds(np.zeros((0, d, d)), tol)
+
+
+def test_op_norm_exceeds_finds_the_one_bad_matrix(rng, decompositions):
+    stack = np.array([dagger(u) @ u - np.eye(3) for u in (random_unitary(rng, 3) for _ in range(64))])
+    decompositions.clear()
+    assert not op_norm_exceeds(stack, 1e-8)
+    assert decompositions == {}  # every residual passes the Frobenius screen
+    stack[37] = (1 + 1e-7) ** 2 * np.eye(3) - np.eye(3)  # (1 + 1e-7) U is not unitary within 1e-8
+    assert op_norm_exceeds(stack, 1e-8)
+    assert decompositions == {"svd": 1}  # only the matrix that fails the screen is decomposed
+
+
 def test_schur_psd_check_examples(rng):
     eye = np.eye(3)
     assert schur_psd_check(eye, np.zeros((3, 3)), eye)

@@ -204,6 +204,8 @@ def test_epsilon_protocol_decompositions(decompositions):
     # the walk's random completion shares the honest completion's basis of W
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["protocol", "--prover", "epsilon:0.05", "--trials", "100", "--seed", "1"]) == 0
+    # the bound counts svd, eigh and eigvalsh; the fixture also counts the walk's one gauge QR
+    assert decompositions.pop("qr") == 1
     assert sum(decompositions.values()) <= 12
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_psd, random_unitary, walk_instances
-from uhlmann import matcore, states
+from uhlmann import certificate, matcore, states, uhlmann
 from uhlmann.errors import NotPartialIsometryError, NotPsdError, NotUnitaryError
 from uhlmann.matcore import dagger
 from uhlmann.states import BipartitePureState
@@ -217,6 +217,69 @@ def test_residual_requires_unitary(rng):
     inst = random_instance(3, rng)
     with pytest.raises(NotUnitaryError):
         rigidity_residual(inst, 0.5 * np.eye(3))
+
+
+def test_residual_unitarity_check_at_its_tolerance(rng):
+    # (1 + s) U has ||R*R - 1|| = 2s + s^2 against the 1e-8 tolerance
+    inst = random_instance(3, rng)
+    u = random_unitary(rng, 3)
+    with pytest.raises(NotUnitaryError):
+        rigidity_residual(inst, (1 + 6e-9) * u)
+    assert rigidity_residual(inst, (1 + 4e-9) * u) >= 0.0
+
+
+def test_stacked_residuals_match_single_residuals():
+    for k, inst in enumerate(walk_instances()):
+        walks = near_optimal_unitaries(inst, 1e-2, (np.random.default_rng((k, i)) for i in range(70)))
+        rs = np.array([r for r, _ in walks])
+        assert uhlmann._rigidity_residuals(inst, rs) == [rigidity_residual(inst, r) for r in rs]
+        rs[37] *= 1 + 6e-9
+        with pytest.raises(NotUnitaryError):
+            uhlmann._rigidity_residuals(inst, rs)
+
+
+@pytest.mark.parametrize("scale,fails", [(1 + 6e-9, True), (1 + 4e-9, False), (1.001, True)])
+def test_walks_check_every_completion(scale, fails, monkeypatch):
+    # Scaling the kernel basis by (1 + s) gives every completion ||U*U - 1|| = 2s + s^2;
+    # at s = 4e-9 the Frobenius norm (3-dim kernel) still exceeds 1e-8, so the exact norm decides.
+    inst = walk_instances()[5]
+    core = inst.spectral_core()
+    w, kernel, coker = core.completion_basis
+    monkeypatch.setattr(core, "completion_basis", (w, scale * kernel, coker))
+    for run in (lambda: certificate.primal_probe(inst, 0.01, 100, 3),
+                lambda: near_optimal_unitary(inst, 0.01, np.random.default_rng(0))):
+        if fails:
+            with pytest.raises(NotPartialIsometryError, match="completion failed the unitarity check"):
+                run()
+        else:
+            run()
+
+
+def test_walks_check_each_completion_of_a_block(monkeypatch):
+    haar = uhlmann._haar_unitaries
+
+    def gauge_37_off(z):  # the 38th gauge of a block is 1.001 times a unitary
+        gauges = haar(z)
+        if gauges.ndim == 3 and len(gauges) > 37:
+            gauges[37] *= 1.001
+        return gauges
+
+    monkeypatch.setattr(uhlmann, "_haar_unitaries", gauge_37_off)
+    inst = walk_instances()[5]
+    certificate.primal_probe(inst, 0.01, 37, 3)
+    with pytest.raises(NotPartialIsometryError, match="completion failed the unitarity check"):
+        certificate.primal_probe(inst, 0.01, 38, 3)
+
+
+def test_walks_take_one_qr_per_block(decompositions):
+    deficient = walk_instances()[5]  # a 3-dimensional kernel to complete
+    full = random_instance(4, np.random.default_rng(4040), rank_c=4, rank_d=4)
+    assert full.spectral_core().completion_basis[1].shape[1] == 0
+    for trials, blocks in ((1, 1), (64, 1), (65, 2), (100, 2), (130, 3)):
+        for inst, qrs in ((deficient, blocks), (full, 0)):  # a full-rank W draws no gauge
+            decompositions.clear()
+            certificate.primal_probe(inst, 0.01, trials, 3)
+            assert decompositions.get("qr", 0) == qrs
 
 
 def test_rigidity_report_examples(rng):

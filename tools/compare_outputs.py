@@ -23,7 +23,9 @@ written:
   files;
 * the four ``adversarial`` families at two settings each, ``protocol`` with
   every prover (with its CSV), its default, ``--n 3`` and a state-file
-  pair, and ``grouprep`` on s3, z4, z6, z2 and z3 at dim 2;
+  pair, ``grouprep`` on s3, z4, z6, z2 and z3 at dim 2, and ``grouprep``
+  on table files with float, boolean and ragged entries;
+* ``report`` and ``certificate`` with ``--probe-trials -3``;
 * usage errors (no arguments, an unknown subcommand, an unknown flag, a
   missing required flag, a bad type, a bad choice) and ``--help`` for the
   program and two subcommands, run after the calls above in the same
@@ -33,14 +35,17 @@ written:
   ``rigidity_residual``, ``near_optimal_unitaries``, the canonical
   completion, ``states.fidelity``, ``input_ensemble_state``,
   ``geometric_mean``, ``soundness_probe`` rows and
-  ``completeness_experiment``;
+  ``completeness_experiment``; on rand5 (a kernel to complete) and full8
+  (full rank), a 130-trial ``primal_probe`` at eps 0, 1e-2 and 5 and 70
+  ``near_optimal_unitaries`` walks, both past the 64-walk block;
 * a grouprep library sweep, one output per representation: z1 to z8 and s3
   at dims 2, 3 and the group order (where a built-in exact representation
   exists), each with the maximally mixed and a random rho, and with uniform
   and a non-uniform mu that has a zero weight.  Each records ``rep_defect``,
   the C and D grids of ``build_states``, ``w_tilde``, ``intertwiner``,
   ``convolution`` at every element and the ``stability_check`` fields;
-  further outputs record the errors of broken ``from_table`` tables and of
+  further outputs record the errors of broken ``from_table`` tables (with
+  ragged, nested, float and boolean entries among them) and of
   bad ``ApproxRep.create`` inputs;
 * the stdout of every ``demos/*.py``.
 
@@ -57,6 +62,7 @@ import filecmp
 import inspect
 import io
 import itertools
+import json
 import os
 import pathlib
 import subprocess
@@ -178,6 +184,14 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
         rec.cli(f"grouprep.{group}", ["grouprep", "--group", group, "--seed", "3", "--count", "2",
                                        "--scale", "0.3", *extra])
     rec.cli("grouprep.default", ["grouprep"])
+    for name, table in (("float", [[0, 1.9], [1.2, 0]]), ("bool", [[False, True], [True, False]]),
+                        ("ragged", [[0, 1], [1]])):
+        pathlib.Path(f"table_{name}.json").write_text(json.dumps({"order": 2, "table": table}))
+        rec.cli(f"grouprep.table_{name}", ["grouprep", "--group", f"table_{name}.json", "--dim", "2",
+                                            "--count", "1", "--seed", "1"])
+    for cmd in ("report", "certificate"):
+        rec.cli(f"rand3.{cmd}_probe_negative", [cmd, "--c", "rand3_c.json", "--d", "rand3_d.json",
+                                                 "--probe-trials", "-3", "--seed", "4"])
 
     for name, inst in _pairs().items():
         core = inst.spectral_core()
@@ -194,6 +208,13 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
                                                 (np.random.default_rng((9, i)) for i in range(3)))])
         rec.value(f"{name}.input_state", lambda: _hex(protocol.input_ensemble_state(
             inst, np.random.default_rng(11))))
+    # past one block of walks (64), on a pair with a kernel to complete and on a full-rank one
+    for name in ("rand5", "full8"):
+        for eps in (0.0, 1e-2, 5.0):
+            rec.value(f"{name}.probe130_eps{eps:g}", lambda: certificate.primal_probe(insts[name], eps, 130, 12))
+        rec.value(f"{name}.walks70", lambda: [
+            (_hex(r), ov.hex()) for r, ov in _with_w(uhlmann.near_optimal_unitaries, insts[name], 0.01,
+                                                      (np.random.default_rng((13, i)) for i in range(70)))])
     rng = np.random.default_rng(77)
     for k, d in enumerate((2, 4, 7)):
         a, b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
@@ -254,7 +275,9 @@ def _grouprep_sweep(rec: Dump) -> None:
               "no_identity": [[0, 0], [0, 0]], "no_inverse": [[0, 1], [1, 1]],
               "no_inverse3": [[0, 1, 2], [1, 2, 0], [2, 1, 0]], "non_associative": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
               "non_associative4": [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 0, 0]],
-              "bad_labels": ([[0, 1], [1, 0]], ["e"])}
+              "bad_labels": ([[0, 1], [1, 0]], ["e"]), "float": [[0, 1.9], [1.2, 0]],
+              "float_whole": [[0.0, 1.0], [1.0, 0.0]], "bool": [[False, True], [True, False]],
+              "bool_mixed": [[0, True], [True, 0]], "nested": [[0, 1], [[1], 0]]}
     for name, table in tables.items():
         args = table if isinstance(table, tuple) else (table,)
         rec.value(f"grouprep_err.table_{name}", lambda: grouprep.FiniteGroup.from_table(*args).inverse)
