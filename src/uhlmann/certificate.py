@@ -67,16 +67,17 @@ class PrimalProbe:
 def _feasible_point(core: uhlmann.SpectralCore, alpha: float) -> tuple:
     """``(alpha, T, Y1, Y2, ||T||_1, margin)``, all that depends on alpha alone.
 
-    One SVD ``T = U S V*`` gives ``Y1 = V S V*`` and ``Y2 = U S U*`` on the kept
-    singular values, and ``||T||_1 = sum S``.  Kept on the core for the last alpha:
-    ``dual_bound`` after a certificate at the same alpha decomposes nothing.
+    One SVD ``T = U S V*`` gives ``||T||_1 = sum S``, ``Y1 = V S V*`` and ``Y2 = U S U*``,
+    cut at the default (noise) tolerance whatever ``rank_tol``: a value that ``||T||_1``
+    counts and Y1, Y2 drop leaves the point infeasible.  Kept on the core for the last
+    alpha: ``dual_bound`` after a certificate at the same alpha decomposes nothing.
     """
     point = core.certificate_point
     if point is not None and point[0] == alpha:
         return point
-    t = 0.5 * (alpha * dagger(core.a) + core.p @ core.inst.frame.rho @ dagger(core.w))
+    t = 0.5 * (alpha * dagger(core.a) + core.p @ core.frame.rho @ dagger(core.w))
     f = matcore.svd(t)
-    s = np.where(matcore.rank_mask(f.singulars, t.shape[0], core.rank_tol), f.singulars, 0.0)
+    s = np.where(f.kept(), f.singulars, 0.0)
     y1, y2, t_norm = (f.v * s) @ dagger(f.v), (f.u * s) @ dagger(f.u), float(f.singulars.sum())
     del f  # the factors need not outlive the PSD check's 2d x 2d block
     # Constraint block minus right-hand side reduces to [[Y1, T*], [T, Y2]];

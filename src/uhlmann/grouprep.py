@@ -103,7 +103,9 @@ class FiniteGroup:
     def from_file(cls, path) -> "FiniteGroup":
         with open(path, "r", encoding="ascii") as fh:
             obj = json.load(fh)
-        if int(obj["order"]) != len(obj["table"]):
+        if type(obj["order"]) is not int:  # json also gives floats, strings and bools
+            raise BadParamsError(f"order field must be an integer, got {obj['order']!r}")
+        if obj["order"] != len(obj["table"]):
             raise BadParamsError("order field disagrees with table size")
         return cls.from_table(obj["table"], labels=obj.get("labels"))
 

@@ -6,9 +6,10 @@ delegated to LAPACK (via numpy), which is deterministic for fixed input
 bits; this module adds the rank conventions, tolerance policy, and checks
 the rest of the package relies on.
 
-Rank convention: a singular value (or PSD eigenvalue) counts as nonzero
-when it exceeds ``rank_tol * largest``.  The default ``rank_tol`` is
-``max(rows, cols) * 1e-12``.
+Rank rule, one for every support: a singular value of a factor X counts when
+it exceeds ``rank_tol * largest`` (``Svd.kept``; default ``max(rows, cols) * 1e-12``).
+Functions of ``X X*`` come from X's SVD (``gram_power``); only ``psd_function``,
+with no factor at hand, cuts eigenvalues, i.e. X's scale at the tolerance's root.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ __all__ = [
     "Svd",
     "as_matrix",
     "dagger",
-    "eigen_image",
+    "gram_power",
     "hermitian_eigen",
     "image_projector",
     "inv_sqrt",
@@ -48,7 +49,6 @@ __all__ = [
     "schur_psd_check",
     "schur_psd_margin",
     "svd",
-    "symmetrized",
     "trace_norm",
     "write_matrix",
 ]
@@ -97,6 +97,10 @@ class Svd:
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.singulars) @ dagger(self.v)
 
+    def kept(self, rank_tol: float | None = None) -> np.ndarray:
+        """The mask of the singular values the rank rule keeps."""
+        return rank_mask(self.singulars, max(self.u.shape[0], self.v.shape[0]), rank_tol)
+
 
 def hermitian_eigen(m, tol: float = 1e-10) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix.
@@ -138,10 +142,12 @@ def rank_mask(values: np.ndarray, n: int, rank_tol: float | None = None) -> np.n
     return values > tol * values.max(initial=0.0)
 
 
-def _svd_kept(m, rank_tol: float | None) -> tuple[Svd, np.ndarray]:
-    """SVD of ``m`` and the mask of its singular values kept by the rank rule."""
-    f = svd(m)
-    return f, rank_mask(f.singulars, max(f.u.shape[0], f.v.shape[0]), rank_tol)
+def gram_power(f: Svd, power: int, rank_tol: float | None = None) -> np.ndarray:
+    """``U S^power U*`` over the kept singular values of ``X = U S V*``: power 1, -1 and 0
+    give the square root, pseudoinverse square root and image projector of ``X X*``."""
+    keep = f.kept(rank_tol)
+    u = f.u[:, keep]
+    return (u * f.singulars[keep] ** power) @ dagger(u)
 
 
 def pseudoinverse(m, rank_tol: float | None = None) -> np.ndarray:
@@ -150,7 +156,8 @@ def pseudoinverse(m, rank_tol: float | None = None) -> np.ndarray:
     Singular values below ``rank_tol * sigma_max`` are treated as zero.
     The zero matrix maps to the zero matrix.
     """
-    f, keep = _svd_kept(m, rank_tol)
+    f = svd(m)
+    keep = f.kept(rank_tol)
     inv = np.where(keep, 1.0 / np.where(keep, f.singulars, 1.0), 0.0)
     return (f.v * inv) @ dagger(f.u)
 
@@ -166,20 +173,14 @@ def matrix_sign(m, rank_tol: float | None = None) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
-    f, keep = _svd_kept(a, rank_tol)
+    f = svd(a)
+    keep = f.kept(rank_tol)
     return f.u[:, keep] @ dagger(f.v[:, keep])
 
 
 def image_projector(m, rank_tol: float | None = None) -> np.ndarray:
     """Hermitian projector onto the column space of ``m``."""
-    f, keep = _svd_kept(m, rank_tol)
-    return f.u[:, keep] @ dagger(f.u[:, keep])
-
-
-def eigen_image(eig: HermitianEigen, rank_tol: float | None = None) -> np.ndarray:
-    """``image_projector`` of a Hermitian matrix by its |eigenvalues| (= singular values)."""
-    cols = eig.vectors[:, rank_mask(np.abs(eig.values), eig.values.size, rank_tol)]
-    return cols @ dagger(cols)
+    return gram_power(svd(m), 0, rank_tol)
 
 
 def psd_eigen(m, tol: float = 1e-10) -> HermitianEigen:
@@ -193,9 +194,10 @@ def psd_eigen(m, tol: float = 1e-10) -> HermitianEigen:
 def psd_function(eig: HermitianEigen, fn, rank_tol: float | None = None) -> np.ndarray:
     """``V fn(w) V*`` over the eigenvalues kept by the rank rule; the rest map to 0.
 
-    The negative dust ``psd_eigen`` lets through and eigenvalues below
-    ``rank_tol * largest`` count as zero, which keeps ``sqrt`` from amplifying
-    O(eps) junk into O(sqrt(eps)) rank.  One decomposition serves every ``fn``.
+    With no factor at hand: the negative dust ``psd_eigen`` lets through and
+    eigenvalues below ``rank_tol * largest`` count as zero, which keeps ``sqrt``
+    from amplifying O(eps) junk into O(sqrt(eps)) rank.  One decomposition
+    serves every ``fn``.
     """
     kept = rank_mask(eig.values, eig.values.size, rank_tol)
     vals = np.where(kept, fn(np.where(kept, eig.values, 1.0)), 0.0)
@@ -246,13 +248,6 @@ def op_norm_exceeds(m, tol: float) -> bool:
     squares = np.vecdot(rows, rows).real.tolist()  # squared Frobenius norms
     bound = (tol * (1.0 - _SCREEN_MARGIN)) ** 2
     return any(not sq <= bound and op_norm(x) > tol for sq, x in zip(squares, stack))
-
-
-def symmetrized(h: np.ndarray, tol: float) -> np.ndarray:
-    """``(h + h*) / 2``; NotHermitianError when ``||h - h*||_inf > tol``."""
-    if op_norm_exceeds(h - dagger(h), tol):
-        raise NotHermitianError(f"matrix is not Hermitian within tol={tol}")
-    return (h + dagger(h)) / 2
 
 
 def _min_eig(h: np.ndarray) -> float:

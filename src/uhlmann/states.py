@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore
-from .errors import DimensionMismatchError, NotNormalizedError, NotPsdError
+from .errors import DimensionMismatchError, NotHermitianError, NotNormalizedError, NotPsdError
 from .matcore import as_matrix, dagger
 
 __all__ = [
@@ -89,10 +89,12 @@ class BipartitePureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, trace-one matrix; ``eigen`` is the ``matcore.psd_eigen``
-    decomposition that validated it, which every reader of its spectrum reuses."""
+    """Hermitian, PSD, trace-one matrix.  ``factor``, if given, is the SVD of an X with
+    ``X X* = mat`` (a normalized grid, from ``reduce_a``); ``eigen``, which every reader
+    of the spectrum reuses, is read off it, or else is the ``psd_eigen`` that validated mat."""
 
     mat: np.ndarray
+    factor: matcore.Svd | None = field(default=None, compare=False, repr=False)
     eigen: matcore.HermitianEigen = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -101,7 +103,9 @@ class DensityMatrix:
             raise DimensionMismatchError("density matrix must be square")
         if matcore.op_norm_exceeds(m - dagger(m), 1e-10):
             raise NotPsdError("density matrix is not Hermitian within 1e-10")
-        object.__setattr__(self, "eigen", matcore.psd_eigen(m))  # NotPsdError below -1e-10
+        f = self.factor
+        eig = matcore.psd_eigen(m) if f is None else matcore.HermitianEigen(f.singulars**2, f.u)
+        object.__setattr__(self, "eigen", eig)  # psd_eigen: NotPsdError below -1e-10
         if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
             raise NotPsdError(f"density matrix trace {np.trace(m)} != 1 within 1e-10")
         object.__setattr__(self, "mat", m)
@@ -164,10 +168,11 @@ def _normalized(s: BipartitePureState) -> BipartitePureState:
 
 
 def reduce_a(s: BipartitePureState) -> DensityMatrix:
-    """Reduced density matrix on subsystem A."""
+    """Reduced density matrix ``M M* / Tr`` on subsystem A, factored by one SVD of the grid M."""
     m = _normalized(s).coeffs
     g = m @ dagger(m)
-    return DensityMatrix(g / np.trace(g).real)
+    tr, f = np.trace(g).real, matcore.svd(m)
+    return DensityMatrix(g / tr, factor=matcore.Svd(f.u, f.singulars / np.sqrt(tr), f.v))
 
 
 def reduce_b(s: BipartitePureState) -> DensityMatrix:
@@ -199,14 +204,22 @@ def overlap(d: BipartitePureState, r: np.ndarray, c: BipartitePureState) -> comp
 
 
 def fidelity(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.ndarray) -> float:
-    """Uhlmann fidelity ``F(rho, sigma) = Tr sqrt(rho^1/2 sigma rho^1/2)``."""
+    """Uhlmann fidelity ``F(rho, sigma) = Tr sqrt(rho^1/2 sigma rho^1/2)``: with both ``factor``s,
+    the sum of the kept singular values of ``sigma^1/2 rho^1/2`` (``SpectralCore.fidelity``, bit
+    for bit), otherwise from eigendecompositions."""
     r = rho.mat if isinstance(rho, DensityMatrix) else as_matrix(rho)
     s = sigma.mat if isinstance(sigma, DensityMatrix) else as_matrix(sigma)
     if r.shape != s.shape:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {s.shape}")
+    if getattr(rho, "factor", None) is not None and getattr(sigma, "factor", None) is not None:
+        b = matcore.svd(matcore.gram_power(sigma.factor, 1) @ matcore.gram_power(rho.factor, 1))
+        return float(b.singulars[b.kept()].sum())
     eig = rho.eigen if isinstance(rho, DensityMatrix) else matcore.psd_eigen(r)
     rs = matcore.psd_function(eig, np.sqrt)
-    return float(np.trace(matcore.psd_sqrt(matcore.symmetrized(rs @ s @ rs, 1e-10))).real)
+    h = rs @ s @ rs
+    if matcore.op_norm_exceeds(h - dagger(h), 1e-10):
+        raise NotHermitianError("matrix is not Hermitian within tol=1e-10")
+    return float(np.trace(matcore.psd_sqrt((h + dagger(h)) / 2)).real)
 
 
 def schmidt(s: BipartitePureState) -> SchmidtFrame:
@@ -217,17 +230,11 @@ def schmidt(s: BipartitePureState) -> SchmidtFrame:
     isometrically on the kernel, so that ``M = sqrt(M M*) @ X.T`` exactly
     (also for rank-deficient states).
     """
-    m = _normalized(s).coeffs
     if s.dim_a > s.dim_b:
         raise DimensionMismatchError("schmidt frame extraction requires dim_a <= dim_b")
-    u, sing, vh = np.linalg.svd(m)  # full matrices: vh is dim_b x dim_b
-    x = vh.T[:, : s.dim_a] @ u.T  # conj(V) U^T restricted to dim_a columns
-    return SchmidtFrame(
-        coefficients=sing,
-        basis_a=u,
-        basis_b=vh.T[:, : s.dim_a],
-        frame_b=x,
-    )
+    f = matcore.svd(_normalized(s).coeffs)  # thin: V is dim_b x dim_a
+    x = f.v.conj() @ f.u.T
+    return SchmidtFrame(coefficients=f.singulars, basis_a=f.u, basis_b=f.v.conj(), frame_b=x)
 
 
 # ---------------------------------------------------------------------------

@@ -100,102 +100,102 @@ class UhlmannInstance:
     def spectral_core(self, rank_tol: float | None = None) -> "SpectralCore":
         """The instance's ``SpectralCore`` at ``rank_tol``, built once per value."""
         if rank_tol not in self._cores:
-            self._cores[rank_tol] = SpectralCore(self, rank_tol)
+            base = None if rank_tol is None else self.spectral_core()
+            self._cores[rank_tol] = SpectralCore(self, rank_tol, base)
         return self._cores[rank_tol]
 
     @cached_property
     def _cores(self) -> dict:
         return {}
 
-    @cached_property
+    @property
     def frame(self) -> "IdentityFrame":
-        return IdentityFrame.of(self)
+        return self.spectral_core().frame
 
 
 class SpectralCore:
     """The decompositions every spectral quantity of an instance derives from.
 
-    ``rho.eigen`` gives ``sqrt_rho``, ``rho_pinv_sqrt`` and Image(rho); eigh of
-    ``h = rho^1/2 sigma rho^1/2`` gives F, the projector onto Image(h) and
-    ``mean = rho^-1 # sigma = rho^-1/2 h^1/2 rho^-1/2``, whose eigvalsh gives
-    eta; kappa takes one SVD.  In the identity frame (conjugated matrices,
-    validated on first use) ``sigma.eigen`` and one SVD give ``a = sqrt(sigma)
-    sqrt(rho)``, ``w = sgn(a)`` and ``p = w* w``.  One SVD gives the read-only
-    ``canonical_w = sgn(Tr_A |D><C|)``, one more its ``completion_basis`` (W and
-    bases of its kernel and cokernel), which the unitary ``completion`` and
-    every walk's random completion share.  All is computed on first use;
-    every rank decision applies ``rank_tol`` by its matcore rule.
-    ``certificate_point`` keeps the certificate's blocks for the last alpha.
+    Every support is cut at ``rank_tol`` on a factor's singular values.  The grid
+    SVDs ``rho.factor``/``sigma.factor`` give the roots and Image(rho).  One SVD
+    ``U S V*`` of ``b = sigma^1/2 rho^1/2`` (``b* b = h = rho^1/2 sigma rho^1/2``)
+    gives F = sum S, P = V V* (onto Image h), eta's rank, ``mean = rho^-1 # sigma
+    = rho^-1/2 V S V* rho^-1/2`` (eta is its eigvalsh; kappa takes one SVD) and,
+    in the identity frame (validated on first use), ``a = conj(b)``,
+    ``w = sgn(a) = conj(U V*)`` and ``p = w* w``.  Two more SVDs give the
+    read-only ``canonical_w = sgn(Tr_A |D><C|)`` and its ``completion_basis``.
+    ``certificate_point`` keeps the certificate's blocks for the last alpha.  The
+    core holds the instance's parts, not the instance; a core at an explicit
+    ``rank_tol`` takes the frame of the default core, ``base``.
     """
 
-    def __init__(self, inst: UhlmannInstance, rank_tol: float | None):
-        self.inst, self.rank_tol = inst, rank_tol
+    def __init__(self, inst: UhlmannInstance, rank_tol: float | None, base: "SpectralCore | None"):
+        self.c, self.d, self.rho, self.sigma = inst.c, inst.d, inst.rho, inst.sigma
+        self.rank_tol, self.base = rank_tol, base
         self.certificate_point = None
-
-    def _apply(self, eig: matcore.HermitianEigen, fn=np.sqrt) -> np.ndarray:
-        return matcore.psd_function(eig, fn, self.rank_tol)
 
     @cached_property
     def sqrt_rho(self) -> np.ndarray:
-        return self._apply(self.inst.rho.eigen)
+        return matcore.gram_power(self.rho.factor, 1, self.rank_tol)
 
     @cached_property
     def rho_pinv_sqrt(self) -> np.ndarray:
-        return self._apply(self.inst.rho.eigen, matcore.inv_sqrt)
+        return matcore.gram_power(self.rho.factor, -1, self.rank_tol)
 
     @cached_property
     def sqrt_sigma(self) -> np.ndarray:
-        return self._apply(self.inst.sigma.eigen)
+        return matcore.gram_power(self.sigma.factor, 1, self.rank_tol)
 
     @cached_property
-    def _h(self) -> np.ndarray:
-        return self.sqrt_rho @ self.inst.sigma.mat @ self.sqrt_rho
-
-    @cached_property
-    def _h_eig(self) -> matcore.HermitianEigen:
-        return matcore.psd_eigen(matcore.symmetrized(self._h, 1e-8), tol=1e-8)
+    def _b(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``b = sigma^1/2 rho^1/2`` and its ``U``, ``S``, ``V`` on the kept singular values."""
+        b = self.sqrt_sigma @ self.sqrt_rho
+        f = matcore.svd(b)
+        keep = f.kept(self.rank_tol)
+        return b, f.u[:, keep], f.singulars[keep], f.v[:, keep]
 
     @cached_property
     def fidelity(self) -> float:
-        matcore.symmetrized(self._h, 1e-10)  # the Hermiticity guard of states.fidelity
-        w = self._h_eig.values
-        if w.size and w[-1] < -1e-10:
-            raise NotPsdError(f"min eigenvalue {w[-1]:.3e} < -tol=1e-10")
-        return float(np.trace(self._apply(self._h_eig)).real)
+        return float(self._b[2].sum())  # states.fidelity, bit for bit
+
+    @cached_property
+    def projector(self) -> np.ndarray:
+        if not self._b[2].size:
+            raise ZeroFidelityError("rho^1/2 sigma rho^1/2 vanishes: reduced supports are orthogonal")
+        return self._b[3] @ dagger(self._b[3])
 
     @cached_property
     def mean(self) -> np.ndarray:
-        return self.rho_pinv_sqrt @ self._apply(self._h_eig) @ self.rho_pinv_sqrt
+        _, _, s, v = self._b
+        return self.rho_pinv_sqrt @ ((v * s) @ dagger(v)) @ self.rho_pinv_sqrt
 
     @cached_property
     def eta(self) -> float:
-        w = self._h_eig.values
-        if not (w.size and w[0] > 0.0):
-            raise ZeroFidelityError("rho^1/2 sigma rho^1/2 vanishes: reduced supports are orthogonal")
-        rank = int(matcore.rank_mask(w, w.size, self.rank_tol).sum())
-        if rank == 0:
-            raise ZeroFidelityError("rho^-1 # sigma has no eigenvalue above the rank threshold")
-        return float(np.linalg.eigvalsh((self.mean + dagger(self.mean)) / 2)[::-1][rank - 1])
+        _ = self.projector  # ZeroFidelityError unless b keeps a singular value
+        return float(np.linalg.eigvalsh((self.mean + dagger(self.mean)) / 2)[::-1][self._b[2].size - 1])
 
     @cached_property
     def kappa(self) -> float:
-        if not np.abs(self._h_eig.values).max(initial=0.0) > 0.0:
-            raise ZeroFidelityError("rho^1/2 sigma rho^1/2 vanishes")
-        p = matcore.eigen_image(self._h_eig, self.rank_tol)
-        image_rho = matcore.eigen_image(self.inst.rho.eigen, self.rank_tol)
-        leak = (np.eye(self.inst.dim_a) - image_rho) @ p
+        p = self.projector
+        leak = p - matcore.gram_power(self.rho.factor, 0, self.rank_tol) @ p  # (1 - Proj Image(rho)) P
         if matcore.op_norm_exceeds(leak, 1e-6):
             raise IllConditionedError(f"projector leaks {matcore.op_norm(leak):.3e} outside Image(rho)")
         return float(matcore.op_norm(self.rho_pinv_sqrt @ p @ self.sqrt_rho) ** 2)
 
     @cached_property
+    def frame(self) -> "IdentityFrame":
+        return IdentityFrame.of(self) if self.base is None else self.base.frame
+
+    @cached_property
     def a(self) -> np.ndarray:
-        _ = self.inst.frame  # FrameMismatchError unless the identity frame is valid
-        return self.sqrt_sigma.conj() @ self.sqrt_rho.conj()
+        _ = self.frame  # FrameMismatchError unless the identity frame is valid
+        return self._b[0].conj()
 
     @cached_property
     def w(self) -> np.ndarray:
-        return matcore.matrix_sign(self.a, rank_tol=self.rank_tol)
+        _ = self.frame
+        _, u, _, v = self._b
+        return (u @ dagger(v)).conj()
 
     @cached_property
     def p(self) -> np.ndarray:
@@ -203,7 +203,7 @@ class SpectralCore:
 
     @cached_property
     def canonical_w(self) -> np.ndarray:
-        k = states.partial_trace_a_outer(self.inst.d, self.inst.c)
+        k = states.partial_trace_a_outer(self.d, self.c)
         w = matcore.matrix_sign(k, self.rank_tol)
         w.flags.writeable = False
         return w
@@ -237,17 +237,16 @@ class IdentityFrame:
     x_d: np.ndarray
 
     @classmethod
-    def of(cls, inst: UhlmannInstance) -> "IdentityFrame":
-        if inst.dim_a > inst.dim_b:
+    def of(cls, core: SpectralCore) -> "IdentityFrame":
+        if core.c.dim_a > core.c.dim_b:
             raise FrameMismatchError("identity-frame rotation requires dim_a <= dim_b")
-        x_c = states.schmidt(inst.c).frame_b
-        x_d = states.schmidt(inst.d).frame_b
-        frame = cls(rho=inst.rho.mat.conj(), sigma=inst.sigma.mat.conj(), x_c=x_c, x_d=x_d)
-        core = inst.spectral_core()
-        for x, root, m in ((x_c, core.sqrt_rho, inst.c.coeffs), (x_d, core.sqrt_sigma, inst.d.coeffs)):
-            if matcore.op_norm_exceeds(dagger(x) @ x - np.eye(inst.dim_a), 1e-8):
+        # the Schmidt frame conj(V) U^T of each grid M = U S V*
+        x_c, x_d = (m.factor.v.conj() @ m.factor.u.T for m in (core.rho, core.sigma))
+        frame = cls(rho=core.rho.mat.conj(), sigma=core.sigma.mat.conj(), x_c=x_c, x_d=x_d)
+        for x, root, s in ((x_c, core.sqrt_rho, core.c), (x_d, core.sqrt_sigma, core.d)):
+            if matcore.op_norm_exceeds(dagger(x) @ x - np.eye(s.dim_a), 1e-8):
                 raise FrameMismatchError("frame operator is not an isometry")
-            if matcore.op_norm_exceeds(root @ x.T - m, 1e-7):
+            if matcore.op_norm_exceeds(root @ x.T - s.coeffs, 1e-7):
                 raise FrameMismatchError("frame does not reconstruct the state")
         return frame
 
@@ -267,15 +266,14 @@ def three_form_deviation(inst: UhlmannInstance) -> float:
     Evaluated in the identity frame, where the B-side density matrices are
     the conjugated reductions: (1) the defining sign of the partial trace,
     transported into the frame; (2) ``sgn(sqrt(sigma) sqrt(rho))``;
-    (3) ``(rho^1/2 sigma^1/2)^-1 rho^1/2 (rho^-1 # sigma) rho^1/2``.
+    (3) ``(rho^1/2 sigma^1/2)^-1 rho^1/2 (rho^-1 # sigma) rho^1/2``.  The
+    roots, (2) and the mean are the default core's.
     """
-    fr = inst.frame
-    w1 = fr.rotate_b_operator(canonical_w(inst))
-    rr, rir = _sqrt_pair(fr.rho)
-    sr = matcore.psd_sqrt(fr.sigma)
-    w2 = matcore.matrix_sign(sr @ rr)
-    mean = _sandwiched_sqrt(rir, rr, fr.sigma)  # rho^-1 # sigma
-    w3 = matcore.pseudoinverse(rr @ sr) @ rr @ mean @ rr
+    core = inst.spectral_core()
+    w1 = inst.frame.rotate_b_operator(canonical_w(inst))
+    rr = core.sqrt_rho.conj()
+    w3 = matcore.pseudoinverse(dagger(core.a)) @ rr @ core.mean.conj() @ rr
+    w2 = core.w
     return max(matcore.op_norm(w1 - w2), matcore.op_norm(w2 - w3), matcore.op_norm(w1 - w3))
 
 
@@ -312,11 +310,8 @@ def _sandwiched_sqrt(outer, inner, b) -> np.ndarray:
 def spectral_gap_eta(inst: UhlmannInstance, rank_tol: float | None = None) -> float:
     """Smallest nonzero eigenvalue of ``rho^-1 # sigma``.
 
-    The support decision reuses the rank tolerance, applied to the
-    well-scaled inner factor ``rho^1/2 sigma rho^1/2`` whose rank equals
-    the rank of the mean; this keeps the cut consistent with the
-    pseudoinverse used to build the mean and immune to the noise the
-    outer ``rho^-1/2`` products inject into the zero eigenvalues.
+    The mean's rank is that of its factor ``sigma^1/2 rho^1/2`` at ``rank_tol``,
+    the cut that also decides F, P and W, never its own noisy zero eigenvalues.
     """
     return inst.spectral_core(rank_tol).eta
 
@@ -337,12 +332,10 @@ def projector_structure_check(inst: UhlmannInstance) -> bool:
 
     Evaluated for the canonical W in the identity frame with the conjugated reduced matrices.
     """
-    fr = inst.frame
-    wr = fr.rotate_b_operator(canonical_w(inst))
-    rr = matcore.psd_sqrt(fr.rho)
-    sr = matcore.psd_sqrt(fr.sigma)
-    left = matcore.image_projector(sr @ fr.rho @ sr)
-    right = matcore.image_projector(rr @ fr.sigma @ rr)
+    wr = inst.frame.rotate_b_operator(canonical_w(inst))
+    a = inst.spectral_core().a  # sigma^1/2 rho^1/2 in the frame: both images are decided on it
+    left = matcore.image_projector(a)
+    right = matcore.image_projector(dagger(a))
     return (
         matcore.op_norm(wr @ dagger(wr) - left) <= 1e-8
         and matcore.op_norm(dagger(wr) @ wr - right) <= 1e-8

@@ -166,13 +166,13 @@ def test_tol_range_validated(state_files, capsys):
     assert "tol" in json.loads(err)["message"]
 
 
-# `report` on the eta family at eta = 1e-3 (d = 4), as printed before --tol
-# reached the rank cut: h = rho^1/2 sigma rho^1/2 has eigenvalue ratio
-# delta / (1 - delta) = 5e-7, above the default cut 4e-12 and below 1e-4.
+# `report` on the eta family at eta = 1e-3 (d = 4) at the default cut:
+# B = sigma^1/2 rho^1/2 has singular value ratio sqrt(delta / (1 - delta)),
+# 7.1e-4, above the default cut 4e-12 and below 1e-3.
 REPORT_ETA_1E3 = (
-    '{"delta_bound":20.000000000000004,"empirical_primal":null,"epsilon":0.01,'
-    '"eta":0.0009999999999999998,"fidelity":0.70760660440983003,"kappa":1,'
-    '"schema_version":1,"weak_bound":3.1391471647213596}\n'
+    '{"delta_bound":20,"empirical_primal":null,"epsilon":0.01,'
+    '"eta":0.001,"fidelity":0.70760660440983014,"kappa":1,'
+    '"schema_version":1,"weak_bound":3.1391471647213587}\n'
 )
 
 
@@ -184,14 +184,14 @@ def test_report_and_certificate_pass_tol_as_rank_tol(tmp_path, capsys):
     files = ["--c", c_path, "--d", d_path]
     code, out, _ = run_cli(capsys, "report", *files)
     assert code == 0 and out == REPORT_ETA_1E3
-    code, out, _ = run_cli(capsys, "report", *files, "--tol", "1e-4")
+    code, out, _ = run_cli(capsys, "report", *files, "--tol", "1e-3")
     assert code == 0
     cut = json.loads(out)
     # the light half of sigma is cut away: the gap jumps to sqrt(2 (1 - delta))
     assert cut["eta"] == pytest.approx(np.sqrt(2 * (1 - 5e-7)), rel=1e-12)
     assert cut["delta_bound"] == pytest.approx(2 * 0.01 / cut["eta"], rel=1e-12)
     _, default_cert, _ = run_cli(capsys, "certificate", *files)
-    _, cut_cert, _ = run_cli(capsys, "certificate", *files, "--tol", "1e-4")
+    _, cut_cert, _ = run_cli(capsys, "certificate", *files, "--tol", "1e-3")
     assert json.loads(default_cert)["alpha"] == pytest.approx(-1 / 1e-3, rel=1e-12)
     assert json.loads(cut_cert)["alpha"] == pytest.approx(-1 / cut["eta"], rel=1e-12)
     code, _, err = run_cli(capsys, "report", *files, "--tol", "0.5")
@@ -203,10 +203,10 @@ def test_report_tol_takes_fidelity_at_the_cut(tmp_path, capsys):
     c_path, d_path = str(tmp_path / "c.json"), str(tmp_path / "d.json")
     states.write_state(c_path, inst.c)
     states.write_state(d_path, inst.d)
-    code, out, _ = run_cli(capsys, "report", "--c", c_path, "--d", d_path, "--tol", "1e-4")
+    code, out, _ = run_cli(capsys, "report", "--c", c_path, "--d", d_path, "--tol", "1e-3")
     assert code == 0
     cut = json.loads(out)
-    f = inst.spectral_core(1e-4).fidelity
+    f = inst.spectral_core(1e-3).fidelity
     assert cut["fidelity"] == f
     assert cut["fidelity"] == pytest.approx(0.70710660440983, abs=1e-12)
     assert cut["weak_bound"] == pytest.approx(8 * (1 - f + np.sqrt(0.01)), rel=1e-14)

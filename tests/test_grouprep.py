@@ -53,6 +53,14 @@ def test_symmetric3():
     )
 
 
+@pytest.mark.parametrize("order", [2.7, "2", True])
+def test_group_from_file_rejects_an_order_that_is_not_an_int(order, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"order": order, "table": [[0, 1], [1, 0]]}))
+    with pytest.raises(BadParamsError, match="order field must be an integer"):
+        FiniteGroup.from_file(path)
+
+
 def test_group_from_file(tmp_path):
     path = tmp_path / "z3.json"
     path.write_text(json.dumps({"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}))

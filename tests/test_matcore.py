@@ -282,17 +282,23 @@ def test_cmjson_reader_keeps_bits_signed_zeros_and_errors():
 
 def test_spectral_helpers_share_one_rank_rule(rng):
     for rank in (1, 2, 4):
-        p = random_psd(rng, 4, rank=rank)
+        x = random_complex(rng, 4, rank)
+        p = x @ dagger(x)
         eig = matcore.psd_eigen(p)
         assert matcore.psd_function(eig, np.sqrt).tobytes() == psd_sqrt(p).tobytes()
         assert matcore.psd_function(eig, matcore.inv_sqrt).tobytes() == matcore.psd_pinv_sqrt(p).tobytes()
-        np.testing.assert_allclose(matcore.eigen_image(eig), image_projector(p), atol=1e-10)
+        # the same functions of p from its factor x, cut on x's singular values
+        f = matcore.svd(x)
+        np.testing.assert_allclose(matcore.gram_power(f, 0), image_projector(p), atol=1e-10)
+        np.testing.assert_allclose(matcore.gram_power(f, 1), psd_sqrt(p), atol=1e-8)
+        np.testing.assert_allclose(matcore.gram_power(f, -1) @ matcore.gram_power(f, 1),
+                                   image_projector(p), atol=1e-10)
         np.testing.assert_allclose(matcore.psd_function(eig, matcore.inv_sqrt) @ psd_sqrt(p),
                                    image_projector(p), atol=1e-8)
     # a zero matrix keeps nothing on any path
     assert not matcore.rank_mask(np.zeros(3), 3).any()
     np.testing.assert_array_equal(matrix_sign(np.zeros((2, 2))), np.zeros((2, 2)))
-    np.testing.assert_array_equal(matcore.eigen_image(hermitian_eigen(np.zeros((2, 2)))), np.zeros((2, 2)))
+    np.testing.assert_array_equal(matcore.gram_power(matcore.svd(np.zeros((2, 2))), 0), np.zeros((2, 2)))
 
 
 def test_schur_margin_is_the_direct_minimum_eigenvalue(rng):

@@ -95,6 +95,18 @@ def test_density_matrix_keeps_its_eigendecomposition(rng):
         DensityMatrix(rho.mat, eigen=rho.eigen)
 
 
+def test_reduce_a_keeps_the_grid_factor(rng):
+    # also for dim_a > dim_b, where the thin SVD has fewer columns than rho
+    for da, db, rank in ((3, 5, 2), (5, 3, 3), (4, 4, 4)):
+        rho = reduce_a(random_state(rng, da, db, rank))
+        x = rho.factor.reconstruct()
+        np.testing.assert_allclose(x @ dagger(x), rho.mat, rtol=0, atol=1e-15)
+        assert rho.eigen.values.tolist() == (rho.factor.singulars**2).tolist()
+        np.testing.assert_allclose(rho.eigen.reconstruct(), rho.mat, rtol=0, atol=1e-15)
+        assert rho.eigen.vectors is rho.factor.u
+    assert DensityMatrix(rho.mat).factor is None
+
+
 def test_omega_grid_and_reflection(rng):
     w = omega(2)
     np.testing.assert_array_equal(w.coeffs, np.eye(2))

@@ -15,8 +15,9 @@ are printed).  ``--keep DIR`` keeps both dumps under ``DIR/old`` and
 Outputs, each recorded with the exit code, stdout, stderr and every file
 written:
 
-* seven state pairs: random at d = 3, 5, 6, 32, 64 (``default_rng(100 + d)``),
-  full rank at d = 8, and the eta family at d = 4, eta = 1e-3;
+* eight state pairs: random at d = 3, 5, 6, 32, 64 (``default_rng(100 + d)``),
+  full rank at d = 8 and at d = 32 (``default_rng(7)``, the pinned pair of
+  the full-rank regression test), and the eta family at d = 4, eta = 1e-3;
 * per pair: ``canonical`` (default, ``--tol 1e-6``), ``report`` and
   ``certificate`` (default, with a probe, ``--tol 1e-4``; the certificate
   also at ``--alpha -1.5``) and two ``round-gap`` settings with their state
@@ -69,7 +70,7 @@ import subprocess
 import sys
 import tempfile
 
-PAIRS = ("rand3", "rand5", "rand6", "rand32", "rand64", "full8", "eta4")
+PAIRS = ("rand3", "rand5", "rand6", "rand32", "rand64", "full8", "full32", "eta4")
 
 
 def _hex(a) -> str:
@@ -125,6 +126,7 @@ def _pairs():
     for d in (3, 5, 6, 32, 64):
         out[f"rand{d}"] = uhlmann.random_instance(d, np.random.default_rng(100 + d))
     out["full8"] = uhlmann.random_instance(8, np.random.default_rng(108), rank_c=8, rank_d=8)
+    out["full32"] = uhlmann.random_instance(32, np.random.default_rng(7), rank_c=32, rank_d=32)
     out["eta4"] = adversarial.build_eta_family(4, 1e-3, 0.5).instance
     return out
 
