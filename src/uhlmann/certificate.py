@@ -140,14 +140,15 @@ def primal_probe(
 ) -> PrimalProbe:
     """Probe the primal side: maximize the residual over feasible unitaries.
 
-    Candidates are the bisection walks of ``uhlmann.near_optimal_unitaries``,
-    one per trial on the substream ``default_rng((seed, i))``, read a block
-    of ``uhlmann._WALK_BLOCK`` at a time: each block takes one unitarity
-    check (``rigidity_residual``'s, at 1e-8) and one residual product on its
-    stack, and only the norms and overlaps are reduced per walk.  Any
-    caller-supplied unitaries that satisfy the overlap constraint are scored
-    one by one.  By weak duality every probed residual stays below the dual
-    bound.  BadParamsError unless ``trials >= 1``.
+    Candidates are the bisection walks of ``uhlmann.near_optimal_unitaries``, one per
+    trial, a block of ``uhlmann._WALK_BLOCK`` at a time from the block's generator
+    ``default_rng((seed, block))``, which draws a full block (a short last block keeps its
+    first walks, so walk i never depends on ``trials``; a caller's generator still drives
+    one walk).  Each block takes one unitarity check (``rigidity_residual``'s, at 1e-8) and
+    one residual product on its stack; only the norms and overlaps are reduced per walk.
+    Any caller-supplied unitaries that satisfy the overlap constraint are scored one by
+    one.  By weak duality every probed residual stays below the dual bound.
+    BadParamsError unless ``trials >= 1``.
     """
     if trials < 1:
         raise BadParamsError("trials must be >= 1")
@@ -162,8 +163,10 @@ def primal_probe(
         res = uhlmann.rigidity_residual(inst, cand)
         if res > best_res:
             best_res, best_ov = res, float(ov)
-    rngs = (np.random.default_rng((seed, i)) for i in range(trials))
-    for rs, overlaps in uhlmann._walk_blocks(inst, epsilon, rngs, None):
+    size = uhlmann._WALK_BLOCK
+    blocks = (([np.random.default_rng((seed, b))], size, min(size, trials - b * size))
+              for b in range(-(-trials // size)))
+    for rs, overlaps in uhlmann._walk_blocks(inst, epsilon, blocks, None):
         for res, ov in zip(uhlmann._rigidity_residuals(inst, rs), overlaps):
             if res > best_res:
                 best_res, best_ov = res, ov

@@ -122,8 +122,8 @@ class SpectralCore:
     gives F = sum S, P = V V* (onto Image h), eta's rank, ``mean = rho^-1 # sigma
     = rho^-1/2 V S V* rho^-1/2`` (eta is its eigvalsh; kappa takes one SVD) and,
     in the identity frame (validated on first use), ``a = conj(b)``,
-    ``w = sgn(a) = conj(U V*)`` and ``p = w* w``.  Two more SVDs give the
-    read-only ``canonical_w = sgn(Tr_A |D><C|)`` and its ``completion_basis``.
+    ``w = sgn(a) = conj(U V*)`` and ``p = w* w``.  One more SVD gives the read-only ``canonical_w
+    = sgn(Tr_A |D><C|)`` and, as its dropped columns, W's kernel and cokernel ``completion_basis``.
     ``certificate_point`` keeps the certificate's blocks for the last alpha.  The
     core holds the instance's parts, not the instance; a core at an explicit
     ``rank_tol`` takes the frame of the default core, ``base``.
@@ -201,20 +201,19 @@ class SpectralCore:
     def p(self) -> np.ndarray:
         return dagger(self.w) @ self.w
 
-    @cached_property
-    def canonical_w(self) -> np.ndarray:
-        k = states.partial_trace_a_outer(self.d, self.c)
-        w = matcore.matrix_sign(k, self.rank_tol)
-        w.flags.writeable = False
-        return w
+    canonical_w = property(lambda self: self.completion_basis[0])
 
     @cached_property
     def completion_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _completion_basis(self.canonical_w)
+        f = matcore.svd(states.partial_trace_a_outer(self.d, self.c))
+        keep = f.kept(self.rank_tol)
+        w = f.u[:, keep] @ dagger(f.v[:, keep])  # matrix_sign, bit for bit
+        w.flags.writeable = False
+        return w, f.v[:, ~keep], f.u[:, ~keep]
 
     @cached_property
-    def completion(self) -> np.ndarray:
-        u = _complete(*self.completion_basis, None)
+    def completion(self) -> np.ndarray:  # the honest prover's: unitary_completion's own SVD of W
+        u = unitary_completion(self.canonical_w)
         u.flags.writeable = False
         return u
 
@@ -246,7 +245,8 @@ class IdentityFrame:
         for x, root, s in ((x_c, core.sqrt_rho, core.c), (x_d, core.sqrt_sigma, core.d)):
             if matcore.op_norm_exceeds(dagger(x) @ x - np.eye(s.dim_a), 1e-8):
                 raise FrameMismatchError("frame operator is not an isometry")
-            if matcore.op_norm_exceeds(root @ x.T - s.coeffs, 1e-7):
+            # the roots rebuild M / |M|: from_states keeps a grid within NORM_TOL of norm 1 unscaled
+            if matcore.op_norm_exceeds(root @ x.T - s.coeffs / s.norm(), 1e-7):
                 raise FrameMismatchError("frame does not reconstruct the state")
         return frame
 
@@ -347,15 +347,8 @@ def unitary_completion(w: np.ndarray, rng: np.random.Generator | None = None) ->
 
     Pairs an orthonormal basis of ``ker(W)`` with one of ``coker(W)``;
     passing ``rng`` mixes the kernel pairing by a Haar-random unitary
-    (any such gauge is a valid completion).
+    (any such gauge is a valid completion).  The bases come from one SVD of W.
     """
-    w, kernel, coker = _completion_basis(w)
-    n = kernel.shape[1]
-    return _complete(w, kernel, coker, _haar_unitary(n, rng) if rng is not None and n else None)
-
-
-def _completion_basis(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W with orthonormal bases of ``ker(W)`` and ``coker(W)``, after one SVD."""
     w = matcore.as_matrix(w)
     if w.shape[0] != w.shape[1]:
         raise DimensionMismatchError("only square partial isometries can be completed")
@@ -368,7 +361,8 @@ def _completion_basis(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n_missing = w.shape[0] - int((s >= cut).sum())
     if kernel.shape[1] != n_missing or coker.shape[1] != n_missing:
         raise NotPartialIsometryError("kernel and cokernel dimensions disagree")
-    return w, kernel, coker
+    gauge = _haar_unitary(n_missing, rng) if rng is not None and n_missing else None
+    return _complete(w, kernel, coker, gauge)
 
 
 def _complete(w, kernel, coker, gauges: np.ndarray | None) -> np.ndarray:
@@ -495,7 +489,7 @@ def near_optimal_unitaries(
 ) -> Iterator[tuple[np.ndarray, float]]:
     """Yield one unitary with overlap ``>= F - epsilon`` per generator.
 
-    Each walk draws from its own generator, in this order: the target
+    Each generator drives one walk, drawing a count of 1 in this order: the target
     deficit ``deficit_fraction * epsilon`` (the fraction uniform in [0.3, 1]
     when None), the Haar gauge of a random unitary completion ``U0`` of the
     canonical W (none when W is full rank), and a random Hermitian generator
@@ -514,37 +508,39 @@ def near_optimal_unitaries(
     Only the draws and the overlaps' final ``vdot`` run per walk; all else
     runs once per block of ``_WALK_BLOCK`` walks (one QR of the gauges, one
     unitarity check of the completions, one eigh, the bisection on arrays
-    of ``t``), so memory does not grow with the number of generators.
+    of ``t``), so memory does not grow.  ``primal_probe`` draws each block from one generator.
     """
-    for rs, overlaps in _walk_blocks(inst, epsilon, rngs, deficit_fraction):
+    rngs = iter(rngs)
+    blocks = ((b, 1, len(b)) for b in iter(lambda: list(itertools.islice(rngs, _WALK_BLOCK)), []))
+    for rs, overlaps in _walk_blocks(inst, epsilon, blocks, deficit_fraction):
         yield from zip(rs, overlaps)
 
 
-def _walk_blocks(inst, epsilon, rngs, deficit_fraction) -> Iterator[tuple[np.ndarray, list[float]]]:
-    """``near_optimal_unitaries`` a block at a time: the (n, d, d) stack of R and its overlaps."""
+def _walk_blocks(inst, epsilon, blocks, deficit_fraction) -> Iterator[tuple[np.ndarray, list[float]]]:
+    """``near_optimal_unitaries`` a block at a time: the (n, d, d) stack of R and its overlaps.
+    A block ``(rngs, count, n)`` runs the first n walks of ``count`` drawn per generator."""
     check_epsilon(epsilon)
     f = inst.fidelity()
     k = states.partial_trace_a_outer(inst.c, inst.d)
     w, kernel, coker = inst.spectral_core().completion_basis
     n_missing = kernel.shape[1]
-    rngs = iter(rngs)
-    while block := list(itertools.islice(rngs, _WALK_BLOCK)):
-        targets, zs, hs = [], [], []
-        for rng in block:
-            frac = deficit_fraction if deficit_fraction is not None else rng.uniform(0.3, 1.0)
-            targets.append(epsilon * frac)
-            if n_missing:
-                zs.append(_complex_normal((n_missing, n_missing), rng))
-            hs.append(_complex_normal(w.shape, rng))
-        target, hs = np.array(targets), np.array(hs)
-        u0 = _complete(w, kernel, coker, _haar_unitaries(np.array(zs)) if n_missing else None)
+
+    def draw(rng, count):  # count walks' targets, gauge and H Gaussians: one call per kind
+        fixed = deficit_fraction is not None
+        frac = np.full(count, deficit_fraction) if fixed else rng.uniform(0.3, 1.0, count)
+        gauges = _complex_normal((count, n_missing, n_missing), rng)
+        return epsilon * frac, gauges, _complex_normal((count, *w.shape), rng)
+
+    for rngs, count, n in blocks:
+        target, zs, hs = (np.concatenate(kind)[:n] for kind in zip(*(draw(rng, count) for rng in rngs)))
+        u0 = _complete(w, kernel, coker, _haar_unitaries(zs) if n_missing else None)
         try:
             lam, v = np.linalg.eigh((hs + dagger(hs)) / 2)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(str(exc)) from exc
         lam /= np.maximum(np.abs(lam).max(axis=1, keepdims=True), 1e-30)
         a = (v.conj() * (k @ u0 @ v)).sum(axis=1)
-        lo, hi = np.zeros(len(block)), np.full(len(block), np.pi / 4)
+        lo, hi = np.zeros(n), np.full(n, np.pi / 4)
         for _ in range(6):
             grow = f - _walk_overlap(a, lam, hi) < target
             lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)

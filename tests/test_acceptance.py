@@ -126,7 +126,7 @@ def test_criterion_05_rigidity_bound():
         kappa = obliqueness_kappa(inst)
         for eps in (1e-4, 1e-3, 1e-2):
             bound = 2 * kappa * eps / eta
-            # Walks on the substreams (5150, i), i < 500; best_residual is their max.
+            # Walks on the block streams (5150, b), b < 8; best_residual is their max.
             probe = primal_probe(inst, eps, 500, 5150)
             worst_excess = max(worst_excess, probe.best_residual - bound)
     ok = worst_excess <= 1e-6

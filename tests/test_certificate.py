@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import walk_instances
-from uhlmann import states
+from uhlmann import states, uhlmann
 from uhlmann.adversarial import build_eta_family
 from uhlmann.certificate import build_certificate, dual_bound, primal_probe, psd_core_check
 from uhlmann.errors import BadParamsError
@@ -163,17 +163,18 @@ def test_primal_probe_skips_infeasible_candidates(rng):
     assert probe.best_overlap >= inst.fidelity() - eps - 1e-9
 
 
-# (best_residual, best_overlap) at eps = 1e-2 and 1e-4, 40 trials, seed 17 + k
-# for the k-th walk instance, as computed by the per-walk bisection loop that
-# evaluated states.overlap at every step.
+# (best_residual, best_overlap) as float.hex at eps = 1e-2 and 1e-4, 40 trials,
+# seed 17 + k for the k-th walk instance: one generator per block of 64 walks,
+# default_rng((seed, block)), and W's kernel and cokernel bases from the SVD
+# that gives W.
 PROBE_GOLDEN = [
-    (0.025555199219977783, 0.7393762956937757, 0.00025555199219957247, 0.7490507479192849),
-    (0.028671246650435994, 0.6945423982446215, 0.00028671293339733946, 0.7042073394257408),
-    (0.027571562441794276, 0.7281906938217867, 0.00027573972094717625, 0.7375160101399583),
-    (0.03184472736494139, 0.6748789461891487, 0.0003185258226457737, 0.683823363218247),
-    (0.01697510485390581, 0.47234447409867436, 0.00016975104853854465, 0.482157202546758),
-    (0.04039972608122903, 0.47999308124440543, 0.0004040213279378026, 0.48958979680997367),
-    (0.018964647278536324, 0.9826174325962965, 0.0001896444697834734, 0.991657100247981),
+    ("0x1.abc97c15fba9ep-6", "0x1.7a73b854fd458p-1", "0x1.11c8a155c89f9p-12", "0x1.7f834d314bdf2p-1"),
+    ("0x1.c61b2390eaa95p-6", "0x1.63ab5b2ec59bep-1", "0x1.22a363b0c8f6ap-12", "0x1.688e06fff031dp-1"),
+    ("0x1.026103053fb2ep-5", "0x1.74b35ea1a1ae6p-1", "0x1.4abcba06b186dp-12", "0x1.799b5baa9129ep-1"),
+    ("0x1.fdb8add75746dp-6", "0x1.595617835f60bp-1", "0x1.463fd9d68c850p-12", "0x1.5e1d9456d3bcap-1"),
+    ("0x1.172b00bfe24bbp-6", "0x1.e3a47aed92972p-2", "0x1.6555c384efed4p-13", "0x1.edba851224f8ap-2"),
+    ("0x1.568f90ea90b9ap-5", "0x1.ebcf429b3104bp-2", "0x1.b6900b58ea60cp-12", "0x1.f557c988288b2p-2"),
+    ("0x1.50a6e8d4b7960p-6", "0x1.f6de39834d8a9p-1", "0x1.aef3dbb8c3c24p-13", "0x1.fbb9e2a78bc46p-1"),
 ]
 
 
@@ -181,17 +182,18 @@ def test_primal_probe_golden():
     for k, (inst, gold) in enumerate(zip(walk_instances(), PROBE_GOLDEN)):
         high, low = primal_probe(inst, 1e-2, 40, 17 + k), primal_probe(inst, 1e-4, 40, 17 + k)
         got = (high.best_residual, high.best_overlap, low.best_residual, low.best_overlap)
-        np.testing.assert_allclose(got, gold, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, [float.fromhex(g) for g in gold], rtol=0, atol=1e-12)
 
 
 def test_primal_probe_golden_unreachable_target():
     # The deficit F - Re<D|(1 (x) R)|C> never exceeds 2, so at eps = 5 every
     # walk stops at the last doubled t, 16 pi (golden values as above).
     insts = walk_instances()
-    for k, gold in ((1, (3.608726723464444, -0.5379622426590724)),
-                    (6, (2.6307663259828424, -0.2939293391833147))):
+    for k, gold in ((1, ("0x1.15ee2098d4db1p+1", "-0x1.d9297402a84fdp-5")),
+                    (6, ("0x1.68cf2780a3898p+1", "-0x1.84be3561b1f86p-2"))):
         probe = primal_probe(insts[k], 5.0, 10, 40 + k)
-        np.testing.assert_allclose((probe.best_residual, probe.best_overlap), gold, rtol=0, atol=1e-12)
+        np.testing.assert_allclose((probe.best_residual, probe.best_overlap),
+                                   [float.fromhex(g) for g in gold], rtol=0, atol=1e-12)
 
 
 # (best_residual, best_overlap) as float.hex at eps = 0, 1e-2 and 5, 130 trials
@@ -201,12 +203,12 @@ def test_primal_probe_golden_unreachable_target():
 # same bits; each walk's target is F - deficit, F the sum of the kept
 # singular values of sigma^1/2 rho^1/2.
 PROBE_GOLDEN_130 = {
-    "deficient": [("0x1.e98e2b3549eecp-99", "0x1.f5707063c39c0p-2"),
-                  ("0x1.66f5dcdd106b9p-5", "0x1.eb441bdd5fde2p-2"),
-                  ("0x1.c3d929e83b25bp+1", "-0x1.8e33bce286223p-2")],
-    "full": [("0x1.16a0541ca7831p-48", "0x1.8322962b01748p-1"),
-             ("0x1.31e3e0697ef76p-5", "0x1.7ec574d388c02p-1"),
-             ("0x1.93ba20db79cb2p+1", "-0x1.82e87a43676ffp-2")],
+    "deficient": [("0x1.2f8b442afab66p-99", "0x1.f5707063c39c0p-2"),
+                  ("0x1.6f0e60df5749cp-5", "0x1.eb3eb5719645ep-2"),
+                  ("0x1.bfba1462189e6p+1", "-0x1.8019ba1996008p-2")],
+    "full": [("0x1.2b164fb5722a0p-48", "0x1.8322962b01748p-1"),
+             ("0x1.4aff043c5d738p-5", "0x1.7e4980dd38f68p-1"),
+             ("0x1.8f2dad7e78ca0p+1", "-0x1.7d63006783d88p-2")],
 }
 
 
@@ -217,6 +219,46 @@ def test_primal_probe_golden_past_one_block():
         for eps, gold in zip((0.0, 1e-2, 5.0), PROBE_GOLDEN_130[name]):
             probe = primal_probe(inst, eps, 130, 29)
             assert (probe.best_residual.hex(), probe.best_overlap.hex()) == gold
+
+
+def _probe_walks(inst, eps, seed, trials):
+    """The walks primal_probe scores, (R's bytes, overlap) in order, read through _walk_blocks."""
+    walk_blocks, walks = uhlmann._walk_blocks, []
+
+    def spy(*args):
+        for rs, ovs in walk_blocks(*args):
+            walks.extend((r.tobytes(), ov) for r, ov in zip(rs, ovs))
+            yield rs, ovs
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(uhlmann, "_walk_blocks", spy)
+        primal_probe(inst, eps, trials, seed)
+    return walks
+
+
+def test_probe_walks_do_not_depend_on_trials():
+    # walk i draws from default_rng((seed, i // 64)) at offset i % 64 whatever the trial count:
+    # a short last block draws a full block and keeps its first walks
+    full = random_instance(4, np.random.default_rng(4040), rank_c=4, rank_d=4)
+    for inst in (walk_instances()[5], full):
+        walks = {trials: _probe_walks(inst, 1e-2, 31, trials) for trials in (64, 100, 130)}
+        assert [len(w) for w in walks.values()] == [64, 100, 130]
+        assert walks[64] == walks[100][:64] == walks[130][:64]
+        assert walks[100] == walks[130][:100]
+
+
+@pytest.mark.parametrize("trials,blocks", [(1, 1), (64, 1), (65, 2), (100, 2), (128, 2), (130, 3)])
+def test_primal_probe_creates_one_generator_per_block(trials, blocks, monkeypatch):
+    inst, made = walk_instances()[5], []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    primal_probe(inst, 1e-2, trials, 8)
+    assert made == [((8, b),) for b in range(blocks)]
 
 
 @pytest.mark.parametrize("trials", [0, -3])

@@ -101,9 +101,9 @@ def test_primal_probe_decomposes_w_once(loaded, decompositions):
     inst = _load(loaded)
     decompositions.clear()
     certificate.primal_probe(inst, 0.01, 100, 3)
-    # F's SVD of B, canonical_w and the kernel/cokernel basis of the completions;
-    # one eigh of the walks' generators per block of 64
-    assert decompositions["svd"] <= 3 and decompositions["eigh"] <= 2
+    # F's SVD of B and canonical_w's, whose dropped columns are the completions' kernel and
+    # cokernel bases; one eigh of the walks' generators per block of 64
+    assert decompositions["svd"] <= 2 and decompositions["eigh"] <= 2
     # one QR of the stacked Haar gauges per block of 64 walks
     assert decompositions["qr"] <= 2
 

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import random_psd, random_unitary, walk_instances
 from uhlmann import certificate, matcore, states, uhlmann
-from uhlmann.errors import NotPartialIsometryError, NotPsdError, NotUnitaryError
+from uhlmann.errors import FrameMismatchError, NotPartialIsometryError, NotPsdError, NotUnitaryError
 from uhlmann.matcore import dagger
 from uhlmann.states import BipartitePureState
 from uhlmann.uhlmann import (
@@ -64,6 +66,22 @@ def test_canonical_w_achieves_fidelity(rng):
 def test_three_forms_agree(rng):
     worst = max(three_form_deviation(random_instance(int(rng.integers(2, 7)), rng)) for _ in range(50))
     assert worst <= 1e-7
+
+
+def test_frame_accepts_a_grid_normalized_within_norm_tol():
+    # from_states keeps a grid whose norm is within NORM_TOL of 1 unscaled; the frame's roots
+    # rebuild the grid over its norm, so the frame check holds at its 1e-7
+    base = random_instance(3, np.random.default_rng(1))
+    for scale in (1 + 5e-7, 1 - 5e-7):
+        inst = UhlmannInstance.from_states(BipartitePureState(base.c.coeffs * scale), base.d)
+        assert inst.fidelity() == pytest.approx(0.894, abs=1e-3)
+        assert three_form_deviation(inst) <= 1e-7
+    # a grid 1e-6 off the one its reduced matrix was taken from does not reconstruct
+    off = base.c.coeffs.copy()
+    off[0, 0] += 1e-6
+    bad = UhlmannInstance(c=BipartitePureState(off), d=base.d, rho=base.rho, sigma=base.sigma)
+    with pytest.raises(FrameMismatchError, match="frame does not reconstruct the state"):
+        three_form_deviation(bad)
 
 
 # -- geometric mean -----------------------------------------------------------
@@ -317,6 +335,41 @@ def test_batched_walks_match_single_walks():
                 assert ov == pytest.approx(ov1, abs=1e-12)
                 assert f - eps - 1e-12 <= ov <= f + 1e-12
                 assert ov == states.overlap(inst.d, r, inst.c).real
+
+
+# near_optimal_unitary(inst, eps, default_rng(seed)): (overlap as float.hex, sha256 prefix of
+# R's bytes), captured when each walk drew from its generator one value at a time.  A
+# caller-supplied generator drives one walk, so the same draws give the same bits.  The walk
+# instances are completed on the kernel and cokernel bases of unitary_completion, the ones
+# those walks used; the full-rank pair has no kernel to complete.
+WALK_PINS = [
+    ("0x1.7cafaeac123c6p-1", "891fbd7809a89698"), ("0x1.6443e6ceca490p-1", "4fbd03c3be864165"),
+    ("0x1.74946640d4a0cp-1", "a93dd26a92e35c38"), ("0x1.5a2707ae3c841p-1", "19df792fecc2fab0"),
+    ("0x1.eaab384f09324p-2", "9f2de349b0b4b1d6"), ("0x1.ef1eea0c704a6p-2", "4729a28d0f86d3fb"),
+    ("0x1.fa377353b5d01p-1", "f6bf77618a915065"),
+]
+FULL_RANK_WALK_PINS = [
+    ((1e-2, (61, 0), None), ("0x1.8041e175027fdp-1", "d3edfbf2acc007ca")),
+    ((1e-2, (61, 1), None), ("0x1.7ecbd3ead0c5ap-1", "f3bed27a6d0cd2e3")),
+    ((1e-3, 62, 1.0), ("0x1.829f83bc69e74p-1", "275551a6a0b5d90d")),
+]
+
+
+def _walk_pin(inst, eps, seed, fraction=None):
+    r, ov = near_optimal_unitary(inst, eps, np.random.default_rng(seed), deficit_fraction=fraction)
+    return ov.hex(), hashlib.sha256(r.tobytes()).hexdigest()[:16]
+
+
+def test_caller_generator_drives_one_walk_bit_for_bit():
+    for k, (inst, pin) in enumerate(zip(walk_instances(), WALK_PINS)):
+        core = inst.spectral_core()
+        f = matcore.svd(core.canonical_w)  # the bases unitary_completion takes from W
+        cut = f.singulars < 0.5
+        core.completion_basis = (core.canonical_w, f.v[:, cut], f.u[:, cut])
+        assert _walk_pin(inst, 1e-2, (61, k)) == pin
+    full = random_instance(4, np.random.default_rng(4040), rank_c=4, rank_d=4)
+    for args, pin in FULL_RANK_WALK_PINS:
+        assert _walk_pin(full, *args) == pin
 
 
 def test_fixed_deficit_walk_lands_on_target():

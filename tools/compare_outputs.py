@@ -38,7 +38,11 @@ written:
   ``geometric_mean``, ``soundness_probe`` rows and
   ``completeness_experiment``; on rand5 (a kernel to complete) and full8
   (full rank), a 130-trial ``primal_probe`` at eps 0, 1e-2 and 5 and 70
-  ``near_optimal_unitaries`` walks, both past the 64-walk block;
+  ``near_optimal_unitaries`` walks, both past the 64-walk block; on rand5,
+  ``primal_probe`` at 64 and 65 trials (one block, and one walk past it);
+  ``three_form_deviation`` and ``psd_core_check`` of a pair whose C grid is
+  ``random_instance(3, default_rng(1))``'s scaled by 1 + 5e-7, a norm that
+  ``NORM_TOL`` accepts unscaled;
 * a grouprep library sweep, one output per representation: z1 to z8 and s3
   at dims 2, 3 and the group order (where a built-in exact representation
   exists), each with the maximally mixed and a random rho, and with uniform
@@ -217,6 +221,12 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
         rec.value(f"{name}.walks70", lambda: [
             (_hex(r), ov.hex()) for r, ov in _with_w(uhlmann.near_optimal_unitaries, insts[name], 0.01,
                                                       (np.random.default_rng((13, i)) for i in range(70)))])
+    for trials in (64, 65):
+        rec.value(f"rand5.probe{trials}", lambda: certificate.primal_probe(insts["rand5"], 0.01, trials, 14))
+    base = uhlmann.random_instance(3, np.random.default_rng(1))
+    scaled = uhlmann.UhlmannInstance.from_states(states.BipartitePureState(base.c.coeffs * (1 + 5e-7)), base.d)
+    rec.value("scaled3.three_form", lambda: uhlmann.three_form_deviation(scaled))
+    rec.value("scaled3.psd_core", lambda: certificate.psd_core_check(scaled))
     rng = np.random.default_rng(77)
     for k, d in enumerate((2, 4, 7)):
         a, b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
