@@ -2,7 +2,7 @@
 
 Submodules:
 
-* ``matcore``     dense complex linear algebra and the cmjson format
+* ``matcore``     dense complex linear algebra, the cmjson format and all output text
 * ``states``      bipartite pure states, partial traces, fidelity
 * ``uhlmann``     canonical transformation W, eta/kappa, rigidity bounds
 * ``certificate`` closed-form dual certificate and the primal probe

@@ -39,27 +39,12 @@ _NUMERICAL_FAILURES = (NoConvergenceError, ConsistencyError, IllConditionedError
                        np.linalg.LinAlgError, FloatingPointError)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
-    if x is None:
-        return "null"
-    return json.dumps(x)
-
-
 def _emit_json(payload: dict, out_path: str | None) -> None:
-    payload = dict(payload)
-    payload["schema_version"] = SCHEMA_VERSION
-    text = "{" + ",".join(f'"{k}":{_fmt(payload[k])}' for k in sorted(payload)) + "}\n"
-    _write(text, out_path)
+    _write(matcore.json_line({**payload, "schema_version": SCHEMA_VERSION}), out_path)
 
 
 def _emit_csv(header: list, rows: list, out_path: str | None) -> None:
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    lines = [",".join(header)] + [",".join(map(matcore.format_value, row)) for row in rows]
     _write("\n".join(lines) + "\n", out_path)
 
 
@@ -96,11 +81,7 @@ def _check_tol(tol: float) -> float:
 
 def _cmd_canonical(args) -> int:
     inst = _load_instance(args)
-    w = uhlmann.canonical_w(inst, rank_tol=args.tol)
-    if args.out:
-        matcore.write_matrix(args.out, w)
-    else:
-        sys.stdout.write(matcore.matrix_json_text(w))
+    _write(matcore.matrix_json_text(uhlmann.canonical_w(inst, rank_tol=args.tol)), args.out)
     return 0
 
 
@@ -245,14 +226,13 @@ def _cmd_grouprep(args) -> int:
         raise BadParamsError(f"--count must be >= 1, got {args.count}")
     group = _build_group(args.group)
     dim = args.dim if args.dim else (3 if group.order == 6 else group.order)
-    rows = []
+    lines = []
     for k in range(args.count):
         rng = np.random.default_rng((seed, k))
         rep = grouprep.perturbed_rep(group, dim, args.scale, rng)
         res = grouprep.stability_check(rep)
-        rows.append({"index": k, **dataclasses.asdict(res)})
-    lines = ("{" + ",".join(f'"{k}":{_fmt(row[k])}' for k in sorted(row)) + "}" for row in rows)
-    _write("\n".join(lines) + "\n", args.out)
+        lines.append(matcore.json_line({"index": k, **dataclasses.asdict(res)}))
+    _write("".join(lines), args.out)
     return 0
 
 

@@ -300,18 +300,43 @@ def schur_psd_check(a, b, c, tol: float = 1e-9) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Output text, one rule for every printed value: floats to 17 significant
+# digits, true/false, null, and a line is a dict with sorted keys.
 # "cmjson" file format: {"rows": r, "cols": c, "data": [[re, im], ...]}
-# row-major, 17 significant digits on write, NaN/Inf rejected on read.
+# row-major, NaN/Inf rejected on read.
 # ---------------------------------------------------------------------------
 
 
+def format_value(x) -> str:
+    """Output text of one value; a complex (complex128) array prints row-major as ``[[re,im],...]``.
+
+    Negative zero prints as ``-0.0``: JSON reads ``-0`` as the integer 0, which drops the sign.
+    """
+    if isinstance(x, np.ndarray):
+        flat = x.ravel().view(float).tolist()
+        text = ",".join(["[%.17g,%.17g]"] * (len(flat) // 2)) % tuple(flat)
+        return "[" + text.replace("[-0,", "[-0.0,").replace(",-0]", ",-0.0]") + "]"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        text = f"{float(x):.17g}"
+        return "-0.0" if text == "-0" else text
+    if x is None:
+        return "null"
+    return json.dumps(x)
+
+
+def json_line(items: dict) -> str:
+    """``{"k":v,...}`` and a newline: sorted keys, each value by ``format_value``."""
+    return "{" + ",".join(f'"{k}":{format_value(items[k])}' for k in sorted(items)) + "}\n"
+
+
 def matrix_to_cmjson(m) -> dict:
+    """cmjson fields of a matrix; ``data`` stays a complex array, which ``json_line`` prints as pairs."""
     a = as_matrix(m)
-    return {
-        "rows": a.shape[0],
-        "cols": a.shape[1],
-        "data": [[z.real, z.imag] for z in a.ravel()],
-    }
+    return {"rows": a.shape[0], "cols": a.shape[1], "data": a.ravel()}
 
 
 def cmjson_to_matrix(obj: dict) -> np.ndarray:
@@ -331,28 +356,8 @@ def cmjson_to_matrix(obj: dict) -> np.ndarray:
 
 
 def matrix_json_text(m, extra: dict | None = None) -> str:
-    """cmjson text of a matrix: 17-significant-digit floats, sorted keys."""
-    return _format_cmjson(matrix_to_cmjson(m), extra=extra)
-
-
-def _format_cmjson(obj: dict, extra: dict | None = None) -> str:
-    items = dict(extra or {})
-    items.update(obj)
-    parts = []
-    for key in sorted(items):
-        val = items[key]
-        if key == "data":
-            rows = ",".join(f"[{v[0]:.17g},{v[1]:.17g}]" for v in val)
-            parts.append(f'"data":[{rows}]')
-        elif isinstance(val, bool):
-            parts.append(f'"{key}":{str(val).lower()}')
-        elif isinstance(val, int):
-            parts.append(f'"{key}":{val}')
-        elif isinstance(val, float):
-            parts.append(f'"{key}":{val:.17g}')
-        else:
-            parts.append(f'"{key}":{json.dumps(val)}')
-    return "{" + ",".join(parts) + "}\n"
+    """cmjson text of a matrix, with ``extra``'s keys beside its own."""
+    return json_line({**(extra or {}), **matrix_to_cmjson(m)})
 
 
 def write_matrix(path, m, extra: dict | None = None) -> None:

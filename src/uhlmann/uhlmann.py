@@ -212,8 +212,8 @@ class SpectralCore:
         return w, f.v[:, ~keep], f.u[:, ~keep]
 
     @cached_property
-    def completion(self) -> np.ndarray:  # the honest prover's: unitary_completion's own SVD of W
-        u = unitary_completion(self.canonical_w)
+    def completion(self) -> np.ndarray:  # the honest prover's: completion_basis's kernel onto its cokernel
+        u = _complete(*self.completion_basis, None)
         u.flags.writeable = False
         return u
 
@@ -358,9 +358,7 @@ def unitary_completion(w: np.ndarray, rng: np.random.Generator | None = None) ->
         raise NotPartialIsometryError("singular values are not all 0 or 1 within 1e-8")
     cut = 0.5  # singular values are 0/1 up to 1e-8, so any mid cut works
     kernel, coker = f.v[:, s < cut], f.u[:, s < cut]
-    n_missing = w.shape[0] - int((s >= cut).sum())
-    if kernel.shape[1] != n_missing or coker.shape[1] != n_missing:
-        raise NotPartialIsometryError("kernel and cokernel dimensions disagree")
+    n_missing = kernel.shape[1]
     gauge = _haar_unitary(n_missing, rng) if rng is not None and n_missing else None
     return _complete(w, kernel, coker, gauge)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,33 @@ def test_cmjson_write_is_17_digits(tmp_path):
     path = tmp_path / "m.json"
     matcore.write_matrix(path, np.array([[1 / 3 + 0j]]))
     assert "0.33333333333333331" in path.read_text()
+
+
+def _writer_edge_matrices():
+    """Signed zeros in both parts, subnormals and 1e300 in a 3x5 grid, and views of it."""
+    grid = random_complex(np.random.default_rng(8), 3, 5)
+    grid.flat[:6] = [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -1.5e-310),
+                     complex(1e300, -1e300), complex(-1.5e-310, 5e-324)]
+    frozen = grid.copy()
+    frozen.flags.writeable = False
+    return {"3x5": grid, "scaled": grid * 1e-12, "transposed": grid.T, "read_only": frozen,
+            "1x1": np.array([[complex(-0.0, 1e300)]])}
+
+
+@pytest.mark.parametrize("name", ["3x5", "scaled", "transposed", "read_only", "1x1"])
+def test_cmjson_writer_bytes_at_the_edges(name):
+    m = _writer_edge_matrices()[name]
+
+    def ref(v):  # 17 significant digits; -0.0 keeps its sign through a JSON reader
+        return "-0.0" if v == 0 and np.signbit(v) else f"{v:.17g}"
+
+    data = ",".join(f"[{ref(z.real)},{ref(z.imag)}]" for z in m.ravel())
+    rows, cols = m.shape
+    assert matcore.matrix_json_text(m) == f'{{"cols":{cols},"data":[{data}],"rows":{rows}}}\n'
+    text = matcore.matrix_json_text(m, extra={"a": True, "dim": 3, "norm": -0.0, "zeta": None})
+    assert text == f'{{"a":true,"cols":{cols},"data":[{data}],"dim":3,"norm":-0.0,"rows":{rows},"zeta":null}}\n'
+    back = matcore.cmjson_to_matrix(json.loads(text))
+    assert back.tobytes() == np.ascontiguousarray(m).tobytes()  # every bit, sign bits included
 
 
 def test_cmjson_reader_keeps_bits_signed_zeros_and_errors():

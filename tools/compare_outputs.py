@@ -43,6 +43,10 @@ written:
   ``three_form_deviation`` and ``psd_core_check`` of a pair whose C grid is
   ``random_instance(3, default_rng(1))``'s scaled by 1 + 5e-7, a norm that
   ``NORM_TOL`` accepts unscaled;
+* the cmjson text (with extra keys on both sides of ``data``) of writer edge
+  matrices: a 3x5 grid holding -0.0 in either part, 5e-324, -1.5e-310 and
+  1e300, that grid scaled by 1e-12, its transpose, a read-only copy, and a
+  1x1; and each written by ``write_state`` and read back by ``read_state``;
 * a grouprep library sweep, one output per representation: z1 to z8 and s3
   at dims 2, 3 and the group order (where a built-in exact representation
   exists), each with the maximally mixed and a random rho, and with uniform
@@ -121,6 +125,28 @@ class Dump:
         self.put(name, "\n--\n".join(parts))
 
 
+def _edge_matrices():
+    import numpy as np
+
+    rng = np.random.default_rng(8)
+    grid = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    grid.flat[:6] = [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -1.5e-310),
+                     complex(1e300, -1e300), complex(-1.5e-310, 5e-324)]
+    frozen = grid.copy()
+    frozen.flags.writeable = False
+    return {"3x5": grid, "scaled": grid * 1e-12, "transposed": grid.T, "read_only": frozen,
+            "1x1": np.array([[complex(-0.0, 1e300)]])}
+
+
+def _state_round_trip(m):
+    from uhlmann import states
+
+    states.write_state("edge.json", states.BipartitePureState(m, normalized=False))
+    text, coeffs = pathlib.Path("edge.json").read_text(), states.read_state("edge.json").coeffs
+    os.remove("edge.json")
+    return text, _hex(coeffs)
+
+
 def _pairs():
     import numpy as np
 
@@ -138,7 +164,7 @@ def _pairs():
 def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
     import numpy as np
 
-    from uhlmann import adversarial, certificate, protocol, states, uhlmann
+    from uhlmann import adversarial, certificate, matcore, protocol, states, uhlmann
 
     rec = Dump(out)
     os.chdir(out)  # relative paths, so error messages match across checkouts
@@ -242,6 +268,11 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
     fparams = protocol.ProtocolParams.for_instance(fam.instance, n=2, r=2)
     rec.value("soundness_probe_eta", lambda: protocol.soundness_probe(
         fam.instance, fparams, [protocol.derangement_prover(fam.adversary_r)], trials=50, seed=1).rows)
+
+    for name, m in _edge_matrices().items():
+        rec.value(f"cmjson_edge.{name}", lambda: matcore.matrix_json_text(
+            m, extra={"a": True, "norm": -0.0, "zeta": None}))
+        rec.value(f"state_edge.{name}", lambda: _state_round_trip(m))
 
     _grouprep_sweep(rec)
 
