@@ -125,17 +125,19 @@ class ApproxRep:
         if len(us) != group.order:
             raise DimensionMismatchError("need one unitary per group element")
         d = us[0].shape[0]
-        for u in us:
-            if u.shape != (d, d):
-                raise DimensionMismatchError("unitaries must share one dimension")
-            if matcore.op_norm_exceeds(dagger(u) @ u - np.eye(d), 1e-9):
-                raise NotUnitaryError("representation element is not unitary within 1e-9")
+        # the elements before the first misshapen one are screened first, as a loop in order would
+        fit = next((k for k, u in enumerate(us) if u.shape != (d, d)), len(us))
+        stack = np.array(us[:fit]).reshape(fit, d, d)
+        if matcore.op_norm_exceeds(dagger(stack) @ stack - np.eye(d), 1e-9):
+            raise NotUnitaryError("representation element is not unitary within 1e-9")
+        if fit < len(us):
+            raise DimensionMismatchError("unitaries must share one dimension")
         mu = np.full(group.order, 1.0 / group.order) if mu is None else np.asarray(mu, float)
         if mu.shape != (group.order,) or mu.min() < 0 or abs(mu.sum() - 1.0) > 1e-10:
             raise BadParamsError("mu must be a probability vector over the group")
         if rho.dim != d:
             raise DimensionMismatchError("rho must act on the representation space")
-        return cls(group=group, unitaries=np.stack(us), mu=mu, rho=rho)
+        return cls(group=group, unitaries=stack, mu=mu, rho=rho)
 
     @property
     def dim(self) -> int:
@@ -197,22 +199,21 @@ def perturbed_rep(
     """Exact representation times ``exp(i scale H_g)`` with random Hermitian H_g.
 
     Each ``H_g`` is independent with operator norm 1, so the defect is
-    tunable through ``scale`` with a known exact reference.
+    tunable through ``scale`` with a known exact reference.  The H_g are one
+    (|G|, d, d) stack, drawn element by element (real part, then imaginary).
     """
     if not np.isfinite(scale):
         raise BadParamsError(f"scale must be finite, got {scale}")
-    base = exact_representation(group, dim)
-    us = []
-    for mat in base:
-        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        h = (h + dagger(h)) / 2
-        h /= max(matcore.op_norm(h), 1e-30)
-        eig = matcore.hermitian_eigen(h)
-        rot = (eig.vectors * np.exp(1j * scale * eig.values)) @ dagger(eig.vectors)
-        us.append(mat @ rot)
+    base = np.stack(exact_representation(group, dim))
+    parts = rng.normal(size=(group.order, 2, dim, dim))
+    h = parts[:, 0] + 1j * parts[:, 1]
+    h = (h + dagger(h)) / 2
+    h /= np.maximum(matcore.op_norm(h), 1e-30)[:, None, None]
+    eig = matcore.hermitian_eigen(h)
+    rot = (eig.vectors * np.exp(1j * scale * eig.values)[:, None]) @ dagger(eig.vectors)
     if rho is None:
         rho = DensityMatrix(np.eye(dim, dtype=complex) / dim)
-    return ApproxRep.create(group, us, rho, mu=mu)
+    return ApproxRep.create(group, base @ rot, rho, mu=mu)
 
 
 def rep_defect(rep: ApproxRep) -> float:
@@ -251,12 +252,16 @@ def build_states(rep: ApproxRep) -> UhlmannInstance:
     blocks_c = np.broadcast_to(psi @ us[:, None].mT, (n, n, d, d))
     blocks_d = psi @ us[rep.group.mult.T].mT
     # blocks are indexed [g, h]; a zero weight leaves its blocks at +0.0
-    mc, md = (np.where(weight > 0, weight * b, 0).transpose(2, 3, 0, 1).reshape(d, -1)
-              for b in (blocks_c, blocks_d))
+    mc, md = (_grid(np.where(weight > 0, weight * b, 0)) for b in (blocks_c, blocks_d))
     inst = UhlmannInstance.from_states(BipartitePureState(mc), BipartitePureState(md))
     if matcore.op_norm_exceeds(inst.rho.mat - inst.sigma.mat, 1e-9):
         raise ConsistencyError("A-side reductions of C and D should coincide")
     return inst
+
+
+def _grid(blocks: np.ndarray) -> np.ndarray:
+    """Blocks ``[g, h, a, b1]`` laid out as a coefficient grid ``[a, (b1, g, h)]``, B1 slowest."""
+    return blocks.transpose(2, 3, 0, 1).reshape(blocks.shape[2], -1)
 
 
 def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
@@ -267,11 +272,14 @@ def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(d * n, d * n)
 
 
+def _w_blocks(rep: ApproxRep) -> np.ndarray:
+    """The blocks ``[g, h] = U_hg U_g*`` of W~."""
+    return rep.unitaries[rep.group.mult.T] @ dagger(rep.unitaries[:, None])
+
+
 def w_tilde(rep: ApproxRep) -> np.ndarray:
     """Optimal B-side map ``sum_{g,h} (U_hg U_g*) (x) |g,h><g,h|``."""
-    us = rep.unitaries
-    prods = us[rep.group.mult.T] @ dagger(us[:, None])  # [g, h] = U_hg U_g*
-    return _block_diagonal(prods.reshape(-1, rep.dim, rep.dim))
+    return _block_diagonal(_w_blocks(rep).reshape(-1, rep.dim, rep.dim))
 
 
 def _u_operator(rep: ApproxRep) -> np.ndarray:
@@ -323,10 +331,12 @@ def stability_check(rep: ApproxRep) -> StabilityResult:
     ``M_g = V* R(g) V``, which is >= 0 because ``||M_g|| <= 1``.)
     """
     inst = build_states(rep)
-    wt = w_tilde(rep)
-    residual = float(np.linalg.norm(inst.c.coeffs @ (_u_operator(rep) - wt).T) ** 2)
+    n, d, wt = rep.group.order, rep.dim, _w_blocks(rep)
+    cb = inst.c.coeffs.reshape(d, d, n, n).transpose(2, 3, 0, 1)  # C's grid as blocks [g, h, a, b1]
+    # no (d|G|^2)^2 operator; laid out as the dense C (U - W~)ᵀ, so the norm sums in its order
+    residual = float(np.linalg.norm(_grid(cb @ (rep.unitaries - wt).mT)) ** 2)
     defect = rep_defect(rep)
-    conj = convolution(rep, np.arange(rep.group.order))
+    conj = convolution(rep, np.arange(n))
     dist = _rho_weighted_sum(rep.unitaries - conj, rep.mu, rep.rho)
     eta = uhlmann.spectral_gap_eta(inst)
     kappa = uhlmann.obliqueness_kappa(inst)
@@ -334,7 +344,7 @@ def stability_check(rep: ApproxRep) -> StabilityResult:
         raise ConsistencyError(f"expected eta = kappa = 1, got ({eta}, {kappa})")
     if dist > defect + 1e-6:
         raise ConsistencyError(f"stability distance {dist} exceeds defect {defect}")
-    if matcore.op_norm_exceeds(inst.c.coeffs @ wt.T - inst.d.coeffs, 1e-9):
+    if matcore.op_norm_exceeds(_grid(cb @ wt.mT) - inst.d.coeffs, 1e-9):
         raise ConsistencyError("W~ does not map C to D")
     return StabilityResult(
         defect_epsilon=defect,

@@ -57,10 +57,10 @@ RANK_TOL_SCALE = 1e-12
 _SCREEN_MARGIN = 1e-10
 
 
-def as_matrix(m) -> np.ndarray:
-    """Validate and return ``m`` as a 2-D complex array with finite entries."""
+def as_matrix(m, stack: bool = False) -> np.ndarray:
+    """Validate and return ``m`` as a 2-D complex array with finite entries; with ``stack``, 3-D too."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim == 3):
         raise DimensionMismatchError(f"expected a 2-D array, got ndim={a.ndim}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
@@ -103,7 +103,7 @@ class Svd:
 
 
 def hermitian_eigen(m, tol: float = 1e-10) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of an (n, d, d) stack.
 
     Eigenvalues are sorted descending; ties keep LAPACK's (ascending) order
     reversed, which is deterministic for fixed input bits.
@@ -111,8 +111,8 @@ def hermitian_eigen(m, tol: float = 1e-10) -> HermitianEigen:
     Raises NotHermitianError when ``||m - m*||_inf > tol`` and
     NoConvergenceError if the LAPACK iteration fails.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    a = as_matrix(m, stack=True)
+    if a.shape[-2] != a.shape[-1]:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
     if op_norm_exceeds(a - dagger(a), tol):
         raise NotHermitianError(f"matrix is not Hermitian within tol={tol}")
@@ -120,12 +120,12 @@ def hermitian_eigen(m, tol: float = 1e-10) -> HermitianEigen:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
-    return HermitianEigen(values=w[::-1].copy(), vectors=v[:, ::-1].copy())
+    return HermitianEigen(values=w[..., ::-1].copy(), vectors=v[..., ::-1].copy())
 
 
-def svd(m) -> Svd:
-    """Singular value decomposition ``m = U Sigma V*``."""
-    a = as_matrix(m)
+def svd(m, stack: bool = False) -> Svd:
+    """Singular value decomposition ``m = U Sigma V*``; with ``stack``, of each matrix of a stack."""
+    a = as_matrix(m, stack)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -224,9 +224,9 @@ def trace_norm(m) -> float:
 
 
 def op_norm(m) -> float:
-    """Operator norm: largest singular value."""
-    s = svd(m).singulars
-    return float(s[0]) if s.size else 0.0
+    """Operator norm: largest singular value; an (n, r, c) stack gives an array of n norms."""
+    s = np.max(svd(m, stack=True).singulars, axis=-1, initial=0.0)
+    return float(s) if s.ndim == 0 else s
 
 
 def op_norm_exceeds(m, tol: float) -> bool:
@@ -308,7 +308,7 @@ def schur_psd_check(a, b, c, tol: float = 1e-9) -> bool:
 
 
 def format_value(x) -> str:
-    """Output text of one value; a complex (complex128) array prints row-major as ``[[re,im],...]``.
+    """Output text of one value; a complex array or a float array of pairs prints as ``[[re,im],...]``.
 
     Negative zero prints as ``-0.0``: JSON reads ``-0`` as the integer 0, which drops the sign.
     """
@@ -334,9 +334,9 @@ def json_line(items: dict) -> str:
 
 
 def matrix_to_cmjson(m) -> dict:
-    """cmjson fields of a matrix; ``data`` stays a complex array, which ``json_line`` prints as pairs."""
+    """cmjson fields of a matrix; ``data`` is the float array of its [re, im] pairs, row-major."""
     a = as_matrix(m)
-    return {"rows": a.shape[0], "cols": a.shape[1], "data": a.ravel()}
+    return {"rows": a.shape[0], "cols": a.shape[1], "data": a.ravel().view(float).reshape(-1, 2)}
 
 
 def cmjson_to_matrix(obj: dict) -> np.ndarray:

@@ -1,12 +1,14 @@
+import itertools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_density
-from uhlmann import states
-from uhlmann.errors import BadParamsError, DimensionMismatchError, NotUnitaryError
+from uhlmann import grouprep, states, uhlmann
+from uhlmann.errors import BadParamsError, ConsistencyError, DimensionMismatchError, NotUnitaryError
 from uhlmann.grouprep import (
     ApproxRep,
     _purification_grid,
@@ -21,9 +23,9 @@ from uhlmann.grouprep import (
     stability_check,
     w_tilde,
 )
-from uhlmann.matcore import dagger, op_norm
-from uhlmann.states import DensityMatrix
-from uhlmann.uhlmann import canonical_w
+from uhlmann.matcore import dagger, hermitian_eigen, op_norm, op_norm_exceeds
+from uhlmann.states import BipartitePureState, DensityMatrix
+from uhlmann.uhlmann import UhlmannInstance, canonical_w
 
 
 def z2_rep(theta, rho_diag=(0.3, 0.7)):
@@ -429,3 +431,102 @@ def test_nonuniform_mu_with_zero_weights(rng):
     inst = build_states(rep)
     w = canonical_w(inst)
     assert op_norm(w_tilde(rep) @ (dagger(w) @ w) - w) <= 1e-8
+
+
+# -- stacked perturbation and block residual -----------------------------------
+
+SWEEP = [f"z{n}" for n in range(2, 9)] + ["s3"]
+
+
+def _sweep(name):
+    """``(group, dim, rho, mu)`` at dims 2, 3 and the order where a built-in exact rep exists,
+    with a random rho and a skewed mu that gives element 0 (and every third one) weight 0."""
+    group = FiniteGroup.symmetric3() if name == "s3" else FiniteGroup.cyclic(int(name[1:]))
+    n = group.order
+    for dim in (3, 6) if name == "s3" else sorted({2, 3, n}):  # s3 has no built-in rep at dim 2
+        skewed = np.arange(n, dtype=float) % 3
+        yield group, dim, random_density_matrix(np.random.default_rng((n, dim)), dim), skewed / skewed.sum()
+
+
+def _perturbed_rep_loop(group, dim, scale, rng, rho, mu):
+    """``perturbed_rep`` one element at a time: a draw, an SVD, an eigh and a matmul each."""
+    us = []
+    for mat in exact_representation(group, dim):
+        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = (h + dagger(h)) / 2
+        h /= max(op_norm(h), 1e-30)
+        eig = hermitian_eigen(h)
+        rot = (eig.vectors * np.exp(1j * scale * eig.values)) @ dagger(eig.vectors)
+        us.append(mat @ rot)
+    return ApproxRep.create(group, us, rho, mu=mu)
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_perturbed_rep_stack_matches_the_element_loop(name, decompositions):
+    for group, dim, rho, mu in _sweep(name):
+        decompositions.clear()
+        rep = perturbed_rep(group, dim, 0.3, np.random.default_rng((dim, 1)), rho=rho, mu=mu)
+        assert decompositions == {"svd": 1, "eigh": 1}  # one of each for all |G| elements
+        ref = _perturbed_rep_loop(group, dim, 0.3, np.random.default_rng((dim, 1)), rho, mu)
+        assert rep.unitaries.tobytes() == ref.unitaries.tobytes()
+        assert rep.mu.tobytes() == ref.mu.tobytes() and rep.rho is ref.rho
+
+
+@pytest.mark.parametrize("name", SWEEP)
+def test_block_residual_matches_the_dense_operator(name):
+    for group, dim, rho, mu in _sweep(name):
+        rep = perturbed_rep(group, dim, 0.3, np.random.default_rng((dim, 2)), rho=rho, mu=mu)
+        inst = build_states(rep)
+        dense = np.linalg.norm(inst.c.coeffs @ (_u_operator(rep) - w_tilde(rep)).T) ** 2
+        assert stability_check(rep).uhlmann_residual == pytest.approx(dense, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-5, 1 - 1e-5])
+def test_w_tilde_check_decides_as_the_dense_operator(factor, monkeypatch):
+    # D moved by a rank-one E with ||E|| = factor * 1e-9: ||C W~ᵀ - D|| sits just past or short of 1e-9
+    rep = perturbed_rep(FiniteGroup.symmetric3(), 3, 0.3, np.random.default_rng(5))
+    inst = build_states(rep)
+    rng = np.random.default_rng(6)
+    x, y = (rng.normal(size=k) + 1j * rng.normal(size=k) for k in (3, inst.dim_b))
+    e = np.outer(x / np.linalg.norm(x), y / np.linalg.norm(y)) * (factor * 1e-9)
+    moved = UhlmannInstance.from_states(inst.c, BipartitePureState(inst.d.coeffs + e))
+    dense = op_norm_exceeds(moved.c.coeffs @ w_tilde(rep).T - moved.d.coeffs, 1e-9)
+    assert dense == (factor > 1)
+    monkeypatch.setattr(grouprep, "build_states", lambda _: moved)
+    if dense:
+        with pytest.raises(ConsistencyError, match=r"^W~ does not map C to D$"):
+            stability_check(rep)
+    else:
+        assert stability_check(rep).uhlmann_residual > 0
+
+
+def _symmetric4():
+    perms = list(itertools.permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteGroup.from_table([[index[tuple(a[b[i]] for i in range(4))] for b in perms] for a in perms])
+
+
+def test_stability_check_memory_is_bounded_at_s4():
+    # |G| = 24 at d = 4: a dense W~ would be (d|G|^2)^2 = 2304^2 complex entries, about 85 MB
+    group, dim, rng = _symmetric4(), 4, np.random.default_rng(24)
+    rep = ApproxRep.create(group, [uhlmann._haar_unitary(dim, rng) for _ in range(24)],
+                           random_density_matrix(rng, dim))
+    tracemalloc.start()
+    try:
+        res = stability_check(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    # criterion 10's three links, computed as in the acceptance test
+    rep_mats, v = intertwiner(rep)
+    dilated, gap = 0.0, 1.0
+    for g in range(group.order):
+        lifted = np.kron(np.eye(dim), rep_mats[g]) @ v
+        diff = lifted - v @ rep.unitaries[g]
+        m_g = dagger(v) @ lifted
+        dilated += rep.mu[g] * np.trace(dagger(diff) @ diff @ rep.rho.mat).real
+        gap -= rep.mu[g] * np.trace(dagger(m_g) @ m_g @ rep.rho.mat).real
+    assert abs(res.uhlmann_residual - res.defect_epsilon) <= 1e-8
+    assert abs(res.uhlmann_residual - dilated) <= 1e-8
+    assert abs(res.uhlmann_residual - res.stability_distance - gap) <= 1e-8

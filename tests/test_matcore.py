@@ -294,6 +294,35 @@ def test_cmjson_writer_bytes_at_the_edges(name):
     assert back.tobytes() == np.ascontiguousarray(m).tobytes()  # every bit, sign bits included
 
 
+@pytest.mark.parametrize("name", ["3x5", "scaled", "transposed", "read_only", "1x1"])
+def test_cmjson_fields_round_trip_in_memory(name):
+    m = _writer_edge_matrices()[name]
+    back = matcore.cmjson_to_matrix(matcore.matrix_to_cmjson(m))
+    assert back.tobytes() == np.ascontiguousarray(m).tobytes()  # every bit, sign bits included
+
+
+def test_stacked_op_norm_and_hermitian_eigen_match_each_matrix(rng):
+    for shape in ((5, 3, 3), (4, 2, 6), (2, 1, 1), (3, 0, 0)):
+        stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        norms = op_norm(stack)
+        assert norms.shape == shape[:1]
+        assert norms.tobytes() == np.array([op_norm(m) for m in stack], dtype=float).tobytes()
+    ties = [np.diag([2.0, 1.0, 1.0, 2.0]) + 0j, np.eye(4)]
+    herm = np.stack([random_hermitian(rng, 4) for _ in range(3)] + ties)
+    eig = hermitian_eigen(herm)
+    for k, m in enumerate(herm):  # ties included: each matrix's own order, bit for bit
+        one = hermitian_eigen(m)
+        assert eig.values[k].tobytes() == one.values.tobytes()
+        assert eig.vectors[k].tobytes() == one.vectors.tobytes()
+    herm[2, 0, 1] += 1e-6
+    with pytest.raises(NotHermitianError):
+        hermitian_eigen(herm)
+    with pytest.raises(DimensionMismatchError):
+        hermitian_eigen(np.zeros((2, 3, 4)))
+    with pytest.raises(DimensionMismatchError):
+        op_norm(np.zeros((2, 2, 2, 2)))
+
+
 def test_cmjson_reader_keeps_bits_signed_zeros_and_errors():
     rng = np.random.default_rng(5)
     vals = rng.normal(size=(12, 2)).tolist() + [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [5e-324, -1e300]]

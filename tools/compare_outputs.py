@@ -24,8 +24,10 @@ written:
   files;
 * the four ``adversarial`` families at two settings each, ``protocol`` with
   every prover (with its CSV), its default, ``--n 3`` and a state-file
-  pair, ``grouprep`` on s3, z4, z6, z2 and z3 at dim 2, and ``grouprep``
-  on table files with float, boolean and ragged entries;
+  pair, ``grouprep`` on s3, z4, z6, z2 and z3 at dim 2, ``grouprep`` on a
+  D4 (order 8, non-abelian) table file at its default dim 8 with
+  ``--count 3``, and ``grouprep`` on table files with float, boolean and
+  ragged entries;
 * ``report`` and ``certificate`` with ``--probe-trials -3``;
 * usage errors (no arguments, an unknown subcommand, an unknown flag, a
   missing required flag, a bad type, a bad choice) and ``--help`` for the
@@ -216,6 +218,11 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
         rec.cli(f"grouprep.{group}", ["grouprep", "--group", group, "--seed", "3", "--count", "2",
                                        "--scale", "0.3", *extra])
     rec.cli("grouprep.default", ["grouprep"])
+    # D4 = <r, s>: index 4 f + k is r^k s^f, and s r^k = r^-k s
+    d4 = [[(a + (-1) ** (a // 4) * b) % 4 + 4 * ((a // 4) ^ (b // 4)) for b in range(8)] for a in range(8)]
+    pathlib.Path("table_d4.json").write_text(json.dumps({"order": 8, "table": d4}))
+    rec.cli("grouprep.table_d4", ["grouprep", "--group", "table_d4.json", "--count", "3", "--seed", "3",
+                                  "--scale", "0.3"])
     for name, table in (("float", [[0, 1.9], [1.2, 0]]), ("bool", [[False, True], [True, False]]),
                         ("ragged", [[0, 1], [1]])):
         pathlib.Path(f"table_{name}.json").write_text(json.dumps({"order": 2, "table": table}))
