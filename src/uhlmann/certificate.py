@@ -141,11 +141,14 @@ def primal_probe(
     """Probe the primal side: maximize the residual over feasible unitaries.
 
     Candidates are the bisection walks of ``uhlmann.near_optimal_unitaries``, one per
-    trial, a block of ``uhlmann._WALK_BLOCK`` at a time from the block's generator
-    ``default_rng((seed, block))``, which draws a full block (a short last block keeps its
-    first walks, so walk i never depends on ``trials``; a caller's generator still drives
-    one walk).  Each block takes one unitarity check (``rigidity_residual``'s, at 1e-8) and
-    one residual product on its stack; only the norms and overlaps are reduced per walk.
+    trial.  The draw block is the stream contract: block b of ``uhlmann._WALK_BLOCK`` walks
+    draws a full block from its own generator ``default_rng((seed, b))`` (a short last
+    block keeps its first walks, so walk i never depends on ``trials``; a caller's
+    generator still drives one walk).  The compute chunk is the memory bound: one pass of
+    ``uhlmann._walk_blocks`` runs ``uhlmann._chunk_walks(inst)`` walks, whole blocks whose
+    generators are made in block order as they are drawn, and scores them with one
+    unitarity check (``rigidity_residual``'s, at 1e-8), one residual product and one
+    reduction of the norms on their stack.  Chunking moves no bit of the result.
     Any caller-supplied unitaries that satisfy the overlap constraint are scored one by
     one.  By weak duality every probed residual stays below the dual bound.
     BadParamsError unless ``trials >= 1``.
@@ -163,11 +166,15 @@ def primal_probe(
         res = uhlmann.rigidity_residual(inst, cand)
         if res > best_res:
             best_res, best_ov = res, float(ov)
-    size = uhlmann._WALK_BLOCK
-    blocks = (([np.random.default_rng((seed, b))], size, min(size, trials - b * size))
-              for b in range(-(-trials // size)))
-    for rs, overlaps in uhlmann._walk_blocks(inst, epsilon, blocks, None):
-        for res, ov in zip(uhlmann._rigidity_residuals(inst, rs), overlaps):
-            if res > best_res:
-                best_res, best_ov = res, ov
+    size, per_chunk = uhlmann._WALK_BLOCK, uhlmann._chunk_walks(inst) // uhlmann._WALK_BLOCK
+    n_blocks = -(-trials // size)
+    chunks = (((np.random.default_rng((seed, b)) for b in range(first, min(first + per_chunk, n_blocks))),
+               size, min(per_chunk * size, trials - first * size))
+              for first in range(0, n_blocks, per_chunk))
+    for rs, overlaps in uhlmann._walk_blocks(inst, epsilon, chunks, None):
+        res = uhlmann._rigidity_residuals(inst, rs)
+        del rs
+        i = int(np.argmax(res))  # the first of the largest, as a walk-by-walk scan keeps
+        if res[i] > best_res:
+            best_res, best_ov = res[i], overlaps[i]
     return PrimalProbe(best_residual=best_res, best_overlap=best_ov, trials=trials, seed=seed)

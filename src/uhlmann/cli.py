@@ -7,10 +7,14 @@ gap, ``protocol`` runs Monte-Carlo protocol experiments, and ``grouprep``
 sweeps perturbed representations.
 
 Conventions: output is byte-identical for identical inputs, flags, and
-seed (sorted JSON keys, fixed float formatting, no timestamps).  Exit
-code 0 on success, 2 on input validation failure (machine-readable error
-JSON on stderr), 1 on internal numerical failure.  With ``CI_STRICT=1``
-every randomized subcommand requires an explicit ``--seed``.
+seed at the same BLAS thread count (sorted JSON keys, fixed float
+formatting, no timestamps).  Across thread counts a threaded BLAS sums
+in another order: the measured pairs kept their bytes at d = 64, and at
+d = 128 the printed values move by up to 1e-11 relative (see the
+README).  Exit code 0 on success, 2 on input validation failure
+(machine-readable error JSON on stderr), 1 on internal numerical
+failure.  With ``CI_STRICT=1`` every randomized subcommand requires an
+explicit ``--seed``.
 """
 
 from __future__ import annotations

@@ -74,20 +74,21 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianEigen:
-    """Spectral decomposition ``V diag(values) V*`` with values descending."""
+    """Spectral decomposition ``V diag(values) V*`` with values descending (of each matrix of a stack)."""
 
     values: np.ndarray
     vectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ dagger(self.vectors)
+        return (self.vectors * self.values[..., None, :]) @ dagger(self.vectors)
 
 
 @dataclass(frozen=True)
 class Svd:
     """Decomposition ``m = u diag(singulars) v*`` with singulars descending.
 
-    ``u`` and ``v`` carry orthonormal columns (economy shape).
+    ``u`` and ``v`` carry orthonormal columns (economy shape).  Of a stack, every
+    field and method is per matrix.
     """
 
     u: np.ndarray
@@ -95,11 +96,11 @@ class Svd:
     v: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.u * self.singulars) @ dagger(self.v)
+        return (self.u * self.singulars[..., None, :]) @ dagger(self.v)
 
     def kept(self, rank_tol: float | None = None) -> np.ndarray:
         """The mask of the singular values the rank rule keeps."""
-        return rank_mask(self.singulars, max(self.u.shape[0], self.v.shape[0]), rank_tol)
+        return rank_mask(self.singulars, max(self.u.shape[-2], self.v.shape[-2]), rank_tol)
 
 
 def hermitian_eigen(m, tol: float = 1e-10) -> HermitianEigen:
@@ -134,12 +135,13 @@ def svd(m, stack: bool = False) -> Svd:
 
 
 def rank_mask(values: np.ndarray, n: int, rank_tol: float | None = None) -> np.ndarray:
-    """The rank rule: which ``values`` exceed ``rank_tol * max(largest, 0)``.
+    """The rank rule: which ``values`` exceed ``rank_tol * max(largest, 0)``, the largest of
+    each row for a stack of them.
 
     The default tolerance is ``n * 1e-12``, ``n = max(rows, cols)``.
     """
     tol = rank_tol if rank_tol is not None else n * RANK_TOL_SCALE
-    return values > tol * values.max(initial=0.0)
+    return values > tol * values.max(axis=-1, keepdims=True, initial=0.0)
 
 
 def gram_power(f: Svd, power: int, rank_tol: float | None = None) -> np.ndarray:

@@ -65,8 +65,11 @@ __all__ = [
     "unitary_completion",
 ]
 
-# Walks whose matrices near_optimal_unitaries holds at once.
+# The draw block: primal_probe draws each block of this many walks from one generator.
 _WALK_BLOCK = 64
+# The compute chunk: one _walk_blocks pass holds at most this many entries per stack of
+# matrices (walks x max(d, 8)^2), in whole draw blocks; 2^18 is one block at d = 64.
+_CHUNK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -384,13 +387,18 @@ def rigidity_residual(inst: UhlmannInstance, r: np.ndarray) -> float:
 
 
 def _rigidity_residuals(inst: UhlmannInstance, rs: np.ndarray) -> list[float]:
-    """``rigidity_residual`` of each R of a stack: the unitarity check and ``C ((W - R) W*W)^T``
-    run once on the stack, the norm per R."""
-    if matcore.op_norm_exceeds(dagger(rs) @ rs - np.eye(rs.shape[-2]), 1e-8):
+    """``rigidity_residual`` of each R of a stack: the unitarity check, ``C ((W - R) W*W)^T`` and
+    the norms all run once on the stack."""
+    gram = dagger(rs) @ rs
+    gram -= np.eye(rs.shape[-2])
+    if matcore.op_norm_exceeds(gram, 1e-8):
         raise NotUnitaryError("R must be unitary within 1e-8")
+    del gram
     w = canonical_w(inst)
-    moved = inst.c.coeffs @ ((w - rs) @ (dagger(w) @ w)).mT
-    return [float(np.linalg.norm(m) ** 2) for m in moved]
+    moved = (inst.c.coeffs @ ((w - rs) @ (dagger(w) @ w)).mT).reshape(len(rs), -1)
+    re, im = moved.real, moved.imag
+    # np.linalg.norm(m) ** 2 bit for bit: its two real dots, its sqrt and libm's pow
+    return np.float_power(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)), 2).tolist()
 
 
 @dataclass(frozen=True)
@@ -503,25 +511,35 @@ def near_optimal_unitaries(
     target keeps the last, still feasible, ``t``.  Each ``R`` is yielded
     with its real overlap ``<D| (1 (x) R) |C>``.
 
-    Only the draws and the overlaps' final ``vdot`` run per walk; all else
-    runs once per block of ``_WALK_BLOCK`` walks (one QR of the gauges, one
-    unitarity check of the completions, one eigh, the bisection on arrays
-    of ``t``), so memory does not grow.  ``primal_probe`` draws each block from one generator.
+    Only the draws run per walk.  All else runs once per compute chunk of
+    ``_chunk_walks(inst)`` walks (one QR of the gauges, one unitarity check of the
+    completions, one eigh, the bisection on arrays of ``t``, one product and one
+    ``vecdot`` for the overlaps), so memory stays bounded whatever the number of
+    generators.  No walk's bits depend on the chunk it is computed in.
     """
-    rngs = iter(rngs)
-    blocks = ((b, 1, len(b)) for b in iter(lambda: list(itertools.islice(rngs, _WALK_BLOCK)), []))
-    for rs, overlaps in _walk_blocks(inst, epsilon, blocks, deficit_fraction):
+    rngs, size = iter(rngs), _chunk_walks(inst)
+    chunks = ((b, 1, len(b)) for b in iter(lambda: list(itertools.islice(rngs, size)), []))
+    for rs, overlaps in _walk_blocks(inst, epsilon, chunks, deficit_fraction):
         yield from zip(rs, overlaps)
 
 
-def _walk_blocks(inst, epsilon, blocks, deficit_fraction) -> Iterator[tuple[np.ndarray, list[float]]]:
-    """``near_optimal_unitaries`` a block at a time: the (n, d, d) stack of R and its overlaps.
-    A block ``(rngs, count, n)`` runs the first n walks of ``count`` drawn per generator."""
+def _chunk_walks(inst: UhlmannInstance) -> int:
+    """Walks per compute chunk: ``_CHUNK_ENTRIES / max(d, 8)^2`` rounded down to whole draw
+    blocks, and at least one block (d the larger side of the grid)."""
+    side = max(inst.dim_a, inst.dim_b, 8)
+    return _WALK_BLOCK * max(1, _CHUNK_ENTRIES // (_WALK_BLOCK * side * side))
+
+
+def _walk_blocks(inst, epsilon, chunks, deficit_fraction) -> Iterator[tuple[np.ndarray, list[float]]]:
+    """``near_optimal_unitaries`` a compute chunk at a time: the (n, d, d) stack of R and its
+    overlaps.  A chunk ``(rngs, count, n)`` draws ``count`` walks from each generator in turn
+    and runs the first n; the generators are taken from ``rngs`` only as they are drawn."""
     check_epsilon(epsilon)
     f = inst.fidelity()
     k = states.partial_trace_a_outer(inst.c, inst.d)
     w, kernel, coker = inst.spectral_core().completion_basis
     n_missing = kernel.shape[1]
+    c, d_row = inst.c.coeffs, inst.d.coeffs.ravel()
 
     def draw(rng, count):  # count walks' targets, gauge and H Gaussians: one call per kind
         fixed = deficit_fraction is not None
@@ -529,13 +547,14 @@ def _walk_blocks(inst, epsilon, blocks, deficit_fraction) -> Iterator[tuple[np.n
         gauges = _complex_normal((count, n_missing, n_missing), rng)
         return epsilon * frac, gauges, _complex_normal((count, *w.shape), rng)
 
-    for rngs, count, n in blocks:
+    for rngs, count, n in chunks:
         target, zs, hs = (np.concatenate(kind)[:n] for kind in zip(*(draw(rng, count) for rng in rngs)))
         u0 = _complete(w, kernel, coker, _haar_unitaries(zs) if n_missing else None)
         try:
             lam, v = np.linalg.eigh((hs + dagger(hs)) / 2)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(str(exc)) from exc
+        del zs, hs  # a chunk's stacks are its memory: hold each no longer than needed
         lam /= np.maximum(np.abs(lam).max(axis=1, keepdims=True), 1e-30)
         a = (v.conj() * (k @ u0 @ v)).sum(axis=1)
         lo, hi = np.zeros(n), np.full(n, np.pi / 4)
@@ -550,8 +569,11 @@ def _walk_blocks(inst, epsilon, blocks, deficit_fraction) -> Iterator[tuple[np.n
             lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
         t_final = np.where(weak, t_weak, lo)
         rs = u0 @ ((v * np.exp(1j * t_final[:, None, None] * lam[:, None, :])) @ dagger(v))
-        # from_states normalizes both states, so these are the coefficients states.overlap reads
-        yield rs, [float(np.vdot(inst.d.coeffs, m).real) for m in inst.c.coeffs @ rs.mT]
+        del u0, v
+        # from_states normalizes both states, so these are the coefficients states.overlap reads;
+        # vecdot conjugates its first argument as np.vdot does, with the same bits
+        yield rs, np.vecdot(d_row, (c @ rs.mT).reshape(n, -1)).real.tolist()
+        del rs
 
 
 def _walk_overlap(a: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -222,18 +224,20 @@ def test_primal_probe_golden_past_one_block():
 
 
 def _probe_walks(inst, eps, seed, trials):
-    """The walks primal_probe scores, (R's bytes, overlap) in order, read through _walk_blocks."""
-    walk_blocks, walks = uhlmann._walk_blocks, []
+    """primal_probe's result, the walks it scores as (R's bytes, overlap, residual) in order,
+    read through _walk_blocks, and the number of walks of each pass."""
+    walk_blocks, walks, passes = uhlmann._walk_blocks, [], []
 
     def spy(*args):
         for rs, ovs in walk_blocks(*args):
-            walks.extend((r.tobytes(), ov) for r, ov in zip(rs, ovs))
+            passes.append(len(rs))
+            walks.extend(zip((r.tobytes() for r in rs), ovs, uhlmann._rigidity_residuals(inst, rs)))
             yield rs, ovs
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(uhlmann, "_walk_blocks", spy)
-        primal_probe(inst, eps, trials, seed)
-    return walks
+        probe = primal_probe(inst, eps, trials, seed)
+    return probe, walks, passes
 
 
 def test_probe_walks_do_not_depend_on_trials():
@@ -241,7 +245,7 @@ def test_probe_walks_do_not_depend_on_trials():
     # a short last block draws a full block and keeps its first walks
     full = random_instance(4, np.random.default_rng(4040), rank_c=4, rank_d=4)
     for inst in (walk_instances()[5], full):
-        walks = {trials: _probe_walks(inst, 1e-2, 31, trials) for trials in (64, 100, 130)}
+        walks = {trials: _probe_walks(inst, 1e-2, 31, trials)[1] for trials in (64, 100, 130)}
         assert [len(w) for w in walks.values()] == [64, 100, 130]
         assert walks[64] == walks[100][:64] == walks[130][:64]
         assert walks[100] == walks[130][:100]
@@ -259,6 +263,70 @@ def test_primal_probe_creates_one_generator_per_block(trials, blocks, monkeypatc
     monkeypatch.setattr(np.random, "default_rng", counted)
     primal_probe(inst, 1e-2, trials, 8)
     assert made == [((8, b),) for b in range(blocks)]
+
+
+def _per_block_walks(inst, eps, blocks, deficit_fraction=None):
+    """(R's bytes, overlap, residual) of every walk, one ``_walk_blocks`` pass per 64-walk
+    block and each walk scored alone by ``np.vdot`` and ``np.linalg.norm``: the grouping and
+    scoring from before walks were computed a chunk of blocks at a time."""
+    c, w = inst.c.coeffs, canonical_w(inst)
+    walks = []
+    for block in blocks:
+        ((rs, _),) = uhlmann._walk_blocks(inst, eps, [block], deficit_fraction)
+        moved = c @ ((w - rs) @ (dagger(w) @ w)).mT
+        walks.extend((r.tobytes(), float(np.vdot(inst.d.coeffs, m).real), float(np.linalg.norm(x) ** 2))
+                     for r, m, x in zip(rs, c @ rs.mT, moved))
+    return walks
+
+
+# (walk instance or "d32", trials, compute passes, epsilons): every walk instance at d <= 8
+# is one chunk of up to 4096 walks; at d = 32 a chunk is 256 walks.
+CHUNKED_CASES = [(k, trials, 1, (1e-2, 5.0)) for k in (0, 4, 5) for trials in (1, 64, 65, 130)] + [
+    ("d32", 300, 2, (1e-2,)),
+    (0, 5000, 2, (1e-2, 5.0)),
+]
+
+
+@pytest.mark.parametrize("name,trials,passes,epsilons", CHUNKED_CASES)
+def test_chunked_probe_matches_per_block_probe_bit_for_bit(name, trials, passes, epsilons):
+    if name == "d32":
+        inst = random_instance(32, np.random.default_rng(32), rank_c=16, rank_d=29)
+    else:
+        inst = walk_instances()[name]
+    for eps in epsilons:
+        probe, walks, lengths = _probe_walks(inst, eps, 13, trials)
+        assert len(lengths) == passes and sum(lengths) == trials
+        blocks = [([np.random.default_rng((13, b))], 64, min(64, trials - 64 * b)) for b in range(-(-trials // 64))]
+        reference = _per_block_walks(inst, eps, blocks)
+        assert walks == reference
+        best_res, best_ov = 0.0, inst.fidelity()
+        for _, ov, res in reference:
+            if res > best_res:
+                best_res, best_ov = res, ov
+        assert (probe.best_residual.hex(), probe.best_overlap.hex()) == (best_res.hex(), best_ov.hex())
+
+
+def test_chunked_caller_walks_match_per_block_walks():
+    inst = walk_instances()[3]
+    for fraction in (None, 0.5):
+        got = [(r.tobytes(), ov) for r, ov in near_optimal_unitaries(
+            inst, 1e-2, (np.random.default_rng((9, i)) for i in range(200)), fraction)]
+        gens = [np.random.default_rng((9, i)) for i in range(200)]
+        blocks = [(gens[i:i + 64], 1, len(gens[i:i + 64])) for i in range(0, 200, 64)]
+        assert got == [walk[:2] for walk in _per_block_walks(inst, 1e-2, blocks, fraction)]
+
+
+@pytest.mark.parametrize("d,trials", [(64, 128), (32, 300), (6, 20000)])
+def test_chunked_probe_memory_is_bounded(d, trials):
+    inst = random_instance(d, np.random.default_rng(d), rank_c=d // 2, rank_d=d - 1)
+    inst.spectral_core().completion_basis  # the core's own memory is not the walks'
+    tracemalloc.start()
+    try:
+        primal_probe(inst, 1e-2, trials, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
 
 
 @pytest.mark.parametrize("trials", [0, -3])

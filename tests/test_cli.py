@@ -440,3 +440,56 @@ def test_second_call_builds_no_parser(monkeypatch, capsys):
     assert run_cli(capsys, "adversarial", "eta")[0] == 0
     assert run_cli(capsys, "adversarial", "eta", "--bogus")[0] == 2
     assert built == []
+
+
+# The determinism scope: at a fixed BLAS thread count every output is byte-identical; across
+# thread counts the large-d outputs move in their last digits, since a threaded BLAS sums
+# in another order.  Pairs: random_instance(d, default_rng(s), rank_c=d/2, rank_d=d/2 - 3)
+# for s in {5, 7}, and the full-rank seed-7 pair.
+THREAD_SCOPE_PAIRS = [(d, s, rank_c, rank_d) for d in (64, 128)
+                      for s, rank_c, rank_d in ((5, d // 2, d // 2 - 3), (7, d // 2, d // 2 - 3), (7, d, d))]
+_RUN_ARGVS = """import json, sys
+from uhlmann import cli
+sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+
+def test_outputs_across_blas_thread_counts(tmp_path):
+    commands = {"canonical": [], "report": ["--epsilon", "0.01"], "certificate": ["--epsilon", "0.01"]}
+    argvs, outputs = [], {}
+    for d, s, rank_c, rank_d in THREAD_SCOPE_PAIRS:
+        inst = random_instance(d, np.random.default_rng(s), rank_c=rank_c, rank_d=rank_d)
+        name = f"d{d}_s{s}_r{rank_c}"
+        files = []
+        for side, state in (("c", inst.c), ("d", inst.d)):
+            states.write_state(tmp_path / f"{name}.{side}.json", state)
+            files += [f"--{side}", str(tmp_path / f"{name}.{side}.json")]
+        for cmd, flags in commands.items():
+            outputs[d, name, cmd] = tmp_path / f"{name}.{cmd}"
+            argvs.append([cmd, *files, *flags, "--out", str(outputs[d, name, cmd])])
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    texts = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _RUN_ARGVS, json.dumps(argvs)], env=env,
+                             capture_output=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        texts[threads] = {key: out.read_text() for key, out in outputs.items()}
+    for (d, name, cmd), one in texts["1"].items():
+        two = texts["2"][d, name, cmd]
+        if d <= 64:
+            assert one == two, (name, cmd)
+            continue
+        one, two = json.loads(one), json.loads(two)
+        assert one.keys() == two.keys()
+        if cmd == "canonical":
+            w1, w2 = (np.array(x["data"]) for x in (one, two))
+            assert np.abs(w1 - w2).max() <= 1e-10 * np.abs(w1).max(), name
+            continue
+        for key, value in one.items():
+            if key == "feasibility_margin":  # rounding noise around zero: compared absolutely
+                assert abs(value - two[key]) <= 1e-12, (name, key)
+            elif isinstance(value, float):
+                assert value == pytest.approx(two[key], rel=1e-10, abs=0), (name, key)
+            else:
+                assert value == two[key], (name, key)

@@ -101,10 +101,10 @@ def test_primal_probe_decomposes_w_once(loaded, decompositions):
     decompositions.clear()
     certificate.primal_probe(inst, 0.01, 100, 3)
     # F's SVD of B and canonical_w's, whose dropped columns are the completions' kernel and
-    # cokernel bases; one eigh of the walks' generators per block of 64
-    assert decompositions["svd"] <= 2 and decompositions["eigh"] <= 2
-    # one QR of the stacked Haar gauges per block of 64 walks
-    assert decompositions["qr"] <= 2
+    # cokernel bases; one eigh of the walks' generators per compute chunk (one at d = 6)
+    assert decompositions["svd"] <= 2 and decompositions["eigh"] == 1
+    # one QR of the stacked Haar gauges per compute chunk
+    assert decompositions["qr"] == 1
 
 
 def test_second_primal_probe_takes_no_svd(loaded, decompositions):

@@ -323,6 +323,31 @@ def test_stacked_op_norm_and_hermitian_eigen_match_each_matrix(rng):
         op_norm(np.zeros((2, 2, 2, 2)))
 
 
+
+@pytest.mark.parametrize("shape", [(5, 3, 3), (4, 2, 6), (3, 6, 2), (2, 1, 1)])
+def test_stacked_decompositions_act_per_matrix(shape, rng):
+    # Members of rank 1 to full at scales 1 to 1e-9: one maximum over the stack would cut
+    # every value of the small ones, and the stack length is not any member's size.
+    n, rows, cols = shape
+    stack = np.stack([random_complex(rng, rows, k % min(rows, cols) + 1)
+                      @ random_complex(rng, k % min(rows, cols) + 1, cols) * 10.0 ** (-3 * k)
+                      for k in range(n)])
+    f = svd(stack, stack=True)
+    for tol in (None, 1e-6):
+        kept = f.kept(tol)
+        assert kept.shape == f.singulars.shape
+        for k, m in enumerate(stack):
+            assert kept[k].tolist() == svd(m).kept(tol).tolist()
+    assert [int(k.sum()) for k in f.kept()] == [k % min(rows, cols) + 1 for k in range(n)]
+    rebuilt = f.reconstruct()
+    for k, m in enumerate(stack):
+        assert rebuilt[k].tobytes() == svd(m).reconstruct().tobytes()
+    herm = np.stack([random_hermitian(rng, rows, norm=10.0 ** (-3 * k)) for k in range(n)])
+    rebuilt = hermitian_eigen(herm).reconstruct()
+    for k, m in enumerate(herm):
+        assert rebuilt[k].tobytes() == hermitian_eigen(m).reconstruct().tobytes()
+
+
 def test_cmjson_reader_keeps_bits_signed_zeros_and_errors():
     rng = np.random.default_rng(5)
     vals = rng.normal(size=(12, 2)).tolist() + [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [5e-324, -1e300]]

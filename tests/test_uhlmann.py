@@ -289,15 +289,19 @@ def test_walks_check_each_completion_of_a_block(monkeypatch):
         certificate.primal_probe(inst, 0.01, 38, 3)
 
 
-def test_walks_take_one_qr_per_block(decompositions):
+def test_walks_take_one_qr_per_chunk(decompositions):
     deficient = walk_instances()[5]  # a 3-dimensional kernel to complete
     full = random_instance(4, np.random.default_rng(4040), rank_c=4, rank_d=4)
+    wide = random_instance(32, np.random.default_rng(32), rank_c=16, rank_d=29)
     assert full.spectral_core().completion_basis[1].shape[1] == 0
-    for trials, blocks in ((1, 1), (64, 1), (65, 2), (100, 2), (130, 3)):
-        for inst, qrs in ((deficient, blocks), (full, 0)):  # a full-rank W draws no gauge
-            decompositions.clear()
-            certificate.primal_probe(inst, 0.01, trials, 3)
-            assert decompositions.get("qr", 0) == qrs
+    # up to 4096 walks per chunk at d <= 8, 256 at d = 32
+    cases = [(deficient, trials, 1) for trials in (1, 64, 65, 100, 130, 4096)]
+    cases += [(deficient, 4097, 2), (wide, 256, 1), (wide, 257, 2)]
+    cases += [(full, trials, 0) for trials in (1, 130)]  # a full-rank W draws no gauge
+    for inst, trials, qrs in cases:
+        decompositions.clear()
+        certificate.primal_probe(inst, 0.01, trials, 3)
+        assert decompositions.get("qr", 0) == qrs
 
 
 def test_rigidity_report_examples(rng):

@@ -42,6 +42,8 @@ written:
   (full rank), a 130-trial ``primal_probe`` at eps 0, 1e-2 and 5 and 70
   ``near_optimal_unitaries`` walks, both past the 64-walk block; on rand5,
   ``primal_probe`` at 64 and 65 trials (one block, and one walk past it);
+  ``primal_probe`` past one compute chunk: 300 trials on rand32 and 5000
+  trials on a random pair at d = 2 (``default_rng(102)``);
   ``three_form_deviation`` and ``psd_core_check`` of a pair whose C grid is
   ``random_instance(3, default_rng(1))``'s scaled by 1 + 5e-7, a norm that
   ``NORM_TOL`` accepts unscaled;
@@ -256,6 +258,10 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
                                                       (np.random.default_rng((13, i)) for i in range(70)))])
     for trials in (64, 65):
         rec.value(f"rand5.probe{trials}", lambda: certificate.primal_probe(insts["rand5"], 0.01, trials, 14))
+    # past one compute chunk of walks: 256 walks per chunk at d = 32, 4096 at d <= 8
+    rec.value("rand32.probe300", lambda: certificate.primal_probe(insts["rand32"], 0.01, 300, 15))
+    rand2 = uhlmann.random_instance(2, np.random.default_rng(102))
+    rec.value("rand2.probe5000", lambda: certificate.primal_probe(rand2, 0.01, 5000, 16))
     base = uhlmann.random_instance(3, np.random.default_rng(1))
     scaled = uhlmann.UhlmannInstance.from_states(states.BipartitePureState(base.c.coeffs * (1 + 5e-7)), base.d)
     rec.value("scaled3.three_form", lambda: uhlmann.three_form_deviation(scaled))
