@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 
@@ -356,9 +355,7 @@ def main(argv=None) -> int:
             _check_tol(args.tol)
         return args.func(args)
     except (*_NUMERICAL_FAILURES, UhlmannError, ValueError, OSError, KeyError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True) + "\n"
-        )
+        sys.stderr.write(matcore.json_line({"error": type(exc).__name__, "message": str(exc)}))
         return 1 if isinstance(exc, _NUMERICAL_FAILURES) else 2
 
 

@@ -121,13 +121,16 @@ class ApproxRep:
 
     @classmethod
     def create(cls, group, unitaries, rho, mu=None) -> "ApproxRep":
-        us = [matcore.as_matrix(u) for u in unitaries]
+        if isinstance(unitaries, np.ndarray) and unitaries.ndim == 3:  # a stack, checked at once
+            us = matcore.as_matrix(unitaries, stack=True)
+        else:
+            us = [matcore.as_matrix(u) for u in unitaries]
         if len(us) != group.order:
             raise DimensionMismatchError("need one unitary per group element")
         d = us[0].shape[0]
         # the elements before the first misshapen one are screened first, as a loop in order would
         fit = next((k for k, u in enumerate(us) if u.shape != (d, d)), len(us))
-        stack = np.array(us[:fit]).reshape(fit, d, d)
+        stack = np.asarray(us[:fit]).reshape(fit, d, d)
         if matcore.op_norm_exceeds(dagger(stack) @ stack - np.eye(d), 1e-9):
             raise NotUnitaryError("representation element is not unitary within 1e-9")
         if fit < len(us):

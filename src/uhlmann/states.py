@@ -15,8 +15,8 @@ here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,13 +89,14 @@ class BipartitePureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, trace-one matrix.  ``factor``, if given, is the SVD of an X with
-    ``X X* = mat`` (a normalized grid, from ``reduce_a``); ``eigen``, which every reader
-    of the spectrum reuses, is read off it, or else is the ``psd_eigen`` that validated mat."""
+    """Hermitian, PSD, trace-one matrix.  With a ``grid`` M (from ``reduce_a``: ``mat = M M* / trace``),
+    ``factor`` is M's SVD scaled by ``trace^-1/2``, taken the first time it is read, and ``eigen`` is
+    read off it.  Without one, ``factor`` is None and ``eigen`` is the ``psd_eigen`` that validated mat.
+    Every reader of the spectrum reuses ``eigen``."""
 
     mat: np.ndarray
-    factor: matcore.Svd | None = field(default=None, compare=False, repr=False)
-    eigen: matcore.HermitianEigen = field(init=False, compare=False, repr=False)
+    grid: np.ndarray | None = field(default=None, compare=False, repr=False)
+    trace: float = field(default=1.0, compare=False, repr=False)
 
     def __post_init__(self):
         m = as_matrix(self.mat)
@@ -103,12 +104,22 @@ class DensityMatrix:
             raise DimensionMismatchError("density matrix must be square")
         if matcore.op_norm_exceeds(m - dagger(m), 1e-10):
             raise NotPsdError("density matrix is not Hermitian within 1e-10")
-        f = self.factor
-        eig = matcore.psd_eigen(m) if f is None else matcore.HermitianEigen(f.singulars**2, f.u)
-        object.__setattr__(self, "eigen", eig)  # psd_eigen: NotPsdError below -1e-10
+        if self.grid is None:
+            object.__setattr__(self, "eigen", matcore.psd_eigen(m))  # NotPsdError below -1e-10
         if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
             raise NotPsdError(f"density matrix trace {np.trace(m)} != 1 within 1e-10")
         object.__setattr__(self, "mat", m)
+
+    @cached_property
+    def factor(self) -> matcore.Svd | None:
+        if self.grid is None:
+            return None
+        f = matcore.svd(self.grid)
+        return matcore.Svd(f.u, f.singulars / np.sqrt(self.trace), f.v)
+
+    @cached_property
+    def eigen(self) -> matcore.HermitianEigen:
+        return matcore.HermitianEigen(self.factor.singulars**2, self.factor.u)
 
     @property
     def dim(self) -> int:
@@ -168,11 +179,11 @@ def _normalized(s: BipartitePureState) -> BipartitePureState:
 
 
 def reduce_a(s: BipartitePureState) -> DensityMatrix:
-    """Reduced density matrix ``M M* / Tr`` on subsystem A, factored by one SVD of the grid M."""
+    """Reduced density matrix ``M M* / Tr`` on subsystem A; its factor is the SVD of the grid M."""
     m = _normalized(s).coeffs
     g = m @ dagger(m)
-    tr, f = np.trace(g).real, matcore.svd(m)
-    return DensityMatrix(g / tr, factor=matcore.Svd(f.u, f.singulars / np.sqrt(tr), f.v))
+    tr = np.trace(g).real
+    return DensityMatrix(g / tr, grid=m, trace=tr)
 
 
 def reduce_b(s: BipartitePureState) -> DensityMatrix:
@@ -251,9 +262,7 @@ def write_state(path, s: BipartitePureState) -> None:
 
 
 def read_state(path) -> BipartitePureState:
-    with open(path, "r", encoding="ascii") as fh:
-        obj = json.load(fh)
-    coeffs = matcore.cmjson_to_matrix(obj)
+    coeffs, obj = matcore.read_cmjson(path)
     dim_a, dim_b = int(obj["dim_a"]), int(obj["dim_b"])
     if coeffs.shape != (dim_a, dim_b):
         raise DimensionMismatchError(

@@ -259,6 +259,13 @@ def test_grouprep_matches_golden_bytes(group, capsys):
     assert out.encode() == (GOLDEN / f"grouprep_{group}.stdout").read_bytes()
 
 
+def test_error_line_is_written_by_json_line(capsys):
+    code, out, err = run_cli(capsys, "protocol", "--trials", "0", "--seed", "1")
+    assert code == 2 and out == ""
+    assert err == matcore.json_line({"error": "BadParamsError", "message": "--trials must be >= 1, got 0"})
+    assert err == '{"error":"BadParamsError","message":"--trials must be >= 1, got 0"}\n'
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_protocol_rejects_trials_below_one(trials, capsys):
     code, out, err = run_cli(capsys, "protocol", "--trials", trials, "--seed", "1")

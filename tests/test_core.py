@@ -40,12 +40,17 @@ def _load(paths):
 
 
 def test_rigidity_report_takes_four_decompositions(loaded, decompositions):
-    inst = _load(loaded)
-    decompositions.clear()
-    rigidity_report(inst, 0.01)
-    # the SVD of B = sigma^1/2 rho^1/2, eigvalsh of the mean, one SVD for kappa;
-    # the grids' SVDs were taken by from_states
-    assert decompositions == {"svd": 2, "eigvalsh": 1}
+    rigidity_report(_load(loaded), 0.01)
+    # the two grids' SVDs (taken when the report first reads the factors, not by from_states),
+    # the SVD of B = sigma^1/2 rho^1/2, eigvalsh of the mean and one SVD for kappa
+    assert decompositions == {"svd": 4, "eigvalsh": 1}
+
+
+def test_canonical_subcommand_takes_one_svd(loaded, decompositions):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["canonical", "--c", loaded[0], "--d", loaded[1]]) == 0
+    # sgn(Tr_A |D><C|) reads neither grid's factor
+    assert decompositions == {"svd": 1}
 
 
 def test_certificate_subcommand_decompositions(loaded, decompositions):
@@ -97,12 +102,11 @@ def test_dual_bound_reuses_the_certificate(loaded, decompositions):
 
 
 def test_primal_probe_decomposes_w_once(loaded, decompositions):
-    inst = _load(loaded)
-    decompositions.clear()
-    certificate.primal_probe(inst, 0.01, 100, 3)
-    # F's SVD of B and canonical_w's, whose dropped columns are the completions' kernel and
-    # cokernel bases; one eigh of the walks' generators per compute chunk (one at d = 6)
-    assert decompositions["svd"] <= 2 and decompositions["eigh"] == 1
+    certificate.primal_probe(_load(loaded), 0.01, 100, 3)
+    # the two grids' SVDs, F's SVD of B and canonical_w's, whose dropped columns are the
+    # completions' kernel and cokernel bases; one eigh of the walks' generators per compute
+    # chunk (one at d = 6)
+    assert decompositions["svd"] <= 4 and decompositions["eigh"] == 1
     # one QR of the stacked Haar gauges per compute chunk
     assert decompositions["qr"] == 1
 

@@ -174,6 +174,30 @@ def test_approxrep_validation():
         ApproxRep.create(group, [0.9 * np.eye(2), np.eye(3)], rho)
 
 
+def _create_outcome(group, unitaries, rho):
+    try:
+        rep = ApproxRep.create(group, unitaries, rho)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome compared
+        return type(exc), str(exc)
+    return rep.unitaries.dtype, rep.unitaries.tobytes()
+
+
+def test_approxrep_takes_a_stack_as_its_list():
+    # a stack is checked in one call; it gives the list's result or error, in the list's order
+    z3 = FiniteGroup.cyclic(3)
+    mixed2, mixed3 = (DensityMatrix(np.eye(k, dtype=complex) / k) for k in (2, 3))
+    good = np.stack(exact_representation(z3, 2))
+    nan = good.copy()
+    nan[1, 0, 0] = np.nan
+    cases = [(good, mixed2), (good * 0.9, mixed2), (nan, mixed2),
+             (good[:2], mixed2), (np.ones((3, 2, 3)), mixed2), (good, mixed3),
+             (perturbed_rep(z3, 2, 0.3, np.random.default_rng(5)).unitaries, mixed2)]
+    for stack, rho in cases:
+        assert _create_outcome(z3, stack, rho) == _create_outcome(z3, list(stack), rho)
+    assert _create_outcome(z3, good * 0.9, mixed2)[0] is NotUnitaryError
+    assert _create_outcome(z3, nan, mixed2) == (ValueError, "matrix entries must be finite (no NaN/Inf)")
+
+
 def test_approxrep_stacks_the_unitaries():
     group = FiniteGroup.cyclic(3)
     us = exact_representation(group, 2)

@@ -107,6 +107,24 @@ def test_reduce_a_keeps_the_grid_factor(rng):
     assert DensityMatrix(rho.mat).factor is None
 
 
+def test_reduce_a_takes_its_factor_when_first_read(rng, decompositions):
+    for da, db, rank in ((3, 5, 2), (5, 3, 3), (4, 4, 4)):
+        s = random_state(rng, da, db, rank)
+        decompositions.clear()
+        rho = reduce_a(s)
+        assert decompositions == {}
+        f = rho.factor
+        assert decompositions == {"svd": 1}
+        assert rho.factor is f and rho.eigen.vectors is f.u and decompositions == {"svd": 1}
+        # the factor reduce_a took eagerly before: the grid's SVD, scaled by the trace's root
+        m = s.coeffs
+        eager = matcore.svd(m)
+        scaled = eager.singulars / np.sqrt(np.trace(m @ dagger(m)).real)
+        assert (f.u.tobytes(), f.v.tobytes()) == (eager.u.tobytes(), eager.v.tobytes())
+        assert f.singulars.tobytes() == scaled.tobytes()
+    assert DensityMatrix(rho.mat).factor is None
+
+
 def test_omega_grid_and_reflection(rng):
     w = omega(2)
     np.testing.assert_array_equal(w.coeffs, np.eye(2))

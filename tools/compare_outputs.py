@@ -49,8 +49,12 @@ written:
   ``NORM_TOL`` accepts unscaled;
 * the cmjson text (with extra keys on both sides of ``data``) of writer edge
   matrices: a 3x5 grid holding -0.0 in either part, 5e-324, -1.5e-310 and
-  1e300, that grid scaled by 1e-12, its transpose, a read-only copy, and a
-  1x1; and each written by ``write_state`` and read back by ``read_state``;
+  1e300, that grid scaled by 1e-12, its transpose, a read-only copy, a 1x1
+  and a 128x128 grid holding the same edge values; and each written by
+  ``write_state`` and read back by ``read_state``;
+* ``canonical`` and ``report`` on rand32's C file with its keys reordered and
+  whitespace between every token, and ``canonical`` on three broken copies
+  of rand32's C file (a leading zero, a pair of four numbers, a NaN);
 * a grouprep library sweep, one output per representation: z1 to z8 and s3
   at dims 2, 3 and the group order (where a built-in exact representation
   exists), each with the maximally mixed and a random rho, and with uniform
@@ -138,8 +142,10 @@ def _edge_matrices():
                      complex(1e300, -1e300), complex(-1.5e-310, 5e-324)]
     frozen = grid.copy()
     frozen.flags.writeable = False
+    big = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
+    big.flat[:6] = grid.flat[:6]
     return {"3x5": grid, "scaled": grid * 1e-12, "transposed": grid.T, "read_only": frozen,
-            "1x1": np.array([[complex(-0.0, 1e300)]])}
+            "1x1": np.array([[complex(-0.0, 1e300)]]), "128x128": big}
 
 
 def _state_round_trip(m):
@@ -188,6 +194,22 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
         for k, extra in enumerate((["--eta-target", "0.3"], ["--eta-target", "0.1", "--mix-delta", "1e-4"])):
             rec.cli(f"{name}.round_gap{k}", ["round-gap", *files, *extra, "--out-c", "rc.json",
                                               "--out-d", "rd.json"], ("rc.json", "rd.json"))
+
+    # the state file reformatted, and broken: the same bytes or errors by any reader
+    text = pathlib.Path("rand32_c.json").read_text()
+    obj = json.loads(text)
+    span = text[text.index('"data":') + 7:text.index(',"dim_a"')]
+    pathlib.Path("spaced32_c.json").write_text(
+        '{\n "normalized" : true ,\n "data" :\n' + span.replace("[", "[ ").replace(",", " ,\n\t")
+        + ' ,\r\n "rows": %d, "dim_b":%d, "cols" : %d ,"dim_a"\t: %d\n}\n'
+        % (obj["rows"], obj["dim_b"], obj["cols"], obj["dim_a"]))
+    for cmd in ("canonical", "report"):
+        rec.cli(f"spaced32.{cmd}", [cmd, "--c", "spaced32_c.json", "--d", "rand32_d.json"])
+    first = text[text.index('"data":[[') + 9:].split(",", 1)[0]
+    for name, broken in (("leading_zero", text.replace(first, "01", 1)),
+                         ("four_numbers", text.replace("],[", ",", 1)), ("nan", text.replace(first, "NaN", 1))):
+        pathlib.Path(f"broken_{name}.json").write_text(broken)
+        rec.cli(f"cmjson_error.{name}", ["canonical", "--c", f"broken_{name}.json", "--d", "rand32_d.json"])
 
     # usage errors and help in the middle of the run, through the parser the calls above built
     files = ["--c", "rand3_c.json", "--d", "rand3_d.json"]
