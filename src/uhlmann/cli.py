@@ -183,10 +183,7 @@ def _cmd_protocol(args) -> int:
         inst = protocol.completeness_reference_instance(args.n)
     params = protocol.ProtocolParams.for_instance(inst, args.n, args.r, gamma=args.gamma)
     prover = _build_prover(args.prover, inst, fam, seed)
-    xi = protocol.input_ensemble_state(inst, np.random.default_rng((seed, 0xC0)))
-    inv = protocol.TrialInvariants.of(inst, prover, xi)
-    # one call per trial through the module, so a wrapper of run_protocol sees each
-    outs = (protocol.run_protocol(inst, params, prover, xi, (seed, t), inv) for t in range(args.trials))
+    inv, outs = protocol._trial_loop(inst, params, prover, (seed,), args.trials)
     rows = [[t, o.accepted, o.j, o.i_star, o.output_state_fidelity] for t, o in enumerate(outs)]
     if args.out:
         _emit_csv(["trial", "accepted", "j", "i_star", "output_state_fidelity"], rows, args.out)

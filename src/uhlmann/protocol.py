@@ -14,7 +14,13 @@ value ``F(rho, sigma)^2``, so ``gamma`` defaults to that measured value
 (``ProtocolParams.for_instance``) instead of guessing a convention.
 
 Per-round measurements are never approximated: the Born probability is
-computed exactly from the statevector, then sampled.
+computed exactly from the statevector, and the count ``j`` of accepted test
+rounds is drawn from its exact law, Binomial(m - 1, p).  A trial loop keyed
+``key`` (``(seed,)``, or ``(seed, prover index)`` in the soundness probe)
+draws the input from ``default_rng((*key, 0xC0))`` and runs its trials in
+blocks of 64: block b draws from ``default_rng((*key, 0xB10C, b))``, so
+trial t depends only on the key and on t, and no trial shares the input's
+stream.
 """
 
 from __future__ import annotations
@@ -66,6 +72,8 @@ class ProtocolParams:
         if eta <= 0 or kappa < 1 - 1e-9:
             raise BadParamsError("need eta > 0 and kappa >= 1")
         m = int(np.ceil(8 * n * (kappa * r / eta) ** 2))
+        if m > np.iinfo(np.int64).max:
+            raise BadParamsError(f"m = {m} rounds: m - 1 must fit in int64 to be sampled; raise eta")
         margin = gamma - eta / (4 * kappa * r)
         if not 0.0 < margin < 1.0:
             raise BadParamsError(
@@ -208,8 +216,11 @@ def run_protocol(
     """Simulate one full protocol execution.
 
     RNG discipline (fixed, so identical inputs and seed reproduce the
-    outcome bit for bit): one draw for ``i*``, then ``m - 1`` uniform
-    draws compared against the exact per-round Born probability.
+    outcome bit for bit): ``seed`` is a seed or a Generator, which
+    ``default_rng`` returns unchanged, and a trial advances it by one
+    ``integers`` draw for ``i*`` and then one ``binomial`` draw of the
+    count of ``m - 1`` test rounds accepted at the exact Born probability
+    (clipped to [0, 1]: a value rounded just above 1 accepts every round).
     ``invariants`` holds the seed-independent Born value and output-state
     fidelity, ``TrialInvariants.of(inst, prover, input_state)``, which a
     trial loop builds once; it is a pure cache and never changes the
@@ -219,7 +230,7 @@ def run_protocol(
         invariants = TrialInvariants.of(inst, prover, input_state)
     rng = np.random.default_rng(seed)
     i_star = int(rng.integers(1, params.m + 1))
-    j = int((rng.random(params.m - 1) < invariants.accept_probability).sum())
+    j = int(rng.binomial(params.m - 1, min(max(invariants.accept_probability, 0.0), 1.0)))
     return RunOutcome(accepted=bool(j >= params.threshold), j=j, i_star=i_star,
                       output_state_fidelity=invariants.output_state_fidelity)
 
@@ -228,6 +239,25 @@ def _as_density(m: np.ndarray):
     # prover outputs are exactly normalized; guard against 1e-16 dust only
     m = (m + dagger(m)) / 2
     return states.DensityMatrix(m / np.trace(m).real)
+
+
+_TRIAL_BLOCK = 64
+_BLOCK_TAG = 0xB10C  # not the input's 0xC0: a block key never seeds the input's stream
+
+
+def _trial_loop(inst, params, prover, key: tuple, trials: int) -> tuple[TrialInvariants, list[RunOutcome]]:
+    """The input's invariants and ``trials`` outcomes, streamed as the module docstring says.
+
+    ``run_protocol`` is looked up through the module once per trial, so a wrapper of it sees each.
+    """
+    xi = input_ensemble_state(inst, np.random.default_rng((*key, 0xC0)))
+    inv = TrialInvariants.of(inst, prover, xi)
+    outs = []
+    for t in range(trials):
+        if t % _TRIAL_BLOCK == 0:
+            rng = np.random.default_rng((*key, _BLOCK_TAG, t // _TRIAL_BLOCK))
+        outs.append(run_protocol(inst, params, prover, xi, rng, inv))
+    return inv, outs
 
 
 def completeness_experiment(
@@ -239,10 +269,7 @@ def completeness_experiment(
     """Empirical acceptance frequency of the honest prover."""
     if trials < 1:
         raise BadParamsError(f"trials must be >= 1, got {trials}")
-    prover = honest_prover(inst)
-    xi = input_ensemble_state(inst, np.random.default_rng((seed, 0xC0)))
-    inv = TrialInvariants.of(inst, prover, xi)
-    outs = (run_protocol(inst, params, prover, xi, (seed, t), inv) for t in range(trials))
+    _, outs = _trial_loop(inst, params, honest_prover(inst), (seed,), trials)
     return sum(o.accepted for o in outs) / trials
 
 
@@ -283,9 +310,7 @@ def soundness_probe(
     target = domain_output_density(inst, canonical)
     rows = []
     for pi, prover in enumerate(prover_family):
-        xi = input_ensemble_state(inst, np.random.default_rng((seed, pi, 0xC0)))
-        inv = TrialInvariants.of(inst, prover, xi)
-        outs = (run_protocol(inst, params, prover, xi, (seed, pi, t), inv) for t in range(trials))
+        inv, outs = _trial_loop(inst, params, prover, (seed, pi), trials)
         accepted = sum(o.accepted for o in outs)
         td = 0.5 * matcore.trace_norm(domain_output_density(inst, prover) - target)
         rows.append(

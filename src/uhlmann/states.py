@@ -166,14 +166,6 @@ def apply_b(s: BipartitePureState, r: np.ndarray) -> BipartitePureState:
     return BipartitePureState(s.coeffs @ r.T, normalized=False)
 
 
-def apply_a(s: BipartitePureState, a: np.ndarray) -> BipartitePureState:
-    """Apply the operator ``a`` on subsystem A: ``(a (x) 1)|s>``."""
-    a = as_matrix(a)
-    if a.shape[1] != s.dim_a:
-        raise DimensionMismatchError(f"operator acts on dim {a.shape[1]}, state has dim_a {s.dim_a}")
-    return BipartitePureState(a @ s.coeffs, normalized=False)
-
-
 def _normalized(s: BipartitePureState) -> BipartitePureState:
     return s if s.normalized else s.normalize()
 

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import os
 import pathlib
@@ -238,7 +239,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("prover", ["honest", "derangement", "random", "epsilon:0.05"])
 def test_protocol_matches_golden_bytes(prover, tmp_path, capsys):
-    # stdout and CSV as written before the trial-invariant values were hoisted
+    # stdout and CSV of the block stream: each trial draws i* and then j ~ Binomial(m - 1, p) from the
+    # generator of its 64-trial block
     csv = tmp_path / "trials.csv"
     code, out, _ = run_cli(
         capsys, "protocol", "--n", "2", "--r", "2", "--trials", "50", "--seed", "3",
@@ -309,9 +311,52 @@ def test_protocol_calls_run_protocol_once_per_trial(monkeypatch, capsys):
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(protocol, "run_protocol", counted)
-    code, _, _ = run_cli(capsys, "protocol", "--trials", "37", "--seed", "5")
+    code, _, _ = run_cli(capsys, "protocol", "--trials", "130", "--seed", "5")
     assert code == 0
-    assert calls == [(5, t) for t in range(37)]
+    # each call draws from its block's generator: three of them, for 64, 64 and 2 trials
+    assert len(calls) == 130 and all(isinstance(g, np.random.Generator) for g in calls)
+    assert len({id(g) for g in calls}) == 3
+    assert [len(list(run)) for _, run in itertools.groupby(calls, key=id)] == [64, 64, 2]
+
+
+def test_protocol_rows_are_a_prefix_of_longer_runs(tmp_path, capsys):
+    # trial t depends only on the seed and on t, not on the trial count
+    rows = {}
+    for trials in (37, 130):
+        csv = tmp_path / f"trials{trials}.csv"
+        code, _, _ = run_cli(capsys, "protocol", "--trials", str(trials), "--seed", "5", "--out", str(csv))
+        assert code == 0
+        rows[trials] = csv.read_text().splitlines()
+    assert len(rows[130]) == 131
+    assert rows[37] == rows[130][:38]
+
+
+def test_protocol_rejects_rounds_past_int64(capsys):
+    code, out, err = run_cli(capsys, "protocol", "--prover", "derangement", "--eta", "1e-10", "--seed", "1")
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "BadParamsError" and payload["message"].startswith("m = ")
+
+
+def test_protocol_trial_cost_does_not_grow_with_m(tmp_path):
+    # m = 6.4e9: m - 1 uniforms per trial would take 51 GB, one binomial draw takes none; the
+    # address space is capped at 4 GB so that a regression fails here instead of exhausting memory
+    argv = ["protocol", "--prover", "derangement", "--eta", "1e-4", "--trials", "200", "--seed", "1"]
+    script = (
+        "import resource, sys, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+        "from uhlmann import cli\n"
+        "start = time.perf_counter()\n"
+        f"code = cli.main({argv!r})\n"
+        "print(time.perf_counter() - start, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["m"] > 2**32
+    assert float(run.stderr) < 1.0
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

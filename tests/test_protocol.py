@@ -118,6 +118,71 @@ def test_empirical_rate_tracks_born_probability():
     assert abs(rate - p) <= 3 * sigma + 1e-12
 
 
+def test_library_draw_follows_the_binomial_law():
+    # 20 000 trials through run_protocol, one generator: j ~ Binomial(m - 1, p)
+    fam = build_eta_family(4, eta=0.4, tau=0.5)
+    inst = fam.instance
+    prover = derangement_prover(fam.adversary_r)
+    params = ProtocolParams.for_instance(inst, n=2, r=2)
+    xi = input_ensemble_state(inst, np.random.default_rng(6))
+    inv = TrialInvariants.of(inst, prover, xi)
+    rng = np.random.default_rng(77)
+    js = np.array([run_protocol(inst, params, prover, xi, rng, inv).j for _ in range(20_000)])
+    n, p = params.m - 1, inv.accept_probability
+    assert abs(js.mean() - n * p) <= 4 * np.sqrt(n * p * (1 - p) / js.size)
+    assert js.var() == pytest.approx(n * p * (1 - p), rel=0.05)
+
+
+def test_born_value_at_the_ends_of_the_unit_interval():
+    # |amp|^2 can round just above 1: then every test round accepts, and nothing raises
+    inst = completeness_reference_instance(2)
+    params = ProtocolParams.for_instance(inst, n=2, r=2)
+    prover = honest_prover(inst)
+    xi = input_ensemble_state(inst, np.random.default_rng(1))
+    for p, j in [(1 + 2.0**-52, params.m - 1), (0.0, 0)]:
+        inv = TrialInvariants(accept_probability=p, output_state_fidelity=1.0)
+        assert run_protocol(inst, params, prover, xi, seed=3, invariants=inv).j == j
+
+
+def test_params_reject_rounds_past_int64():
+    with pytest.raises(BadParamsError, match=r"^m = \d{20} rounds: m - 1 must fit in int64"):
+        ProtocolParams.create(n=2, r=2, gamma=0.8, eta=1e-9, kappa=1.0)
+    assert ProtocolParams.create(n=2, r=2, gamma=0.8, eta=1e-8, kappa=1.0).m < 2**63
+
+
+def test_block_keys_never_seed_the_input_stream(monkeypatch):
+    # no trial may draw from the input's stream, trial 192 = 0xC0 included. Keys are compared as tuples
+    # and as seed-sequence states, since numpy pads a short key with zero words: (5, 0xC0) and
+    # (5, 0xC0, 0) seed the same stream. 64 * 300 trials cover every shorter run: its keys are a prefix.
+    keys = []
+    default_rng = np.random.default_rng
+
+    def recorded(seed=None):
+        if isinstance(seed, tuple):
+            keys.append(seed)
+        return default_rng(seed)
+
+    inst = completeness_reference_instance(2)
+    params = ProtocolParams.for_instance(inst, n=2, r=2)
+    trials = 64 * 300
+    runs = {  # name: (run, the keys of its input states)
+        "cli": (lambda: cli.main(["protocol", "--trials", str(trials), "--seed", "5"]), [(5, 0xC0)]),
+        "completeness": (lambda: completeness_experiment(inst, params, trials, seed=5), [(5, 0xC0)]),
+        "soundness": (lambda: soundness_probe(inst, params, [honest_prover(inst)] * 2, trials, seed=5),
+                      [(5, 0, 0xC0), (5, 1, 0xC0)]),
+    }
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    for name, (run, inputs) in runs.items():
+        keys.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            run()
+        blocks = [k for k in keys if k not in inputs]
+        assert len(keys) - len(blocks) == len(inputs), name
+        assert len(blocks) == 300 * len(inputs) and len(set(blocks)) == len(blocks), name
+        pools = {np.random.SeedSequence(k).generate_state(4).tobytes() for k in inputs}
+        assert not pools & {np.random.SeedSequence(k).generate_state(4).tobytes() for k in blocks}, name
+
+
 @pytest.mark.parametrize("n,r", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_completeness_meets_bound(n, r):
     inst = completeness_reference_instance(n)

@@ -10,7 +10,6 @@ from uhlmann.matcore import dagger
 from uhlmann.states import (
     BipartitePureState,
     DensityMatrix,
-    apply_a,
     apply_b,
     fidelity,
     omega,
@@ -20,6 +19,14 @@ from uhlmann.states import (
     reduce_b,
     schmidt,
 )
+
+
+def apply_a(s: BipartitePureState, a: np.ndarray) -> BipartitePureState:
+    """Apply the operator ``a`` on subsystem A: ``(a (x) 1)|s>``."""
+    a = matcore.as_matrix(a)
+    if a.shape[1] != s.dim_a:
+        raise DimensionMismatchError(f"operator acts on dim {a.shape[1]}, state has dim_a {s.dim_a}")
+    return BipartitePureState(a @ s.coeffs, normalized=False)
 
 
 def random_state(rng, da, db, rank=None):

@@ -23,8 +23,9 @@ written:
   also at ``--alpha -1.5``) and two ``round-gap`` settings with their state
   files;
 * the four ``adversarial`` families at two settings each, ``protocol`` with
-  every prover (with its CSV), its default, ``--n 3`` and a state-file
-  pair, ``grouprep`` on s3, z4, z6, z2 and z3 at dim 2, ``grouprep`` on a
+  every prover (with its CSV), its default, ``--n 3``, 200 trials (past
+  two 64-trial blocks and trial 192, with its CSV), the derangement prover
+  at ``--eta 0.1`` (m = 6400, with its CSV) and a state-file pair, ``grouprep`` on s3, z4, z6, z2 and z3 at dim 2, ``grouprep`` on a
   D4 (order 8, non-abelian) table file at its default dim 8 with
   ``--count 3``, and ``grouprep`` on table files with float, boolean and
   ragged entries;
@@ -234,6 +235,9 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
                                         "--out", "p.csv"], ("p.csv",))
     rec.cli("protocol.default", ["protocol"])
     rec.cli("protocol.n3", ["protocol", "--n", "3", "--trials", "20", "--seed", "2"])
+    rec.cli("protocol.t200", ["protocol", "--trials", "200", "--seed", "3", "--out", "p.csv"], ("p.csv",))
+    rec.cli("protocol.derangement_eta0.1", ["protocol", "--prover", "derangement", "--eta", "0.1",
+                                            "--trials", "50", "--seed", "3", "--out", "p.csv"], ("p.csv",))
     states.write_state("p4_c.json", uhlmann.random_instance(4, np.random.default_rng(404)).c)
     states.write_state("p4_d.json", uhlmann.random_instance(4, np.random.default_rng(405)).d)
     rec.cli("protocol.files", ["protocol", "--c", "p4_c.json", "--d", "p4_d.json", "--r", "3",
