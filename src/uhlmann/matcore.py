@@ -43,7 +43,6 @@ __all__ = [
     "pseudoinverse",
     "psd_eigen",
     "psd_function",
-    "psd_pinv_sqrt",
     "psd_sqrt",
     "rank_mask",
     "read_cmjson",
@@ -215,11 +214,6 @@ def inv_sqrt(w: np.ndarray) -> np.ndarray:
 def psd_sqrt(m, tol: float = 1e-10, rank_tol: float | None = None) -> np.ndarray:
     """Hermitian PSD square root (``psd_function`` with ``sqrt``)."""
     return psd_function(psd_eigen(m, tol), np.sqrt, rank_tol)
-
-
-def psd_pinv_sqrt(m, tol: float = 1e-10, rank_tol: float | None = None) -> np.ndarray:
-    """Pseudoinverse square root ``m^(-1/2)`` of a Hermitian PSD matrix."""
-    return psd_function(psd_eigen(m, tol), inv_sqrt, rank_tol)
 
 
 def trace_norm(m) -> float:

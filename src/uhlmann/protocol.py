@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore, states, uhlmann
-from .errors import BadParamsError, DimensionMismatchError, NotUnitaryError
+from .errors import BadParamsError, DimensionMismatchError, NotNormalizedError, NotUnitaryError
 from .matcore import dagger
 from .states import BipartitePureState
 from .uhlmann import UhlmannInstance
@@ -69,9 +69,14 @@ class ProtocolParams:
     def create(cls, n: int, r: int, gamma: float, eta: float, kappa: float) -> "ProtocolParams":
         if n < 1 or r < 1:
             raise BadParamsError("n and r must be positive integers")
+        if not np.isfinite([eta, kappa]).all():
+            raise BadParamsError(f"eta and kappa must be finite, got eta = {eta}, kappa = {kappa}")
         if eta <= 0 or kappa < 1 - 1e-9:
             raise BadParamsError("need eta > 0 and kappa >= 1")
-        m = int(np.ceil(8 * n * (kappa * r / eta) ** 2))
+        try:
+            m = int(np.ceil(8 * n * (kappa * r / eta) ** 2))
+        except OverflowError:
+            raise BadParamsError(f"eta = {eta}: the round count 8 n (kappa r / eta)^2 overflows") from None
         if m > np.iinfo(np.int64).max:
             raise BadParamsError(f"m = {m} rounds: m - 1 must fit in int64 to be sampled; raise eta")
         margin = gamma - eta / (4 * kappa * r)
@@ -153,9 +158,9 @@ def epsilon_prover(inst: UhlmannInstance, epsilon: float, seed: int) -> ProverSt
 
 
 def _with_ancilla(vec_b: np.ndarray, k: int) -> np.ndarray:
-    """Tensor a B-vector with the |0> ancilla (B slow, ancilla fast)."""
-    out = np.zeros(vec_b.shape[0] * k, dtype=complex)
-    out[::k] = vec_b
+    """Tensor the last (B) axis with the |0> ancilla (B slow, ancilla fast)."""
+    out = np.zeros((*vec_b.shape[:-1], vec_b.shape[-1] * k), dtype=complex)
+    out[..., ::k] = vec_b
     return out
 
 
@@ -168,13 +173,8 @@ def accept_probability(inst: UhlmannInstance, prover: ProverStrategy) -> float:
     if k == 1:
         amp = states.overlap(inst.d, r, inst.c)
         return float(abs(amp) ** 2)
-    # grid of |C>|0_anc> over A x (B x anc), prover applied on (B x anc)
-    mc = inst.c.coeffs
-    grid = np.zeros((inst.dim_a, inst.dim_b * k), dtype=complex)
-    grid[:, ::k] = mc
-    moved = grid @ r.T
-    # contract <D| on the A,B legs, leaving an ancilla amplitude vector
-    moved = moved.reshape(inst.dim_a, inst.dim_b, k)
+    # |C>|0_anc> over A x (B x anc), the prover applied on (B x anc), then <D| contracted on the A, B legs
+    moved = (_with_ancilla(inst.c.coeffs, k) @ r.T).reshape(inst.dim_a, inst.dim_b, k)
     anc_amp = np.einsum("ab,abe->e", inst.d.coeffs.conj(), moved)
     return float(np.linalg.norm(anc_amp) ** 2)
 
@@ -192,17 +192,21 @@ def prover_output_density(prover: ProverStrategy, input_state: np.ndarray) -> np
 
 @dataclass(frozen=True)
 class TrialInvariants:
-    """The values every trial of one (instance, prover, input) shares; see ``run_protocol``."""
+    """The values every trial of one (instance, prover, input) shares; see ``run_protocol``.  The output's
+    fidelity to the pure target ``t = completion @ input_state`` is ``sqrt(<t|rho|t> / (<t|t> Tr rho))``."""
 
     accept_probability: float
     output_state_fidelity: float
 
     @classmethod
     def of(cls, inst: UhlmannInstance, prover: ProverStrategy, input_state) -> "TrialInvariants":
-        target = inst.spectral_core().completion @ np.asarray(input_state, dtype=complex)
-        fid = states.fidelity(_as_density(prover_output_density(prover, input_state)),
-                              _as_density(np.outer(target, target.conj())))
-        return cls(accept_probability(inst, prover), fid)
+        rho = prover_output_density(prover, input_state)
+        t = inst.spectral_core().completion @ np.asarray(input_state, dtype=complex)
+        tr, tt = np.trace(rho).real, np.vdot(t, t).real
+        if not all(np.finfo(float).tiny <= x < np.inf for x in (tr, tt)):  # NaN fails too
+            raise NotNormalizedError(f"input state has squared norm {tt}: zero, not finite or subnormal")
+        fid = np.sqrt(max(np.vdot(t, (rho / tr) @ t).real, 0.0) / tt)
+        return cls(accept_probability(inst, prover), float(fid))
 
 
 def run_protocol(
@@ -233,12 +237,6 @@ def run_protocol(
     j = int(rng.binomial(params.m - 1, min(max(invariants.accept_probability, 0.0), 1.0)))
     return RunOutcome(accepted=bool(j >= params.threshold), j=j, i_star=i_star,
                       output_state_fidelity=invariants.output_state_fidelity)
-
-
-def _as_density(m: np.ndarray):
-    # prover outputs are exactly normalized; guard against 1e-16 dust only
-    m = (m + dagger(m)) / 2
-    return states.DensityMatrix(m / np.trace(m).real)
 
 
 _TRIAL_BLOCK = 64
@@ -345,9 +343,7 @@ def domain_output_density(inst: UhlmannInstance, prover: ProverStrategy) -> np.n
     if k == 1:
         vec = (mc @ prover.channel.T).ravel()
         return np.outer(vec, vec.conj()) / weight
-    grid = np.zeros((inst.dim_a, inst.dim_b * k), dtype=complex)
-    grid[:, ::k] = mc
-    moved = (grid @ prover.channel.T).reshape(inst.dim_a * inst.dim_b, k)
+    moved = (_with_ancilla(mc, k) @ prover.channel.T).reshape(inst.dim_a * inst.dim_b, k)
     return moved @ dagger(moved) / weight
 
 

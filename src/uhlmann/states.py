@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore
-from .errors import DimensionMismatchError, NotHermitianError, NotNormalizedError, NotPsdError
+from .errors import DimensionMismatchError, NotNormalizedError, NotPsdError
 from .matcore import as_matrix, dagger
 
 __all__ = [
@@ -207,22 +207,17 @@ def overlap(d: BipartitePureState, r: np.ndarray, c: BipartitePureState) -> comp
 
 
 def fidelity(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.ndarray) -> float:
-    """Uhlmann fidelity ``F(rho, sigma) = Tr sqrt(rho^1/2 sigma rho^1/2)``: with both ``factor``s,
-    the sum of the kept singular values of ``sigma^1/2 rho^1/2`` (``SpectralCore.fidelity``, bit
-    for bit), otherwise from eigendecompositions."""
-    r = rho.mat if isinstance(rho, DensityMatrix) else as_matrix(rho)
-    s = sigma.mat if isinstance(sigma, DensityMatrix) else as_matrix(sigma)
-    if r.shape != s.shape:
-        raise DimensionMismatchError(f"shape mismatch {r.shape} vs {s.shape}")
-    if getattr(rho, "factor", None) is not None and getattr(sigma, "factor", None) is not None:
-        b = matcore.svd(matcore.gram_power(sigma.factor, 1) @ matcore.gram_power(rho.factor, 1))
-        return float(b.singulars[b.kept()].sum())
-    eig = rho.eigen if isinstance(rho, DensityMatrix) else matcore.psd_eigen(r)
-    rs = matcore.psd_function(eig, np.sqrt)
-    h = rs @ s @ rs
-    if matcore.op_norm_exceeds(h - dagger(h), 1e-10):
-        raise NotHermitianError("matrix is not Hermitian within tol=1e-10")
-    return float(np.trace(matcore.psd_sqrt((h + dagger(h)) / 2)).real)
+    """Uhlmann fidelity ``F(rho, sigma) = Tr sqrt(rho^1/2 sigma rho^1/2)`` by one rule: the sum of the
+    singular values of ``sigma^1/2 rho^1/2`` that the rank rule keeps.  A root is ``gram_power`` of the
+    state's ``factor`` when it has one, else ``psd_function`` of its eigendecomposition; with both
+    factors this is ``SpectralCore.fidelity``, bit for bit."""
+    rs, ss = (matcore.gram_power(x.factor, 1) if getattr(x, "factor", None) is not None
+              else matcore.psd_function(x.eigen, np.sqrt) if isinstance(x, DensityMatrix)
+              else matcore.psd_sqrt(x) for x in (rho, sigma))
+    if rs.shape != ss.shape:
+        raise DimensionMismatchError(f"shape mismatch {rs.shape} vs {ss.shape}")
+    b = matcore.svd(ss @ rs)
+    return float(b.singulars[b.kept()].sum())
 
 
 def schmidt(s: BipartitePureState) -> SchmidtFrame:

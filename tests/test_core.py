@@ -302,6 +302,17 @@ def test_full_rank_pairs(d):
         assert core.eta == pytest.approx(FULL_RANK_ORACLE_32["eta"], rel=1e-9)
 
 
+def test_bare_matrix_fidelity_of_the_full_rank_pair():
+    # density matrices without a factor take their roots from eigendecompositions and then the same one
+    # SVD of sigma^1/2 rho^1/2; a cut on the eigenvalues of h = rho^1/2 sigma rho^1/2 leaves F 3.1e-7 off
+    inst = random_instance(32, np.random.default_rng(7), rank_c=32, rank_d=32)
+    rho, sigma = states.DensityMatrix(inst.rho.mat), states.DensityMatrix(inst.sigma.mat)
+    assert states.fidelity(rho, sigma) == pytest.approx(FULL_RANK_ORACLE_32["fidelity"], rel=1e-9)
+    factored = states.fidelity(inst.rho, inst.sigma)
+    for mixed in ((inst.rho, sigma), (rho, inst.sigma)):
+        assert states.fidelity(*mixed) == pytest.approx(factored, rel=1e-12)
+
+
 def test_a_deleted_instance_is_freed_without_the_cyclic_collector():
     inst = walk_instances()[3]
     for tol in (None, 1e-6):

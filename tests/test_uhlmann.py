@@ -142,7 +142,7 @@ def test_eta_matches_assembled_mean(rng):
     inst = random_instance(5, rng, rank_c=5, rank_d=5)
     rho, sigma = inst.rho.mat, inst.sigma.mat
     rr = matcore.psd_sqrt(rho)
-    rir = matcore.psd_pinv_sqrt(rho)
+    rir = matcore.psd_function(matcore.psd_eigen(rho), matcore.inv_sqrt)
     mean = rir @ matcore.psd_sqrt(rr @ sigma @ rr) @ rir
     eigs = np.linalg.eigvalsh(mean)
     assert spectral_gap_eta(inst) == pytest.approx(eigs[eigs > 1e-9].min(), abs=1e-9)

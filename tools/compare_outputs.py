@@ -37,7 +37,8 @@ written:
 * library values, as exact bytes: ``three_form_deviation``,
   ``psd_core_check``, ``projector_structure_check``, ``primal_probe``,
   ``rigidity_residual``, ``near_optimal_unitaries``, the canonical
-  completion, ``states.fidelity``, ``input_ensemble_state``,
+  completion, ``states.fidelity`` (of the pair's factored density matrices
+  and of bare ones, built from their matrices alone), ``input_ensemble_state``,
   ``geometric_mean``, ``soundness_probe`` rows and
   ``completeness_experiment``; on rand5 (a kernel to complete) and full8
   (full rank), a 130-trial ``primal_probe`` at eps 0, 1e-2 and 5 and 70
@@ -268,6 +269,8 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
         rec.value(f"{name}.probe", lambda: certificate.primal_probe(inst, 0.01, 30, 5))
         rec.value(f"{name}.completion", lambda: _hex(core.completion))
         rec.value(f"{name}.fidelity", lambda: states.fidelity(inst.rho, inst.sigma))
+        rec.value(f"{name}.fidelity_bare", lambda: states.fidelity(
+            states.DensityMatrix(inst.rho.mat), states.DensityMatrix(inst.sigma.mat)))
         rec.value(f"{name}.residual", lambda: _with_w(
             uhlmann.rigidity_residual, inst, uhlmann._haar_unitary(inst.dim_b, np.random.default_rng(6))))
         rec.value(f"{name}.walks", lambda: [
