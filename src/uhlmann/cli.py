@@ -227,10 +227,8 @@ def _cmd_grouprep(args) -> int:
     group = _build_group(args.group)
     dim = args.dim if args.dim else (3 if group.order == 6 else group.order)
     lines = []
-    for k in range(args.count):
-        rng = np.random.default_rng((seed, k))
-        rep = grouprep.perturbed_rep(group, dim, args.scale, rng)
-        res = grouprep.stability_check(rep)
+    for k, (rep, row) in enumerate(grouprep._sweep(group, dim, args.scale, seed, args.count)):
+        res = grouprep.stability_check(rep, row)
         lines.append(matcore.json_line({"index": k, **dataclasses.asdict(res)}))
     _write("".join(lines), args.out)
     return 0

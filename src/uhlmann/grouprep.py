@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ __all__ = [
     "perturbed_rep",
     "rep_defect",
     "stability_check",
-    "w_tilde",
 ]
 
 
@@ -136,7 +136,7 @@ class ApproxRep:
         if fit < len(us):
             raise DimensionMismatchError("unitaries must share one dimension")
         mu = np.full(group.order, 1.0 / group.order) if mu is None else np.asarray(mu, float)
-        if mu.shape != (group.order,) or mu.min() < 0 or abs(mu.sum() - 1.0) > 1e-10:
+        if mu.shape != (group.order,) or not (mu.min() >= 0 and abs(mu.sum() - 1.0) <= 1e-10):  # NaN fails
             raise BadParamsError("mu must be a probability vector over the group")
         if rho.dim != d:
             raise DimensionMismatchError("rho must act on the representation space")
@@ -205,18 +205,23 @@ def perturbed_rep(
     tunable through ``scale`` with a known exact reference.  The H_g are one
     (|G|, d, d) stack, drawn element by element (real part, then imaginary).
     """
+    return _perturbed_reps(group, dim, scale, [rng], rho, mu)[0]
+
+
+def _perturbed_reps(group, dim, scale, rngs, rho=None, mu=None) -> list[ApproxRep]:
+    """``perturbed_rep`` of each generator, perturbed together; rep k draws from ``rngs[k]`` alone."""
     if not np.isfinite(scale):
         raise BadParamsError(f"scale must be finite, got {scale}")
     base = np.stack(exact_representation(group, dim))
-    parts = rng.normal(size=(group.order, 2, dim, dim))
-    h = parts[:, 0] + 1j * parts[:, 1]
+    parts = np.stack([rng.normal(size=(group.order, 2, dim, dim)) for rng in rngs])
+    h = (parts[:, :, 0] + 1j * parts[:, :, 1]).reshape(-1, dim, dim)
     h = (h + dagger(h)) / 2
     h /= np.maximum(matcore.op_norm(h), 1e-30)[:, None, None]
     eig = matcore.hermitian_eigen(h)
     rot = (eig.vectors * np.exp(1j * scale * eig.values)[:, None]) @ dagger(eig.vectors)
     if rho is None:
         rho = DensityMatrix(np.eye(dim, dtype=complex) / dim)
-    return ApproxRep.create(group, base @ rot, rho, mu=mu)
+    return [ApproxRep.create(group, us, rho, mu=mu) for us in base @ rot.reshape(len(rngs), *base.shape)]
 
 
 def rep_defect(rep: ApproxRep) -> float:
@@ -224,15 +229,19 @@ def rep_defect(rep: ApproxRep) -> float:
 
     Exact double sum over the grid ``[g, h]``; ``||A||_rho = sqrt(Tr(A* A rho))``.
     """
-    us, n = rep.unitaries, rep.group.order
-    a = us @ us[:, None] - us[rep.group.mult.T]
-    return _rho_weighted_sum(a, (rep.mu / n)[:, None], rep.rho)
+    return _defects(rep, rep.unitaries[None])[0]
 
 
-def _rho_weighted_sum(a: np.ndarray, weight: np.ndarray, rho: DensityMatrix) -> float:
-    """``sum_k weight[k] Tr(a_k* a_k rho).real`` over a stack, added in index order."""
+def _defects(rep: ApproxRep, us: np.ndarray) -> list:
+    """``rep_defect`` of each (|G|, d, d) stack of ``us`` under rep's group, mu and rho."""
+    a = us[:, None] @ us[:, :, None] - us[:, rep.group.mult.T]
+    return _rho_weighted_sums(a, (rep.mu / rep.group.order)[:, None], rep.rho)
+
+
+def _rho_weighted_sums(a: np.ndarray, weight: np.ndarray, rho: DensityMatrix) -> list:
+    """``sum_k weight[k] Tr(a[r, k]* a[r, k] rho).real`` for each r, added in index order."""
     norms = np.trace(dagger(a) @ a @ rho.mat, axis1=-2, axis2=-1).real
-    return sum((weight * norms).ravel().tolist(), 0.0)
+    return [sum(row, 0.0) for row in (weight * norms).reshape(len(a), -1).tolist()]
 
 
 def _purification_grid(rho: DensityMatrix) -> np.ndarray:
@@ -241,53 +250,41 @@ def _purification_grid(rho: DensityMatrix) -> np.ndarray:
     return g / np.linalg.norm(g)
 
 
-def build_states(rep: ApproxRep) -> UhlmannInstance:
+def build_states(rep: ApproxRep, grids: tuple | None = None) -> UhlmannInstance:
     """Encode the representation into a bipartite pair.
 
     B-side layout is B1 (x) B2 (x) B3 with B1 slowest:
     ``C`` superposes ``sqrt(mu(g)/|G|) (1 (x) U_g)|psi> |g> |h>`` and
     ``D`` carries ``U_hg`` instead.  Both A-side reductions equal the
-    purifying marginal, so the pair has fidelity 1.
+    purifying marginal, so the pair has fidelity 1.  ``grids``, the pair's
+    (C, D) grids from a stacked pass, stands in for the encoding.
     """
-    n, d, us = rep.group.order, rep.dim, rep.unitaries
-    psi = _purification_grid(rep.rho)
-    weight = np.sqrt(rep.mu / n)[:, None, None, None]
-    blocks_c = np.broadcast_to(psi @ us[:, None].mT, (n, n, d, d))
-    blocks_d = psi @ us[rep.group.mult.T].mT
-    # blocks are indexed [g, h]; a zero weight leaves its blocks at +0.0
-    mc, md = (_grid(np.where(weight > 0, weight * b, 0)) for b in (blocks_c, blocks_d))
+    mc, md = grids if grids is not None else (g[0] for g in _encode(rep, rep.unitaries[None]))
     inst = UhlmannInstance.from_states(BipartitePureState(mc), BipartitePureState(md))
     if matcore.op_norm_exceeds(inst.rho.mat - inst.sigma.mat, 1e-9):
         raise ConsistencyError("A-side reductions of C and D should coincide")
     return inst
 
 
+def _encode(rep: ApproxRep, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, d, d|G|^2) C and D grids of each (|G|, d, d) stack of ``us`` under rep's mu and rho."""
+    n, d = rep.group.order, rep.dim
+    psi = _purification_grid(rep.rho)
+    weight = np.sqrt(rep.mu / n)[:, None, None, None]
+    blocks_c = np.broadcast_to(psi @ us[:, :, None].mT, (len(us), n, n, d, d))
+    blocks_d = psi @ us[:, rep.group.mult.T].mT
+    # blocks are indexed [row, g, h]; a zero weight leaves its blocks at +0.0
+    return tuple(_grid(np.where(weight > 0, weight * b, 0)) for b in (blocks_c, blocks_d))
+
+
 def _grid(blocks: np.ndarray) -> np.ndarray:
-    """Blocks ``[g, h, a, b1]`` laid out as a coefficient grid ``[a, (b1, g, h)]``, B1 slowest."""
-    return blocks.transpose(2, 3, 0, 1).reshape(blocks.shape[2], -1)
+    """Blocks ``[row, g, h, a, b1]`` laid out as coefficient grids ``[row, a, (b1, g, h)]``, B1 slowest."""
+    return blocks.transpose(0, 3, 4, 1, 2).reshape(len(blocks), blocks.shape[3], -1)
 
 
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """``sum_k blocks[k] (x) |k><k|`` on B1 (x) (B2 (x) B3), B1 slowest, by one scatter."""
-    n, d = blocks.shape[:2]
-    out = np.zeros((d, n, d, n), dtype=complex)
-    out[:, np.arange(n), :, np.arange(n)] = blocks
-    return out.reshape(d * n, d * n)
-
-
-def _w_blocks(rep: ApproxRep) -> np.ndarray:
-    """The blocks ``[g, h] = U_hg U_g*`` of W~."""
-    return rep.unitaries[rep.group.mult.T] @ dagger(rep.unitaries[:, None])
-
-
-def w_tilde(rep: ApproxRep) -> np.ndarray:
-    """Optimal B-side map ``sum_{g,h} (U_hg U_g*) (x) |g,h><g,h|``."""
-    return _block_diagonal(_w_blocks(rep).reshape(-1, rep.dim, rep.dim))
-
-
-def _u_operator(rep: ApproxRep) -> np.ndarray:
-    """The candidate transformation ``sum_h U_h (x) 1_B2 (x) |h><h|``."""
-    return _block_diagonal(np.tile(rep.unitaries, (rep.group.order, 1, 1)))
+def _w_blocks(us: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """The blocks ``[..., g, h] = U_hg U_g*`` of W~, for unitaries ``us[..., g, :, :]``."""
+    return us[..., mult.T, :, :] @ dagger(us[..., :, None, :, :])
 
 
 def intertwiner(rep: ApproxRep):
@@ -323,7 +320,7 @@ class StabilityResult:
     kappa: float
 
 
-def stability_check(rep: ApproxRep) -> StabilityResult:
+def stability_check(rep: ApproxRep, row: _Row | None = None) -> StabilityResult:
     """Measure the stability chain on one approximate representation.
 
     Computes the defect, the rigidity residual ``||(1 (x) (U - W~))|C>||^2``,
@@ -331,28 +328,52 @@ def stability_check(rep: ApproxRep) -> StabilityResult:
     the built instance has eta = kappa = 1 and that the stability theorem
     ``distance <= defect`` holds.  (The residual itself equals the defect;
     the distance is smaller by exactly ``1 - E_{g~mu} Tr(M_g* M_g rho)`` with
-    ``M_g = V* R(g) V``, which is >= 0 because ``||M_g|| <= 1``.)
+    ``M_g = V* R(g) V``, which is >= 0 because ``||M_g|| <= 1``.)  ``row`` is
+    rep's row of a stacked pass (``_rows``): a pure cache of the stack work,
+    which never changes the result.  When omitted it is a pass of one.
     """
-    inst = build_states(rep)
-    n, d, wt = rep.group.order, rep.dim, _w_blocks(rep)
-    cb = inst.c.coeffs.reshape(d, d, n, n).transpose(2, 3, 0, 1)  # C's grid as blocks [g, h, a, b1]
-    # no (d|G|^2)^2 operator; laid out as the dense C (U - W~)ᵀ, so the norm sums in its order
-    residual = float(np.linalg.norm(_grid(cb @ (rep.unitaries - wt).mT)) ** 2)
-    defect = rep_defect(rep)
-    conj = convolution(rep, np.arange(n))
-    dist = _rho_weighted_sum(rep.unitaries - conj, rep.mu, rep.rho)
+    row = row or _rows([rep])[0]
+    inst = build_states(rep, row.grids)
     eta = uhlmann.spectral_gap_eta(inst)
     kappa = uhlmann.obliqueness_kappa(inst)
     if abs(eta - 1.0) > 1e-8 or abs(kappa - 1.0) > 1e-8:
         raise ConsistencyError(f"expected eta = kappa = 1, got ({eta}, {kappa})")
-    if dist > defect + 1e-6:
-        raise ConsistencyError(f"stability distance {dist} exceeds defect {defect}")
-    if matcore.op_norm_exceeds(_grid(cb @ wt.mT) - inst.d.coeffs, 1e-9):
+    if row.distance > row.defect + 1e-6:
+        raise ConsistencyError(f"stability distance {row.distance} exceeds defect {row.defect}")
+    if matcore.op_norm_exceeds(row.c_w - inst.d.coeffs, 1e-9):
         raise ConsistencyError("W~ does not map C to D")
-    return StabilityResult(
-        defect_epsilon=defect,
-        stability_distance=dist,
-        uhlmann_residual=residual,
-        eta=eta,
-        kappa=kappa,
-    )
+    return StabilityResult(row.defect, row.distance, row.residual, eta, kappa)
+
+
+# A representation's share of a stacked pass; stability_check compares c_w, C's grid times W~ᵀ, with its D
+_Row = namedtuple("_Row", "grids c_w residual defect distance")
+
+
+def _rows(reps: list) -> list:
+    """``stability_check``'s stack work for representations sharing one group, dim, mu and rho, on
+    (rows, |G|, |G|, d, d) stacks; every row keeps the bits of its pass of one."""
+    rep, us = reps[0], np.stack([r.unitaries for r in reps])
+    n, d, mult = rep.group.order, rep.dim, rep.group.mult
+    mc, md = _encode(rep, us)
+    cb = mc.reshape(-1, d, d, n, n).transpose(0, 3, 4, 1, 2)  # C's grids as blocks [row, g, h, a, b1]
+    wt = _w_blocks(us, mult)
+    # no (d|G|^2)^2 operator; laid out as the dense C (U - W~)ᵀ, so each norm sums in its order
+    x = _grid(cb @ (us[:, None] - wt).mT).reshape(len(us), -1)
+    squares = np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)  # np.linalg.norm's, per row
+    # convolution at every g, [row, g, h] summed over h: in C order numpy adds as `convolution` does
+    conj = np.ascontiguousarray(dagger(us)[:, None] @ us[:, mult.T]).sum(axis=2) / n
+    rows = zip(mc, md, _grid(cb @ wt.mT), squares.tolist(), _defects(rep, us),
+               _rho_weighted_sums(us - conj, rep.mu, rep.rho))
+    # own buffers for the grids, as a pass of one's: at d = 1 reduce_a's M M* is a dot, rounded by address
+    return [_Row((np.array(c), np.array(dd)), cw, float(np.sqrt(sq) ** 2), e, s)
+            for c, dd, cw, sq, e, s in rows]
+
+
+def _sweep(group: FiniteGroup, dim: int, scale: float, seed: int, count: int):
+    """``(rep, row)`` for rows 0..count-1 of a ``grouprep`` sweep at the default rho and mu, in passes of
+    ``max(1, _CHUNK_ENTRIES // (|G|^2 d^2))`` rows; row k draws from ``default_rng((seed, k))`` alone."""
+    size = max(1, uhlmann._CHUNK_ENTRIES // (group.order * dim) ** 2)
+    for start in range(0, count, size):
+        rngs = [np.random.default_rng((seed, k)) for k in range(start, min(start + size, count))]
+        reps = _perturbed_reps(group, dim, scale, rngs, reps[0].rho if start else None)  # one default rho
+        yield from zip(reps, _rows(reps))

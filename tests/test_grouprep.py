@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -7,12 +8,12 @@ import numpy as np
 import pytest
 
 from conftest import random_density
-from uhlmann import grouprep, states, uhlmann
+from uhlmann import cli, grouprep, states, uhlmann
 from uhlmann.errors import BadParamsError, ConsistencyError, DimensionMismatchError, NotUnitaryError
 from uhlmann.grouprep import (
     ApproxRep,
     _purification_grid,
-    _u_operator,
+    _w_blocks,
     FiniteGroup,
     build_states,
     convolution,
@@ -21,11 +22,28 @@ from uhlmann.grouprep import (
     perturbed_rep,
     rep_defect,
     stability_check,
-    w_tilde,
 )
 from uhlmann.matcore import dagger, hermitian_eigen, op_norm, op_norm_exceeds
 from uhlmann.states import BipartitePureState, DensityMatrix
 from uhlmann.uhlmann import UhlmannInstance, canonical_w
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """``sum_k blocks[k] (x) |k><k|`` on B1 (x) (B2 (x) B3), B1 slowest, by one scatter."""
+    n, d = blocks.shape[:2]
+    out = np.zeros((d, n, d, n), dtype=complex)
+    out[:, np.arange(n), :, np.arange(n)] = blocks
+    return out.reshape(d * n, d * n)
+
+
+def w_tilde(rep):
+    """The dense optimal B-side map ``sum_{g,h} (U_hg U_g*) (x) |g,h><g,h|``, the check's reference."""
+    return _block_diagonal(_w_blocks(rep.unitaries, rep.group.mult).reshape(-1, rep.dim, rep.dim))
+
+
+def _u_operator(rep):
+    """The dense candidate transformation ``sum_h U_h (x) 1_B2 (x) |h><h|``."""
+    return _block_diagonal(np.tile(rep.unitaries, (rep.group.order, 1, 1)))
 
 
 def z2_rep(theta, rho_diag=(0.3, 0.7)):
@@ -174,6 +192,16 @@ def test_approxrep_validation():
         ApproxRep.create(group, [0.9 * np.eye(2), np.eye(3)], rho)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_mu_is_rejected(bad):
+    # NaN fails every comparison, so mu is accepted only where the comparisons that must hold do
+    group, rho = FiniteGroup.cyclic(2), DensityMatrix(np.eye(2, dtype=complex) / 2)
+    with pytest.raises(BadParamsError, match=r"^mu must be a probability vector over the group$"):
+        ApproxRep.create(group, exact_representation(group, 2), rho, mu=[bad, 0.5])
+    with pytest.raises(BadParamsError, match=r"^mu must be a probability vector over the group$"):
+        perturbed_rep(group, 2, 0.3, np.random.default_rng(1), mu=[bad, 0.5])
+
+
 def _create_outcome(group, unitaries, rho):
     try:
         rep = ApproxRep.create(group, unitaries, rho)
@@ -251,8 +279,6 @@ def test_build_states_overlap_bound(rng):
     rep = perturbed_rep(group, 3, 0.3, rng, rho=random_density_matrix(rng, 3))
     inst = build_states(rep)
     defect = rep_defect(rep)
-    from uhlmann.grouprep import _u_operator
-
     ov = states.overlap(inst.d, _u_operator(rep), inst.c)
     assert ov.real >= 1 - defect / 2 - 1e-10
 
@@ -516,7 +542,7 @@ def test_w_tilde_check_decides_as_the_dense_operator(factor, monkeypatch):
     moved = UhlmannInstance.from_states(inst.c, BipartitePureState(inst.d.coeffs + e))
     dense = op_norm_exceeds(moved.c.coeffs @ w_tilde(rep).T - moved.d.coeffs, 1e-9)
     assert dense == (factor > 1)
-    monkeypatch.setattr(grouprep, "build_states", lambda _: moved)
+    monkeypatch.setattr(grouprep, "build_states", lambda *_: moved)
     if dense:
         with pytest.raises(ConsistencyError, match=r"^W~ does not map C to D$"):
             stability_check(rep)
@@ -554,3 +580,67 @@ def test_stability_check_memory_is_bounded_at_s4():
     assert abs(res.uhlmann_residual - res.defect_epsilon) <= 1e-8
     assert abs(res.uhlmann_residual - dilated) <= 1e-8
     assert abs(res.uhlmann_residual - res.stability_distance - gap) <= 1e-8
+
+
+# -- the stacked sweep -----------------------------------------------------------
+
+
+def _grouprep_out(capsys, *argv):
+    assert cli.main(["grouprep", *argv]) == 0
+    return capsys.readouterr().out
+
+
+def test_grouprep_checks_each_row_through_the_module(monkeypatch, capsys):
+    # a wrapper of grouprep.stability_check sees every row, one call each, in order
+    calls, check = [], grouprep.stability_check
+
+    def spy(rep, *args):
+        calls.append((rep.unitaries.tobytes(), check(rep, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(grouprep, "stability_check", spy)
+    out = _grouprep_out(capsys, "--group", "s3", "--count", "5", "--seed", "2", "--scale", "0.3")
+    assert len(calls) == 5
+    for k, (line, (us, res)) in enumerate(zip(out.splitlines(), calls, strict=True)):
+        alone = perturbed_rep(FiniteGroup.symmetric3(), 3, 0.3, np.random.default_rng((2, k)))
+        assert us == alone.unitaries.tobytes()
+        assert json.loads(line) == {"index": k, **dataclasses.asdict(res)}
+
+
+def test_grouprep_rows_do_not_depend_on_the_pass(capsys):
+    # z8 at its regular dim 8 has |G|^2 d^2 = 4096 entries a row: a pass holds 64 rows, so 70 take two
+    assert max(1, uhlmann._CHUNK_ENTRIES // 4096) == 64
+    short = _grouprep_out(capsys, "--group", "z8", "--count", "3", "--seed", "4")
+    long = _grouprep_out(capsys, "--group", "z8", "--count", "70", "--seed", "4").splitlines(keepends=True)
+    assert len(long) == 70 and "".join(long[:3]) == short
+    alone = stability_check(perturbed_rep(FiniteGroup.cyclic(8), 8, 0.2, np.random.default_rng((4, 64))))
+    assert json.loads(long[64]) == {"index": 64, **dataclasses.asdict(alone)}  # first row of pass two
+
+
+@pytest.mark.parametrize("name,dim", [("s3", 3), ("z4", 4)])
+def test_a_row_of_a_pass_is_a_pure_cache(name, dim):
+    # random rho, and a skewed mu with zero weights: a multi-row pass gives each row its pass of one
+    group = FiniteGroup.symmetric3() if name == "s3" else FiniteGroup.cyclic(4)
+    rho = random_density_matrix(np.random.default_rng(31), dim)
+    skewed = np.arange(group.order, dtype=float) % 3
+    rngs = [np.random.default_rng((7, k)) for k in range(5)]
+    reps = grouprep._perturbed_reps(group, dim, 0.3, rngs, rho, skewed / skewed.sum())
+    for k, (rep, row) in enumerate(zip(reps, grouprep._rows(reps), strict=True)):
+        ref = np.random.default_rng((7, k))
+        alone = perturbed_rep(group, dim, 0.3, ref, rho, skewed / skewed.sum())
+        assert rep.unitaries.tobytes() == alone.unitaries.tobytes()
+        assert rngs[k].bit_generator.state == ref.bit_generator.state  # one draw of (|G|, 2, d, d) each
+        assert stability_check(rep, row) == stability_check(rep) == stability_check(alone)
+
+
+def test_grouprep_sweep_memory_does_not_grow_with_count(monkeypatch, capsys):
+    monkeypatch.setattr(uhlmann, "_CHUNK_ENTRIES", 2 * 4096)  # two z8 rows at dim 8 a pass
+    peaks = []
+    for count in (2, 8, 64):  # the first run warms numpy's one-time allocations
+        tracemalloc.start()
+        try:
+            _grouprep_out(capsys, "--group", "z8", "--count", str(count), "--seed", "1")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] < 1.1 * peaks[1]  # one pass of 64 rows would hold about 8 times as much

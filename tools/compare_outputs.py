@@ -27,8 +27,9 @@ written:
   two 64-trial blocks and trial 192, with its CSV), the derangement prover
   at ``--eta 0.1`` (m = 6400, with its CSV) and a state-file pair, ``grouprep`` on s3, z4, z6, z2 and z3 at dim 2, ``grouprep`` on a
   D4 (order 8, non-abelian) table file at its default dim 8 with
-  ``--count 3``, and ``grouprep`` on table files with float, boolean and
-  ragged entries;
+  ``--count 3``, ``grouprep`` on z8 with ``--count 70`` (past one pass of
+  64 rows at dim 8) and on s3 with ``--count 9``, and ``grouprep`` on table
+  files with float, boolean and ragged entries;
 * ``report`` and ``certificate`` with ``--probe-trials -3``;
 * usage errors (no arguments, an unknown subcommand, an unknown flag, a
   missing required flag, a bad type, a bad choice) and ``--help`` for the
@@ -61,7 +62,8 @@ written:
   at dims 2, 3 and the group order (where a built-in exact representation
   exists), each with the maximally mixed and a random rho, and with uniform
   and a non-uniform mu that has a zero weight.  Each records ``rep_defect``,
-  the C and D grids of ``build_states``, ``w_tilde``, ``intertwiner``,
+  the C and D grids of ``build_states``, the dense W~ (built here from the
+  unitaries, as the tests build it), ``intertwiner``,
   ``convolution`` at every element and the ``stability_check`` fields;
   further outputs record the errors of broken ``from_table`` tables (with
   ragged, nested, float and boolean entries among them) and of
@@ -96,6 +98,17 @@ def _hex(a) -> str:
 
     a = np.ascontiguousarray(a)
     return f"{a.dtype} {a.shape} {a.tobytes().hex()}"
+
+
+def _w_tilde(rep):
+    """The dense ``sum_{g,h} (U_hg U_g*) (x) |g,h><g,h|`` on B1 (x) (B2 (x) B3), B1 slowest."""
+    import numpy as np
+
+    us, k = rep.unitaries, rep.group.order**2
+    blocks = (us[rep.group.mult.T] @ us[:, None].conj().swapaxes(-1, -2)).reshape(k, rep.dim, rep.dim)
+    out = np.zeros((rep.dim, k, rep.dim, k), dtype=complex)
+    out[:, np.arange(k), :, np.arange(k)] = blocks
+    return out.reshape(rep.dim * k, rep.dim * k)
 
 
 def _with_w(fn, inst, *args):
@@ -247,6 +260,8 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
         rec.cli(f"grouprep.{group}", ["grouprep", "--group", group, "--seed", "3", "--count", "2",
                                        "--scale", "0.3", *extra])
     rec.cli("grouprep.default", ["grouprep"])
+    rec.cli("grouprep.z8_count70", ["grouprep", "--group", "z8", "--count", "70", "--seed", "3"])
+    rec.cli("grouprep.s3_count9", ["grouprep", "--group", "s3", "--count", "9", "--seed", "5"])
     # D4 = <r, s>: index 4 f + k is r^k s^f, and s r^k = r^-k s
     d4 = [[(a + (-1) ** (a // 4) * b) % 4 + 4 * ((a // 4) ^ (b // 4)) for b in range(8)] for a in range(8)]
     pathlib.Path("table_d4.json").write_text(json.dumps({"order": 8, "table": d4}))
@@ -350,7 +365,7 @@ def _grouprep_sweep(rec: Dump) -> None:
                 inst = grouprep.build_states(rep)
                 mats, v = grouprep.intertwiner(rep)
                 lines = [f"defect {grouprep.rep_defect(rep)!r}", f"c {_hex(inst.c.coeffs)}",
-                         f"d {_hex(inst.d.coeffs)}", f"w_tilde {_hex(grouprep.w_tilde(rep))}",
+                         f"d {_hex(inst.d.coeffs)}", f"w_tilde {_hex(_w_tilde(rep))}",
                          f"rep_mats {_hex(np.asarray(mats))}", f"v {_hex(v)}",
                          *(f"convolution{g} {_hex(grouprep.convolution(rep, g))}" for g in range(n)),
                          f"stability {grouprep.stability_check(rep)!r}"]
