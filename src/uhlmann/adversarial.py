@@ -16,8 +16,6 @@ Four families live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import certificate, matcore, states, uhlmann
@@ -27,7 +25,7 @@ from .errors import (
     EpsilonTooLargeError,
     NotInvertibleError,
 )
-from .matcore import dagger
+from .matcore import Record, dagger
 from .states import BipartitePureState, DensityMatrix
 from .uhlmann import UhlmannInstance
 
@@ -53,8 +51,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QutritSensitivity:
+class QutritSensitivity(Record):
     """Two nearby pairs whose canonical transformations are far apart."""
 
     exact: UhlmannInstance      # (C, D) with W = identity
@@ -102,8 +99,7 @@ def qutrit_sensitivity(epsilon: float) -> QutritSensitivity:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaFamily:
+class EtaFamily(Record):
     """Diagonal pair with gap ``eta`` and a bound-saturating adversary.
 
     ``rho = 1/d`` and ``sigma`` is diagonal with weight ``2(1-delta)/d``
@@ -192,8 +188,7 @@ def eta_family_reverse_probe(fam: EtaFamily, count: int = 8, seed: int = 0) -> f
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KappaFamily:
+class KappaFamily(Record):
     """Pair with pure target whose adversary certifies ``kappa eps^2``.
 
     ``C = (1 (x) sqrt(rho))|Omega>`` and ``D = |conj(s)> (x) |s>`` give
@@ -304,8 +299,7 @@ def build_kappa_family(
     )
 
 
-@dataclass(frozen=True)
-class BoostedKappa:
+class BoostedKappa(Record):
     """Fidelity-boosted variant of a KappaFamily base pair.
 
     Mixing both states in equal superposition with a fresh orthogonal
@@ -357,8 +351,7 @@ def build_boosted_kappa(base: KappaFamily) -> BoostedKappa:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RoundedPair:
+class RoundedPair(Record):
     """A nearby pair whose geometric-mean gap clears ``eta_target``."""
 
     original: UhlmannInstance

@@ -19,13 +19,11 @@ matrices; see the uhlmann module docstring).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import matcore, states, uhlmann
 from .errors import BadParamsError, FrameMismatchError
-from .matcore import dagger
+from .matcore import Record, dagger
 from .uhlmann import UhlmannInstance
 
 __all__ = [
@@ -38,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DualCertificate:
+class DualCertificate(Record):
     """Feasible dual point and its objective value."""
 
     alpha: float
@@ -54,8 +51,7 @@ class DualCertificate:
         return {k: getattr(self, k) for k in ("alpha", "value", "feasible", "feasibility_margin")}
 
 
-@dataclass(frozen=True)
-class PrimalProbe:
+class PrimalProbe(Record):
     """Best residual found by the constrained unitary search."""
 
     best_residual: float

@@ -20,7 +20,6 @@ explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -229,7 +228,7 @@ def _cmd_grouprep(args) -> int:
     lines = []
     for k, (rep, row) in enumerate(grouprep._sweep(group, dim, args.scale, seed, args.count)):
         res = grouprep.stability_check(rep, row)
-        lines.append(matcore.json_line({"index": k, **dataclasses.asdict(res)}))
+        lines.append(matcore.json_line({"index": k, **res.to_dict()}))
     _write("".join(lines), args.out)
     return 0
 

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import namedtuple
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore, uhlmann
 from .errors import BadParamsError, ConsistencyError, DimensionMismatchError, NotUnitaryError
-from .matcore import dagger
+from .matcore import Record, dagger
 from .states import BipartitePureState, DensityMatrix
 from .uhlmann import UhlmannInstance
 
@@ -40,8 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """Finite group as an explicit multiplication table on indices.
 
     ``mult[a, b]`` is the index of the product ab.  Associativity,
@@ -110,8 +107,7 @@ class FiniteGroup:
         return cls.from_table(obj["table"], labels=obj.get("labels"))
 
 
-@dataclass(frozen=True)
-class ApproxRep:
+class ApproxRep(Record):
     """Candidate representation: a (|G|, d, d) stack of unitaries, sampling measure, test state."""
 
     group: FiniteGroup
@@ -309,8 +305,7 @@ def convolution(rep: ApproxRep, g) -> np.ndarray:
     return (left @ us[cols]).sum(axis=0) / rep.group.order
 
 
-@dataclass(frozen=True)
-class StabilityResult:
+class StabilityResult(Record):
     """Defect, rigidity residual, and representation distance of one rep."""
 
     defect_epsilon: float
@@ -345,8 +340,12 @@ def stability_check(rep: ApproxRep, row: _Row | None = None) -> StabilityResult:
     return StabilityResult(row.defect, row.distance, row.residual, eta, kappa)
 
 
-# A representation's share of a stacked pass; stability_check compares c_w, C's grid times W~ᵀ, with its D
-_Row = namedtuple("_Row", "grids c_w residual defect distance")
+class _Row(Record):  # a representation's share of a stacked pass; stability_check compares c_w with its D
+    grids: tuple  # C's and D's grids
+    c_w: np.ndarray  # C's grid times W~ᵀ
+    residual: float
+    defect: float
+    distance: float
 
 
 def _rows(reps: list) -> list:

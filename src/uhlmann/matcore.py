@@ -14,9 +14,10 @@ with no factor at hand, cuts eigenvalues, i.e. X's scale at the tolerance's root
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import (
 
 __all__ = [
     "HermitianEigen",
+    "Record",
     "Svd",
     "as_matrix",
     "dagger",
@@ -73,8 +75,67 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().mT
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
+class Record:
+    """Base of the package's frozen records: the fields are a subclass's annotated names in order, their
+    defaults its class attributes of those names.  Unlike ``@dataclass(frozen=True)`` it compiles no code
+    per class, but it binds arguments, runs ``__post_init__``, raises ``FrozenInstanceError`` on a set or
+    delete and serves ``dataclasses.replace`` alike.  ``==``, ``hash`` and ``repr`` skip ``_hidden``."""
+
+    def __init_subclass__(cls):
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        required = max((i + 1 for i, n in enumerate(fields) if not hasattr(cls, n)), default=0)
+        cls._fields, cls._shown = fields, tuple(n for n in fields if n not in getattr(cls, "_hidden", ()))
+        cls._spec = (fields, frozenset(fields), required, hasattr(cls, "__post_init__"))
+        cls.__dataclass_fields__ = {n: dataclasses.field(repr=n in cls._shown, compare=n in cls._shown)
+                                    for n in fields}
+        for n, f in cls.__dataclass_fields__.items():
+            f.name, f._field_type = n, dataclasses._FIELD
+
+    def __init__(self, *args, **kwargs):
+        fields, names, required, post_init = self._spec
+        given = self.__dict__  # a default is read from the class
+        if args:
+            if len(args) == 1 and fields:  # the common case, without an iterator
+                given[fields[0]] = args[0]
+            elif len(args) <= len(fields):
+                for i, value in enumerate(args):
+                    given[fields[i]] = value
+        given.update(kwargs)
+        # with args: a name twice or too many, or (with keywords) not each field once, or (without) too few
+        if (kwargs.keys() != names if not args else len(given) != len(args) + len(kwargs)
+                or (given.keys() != names if kwargs else len(args) < required)):
+            self._bind(args, kwargs)
+        if post_init:
+            self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> None:  # raises the TypeError, or binds with defaults taken
+        p = inspect.Parameter  # apart from __init__, whose self a comprehension there would make a cell
+        inspect.Signature([p(n, p.POSITIONAL_OR_KEYWORD, default=getattr(type(self), n, p.empty))
+                           for n in self._fields]).bind(*args, **kwargs)
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._shown)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._shown)})"
+
+    def to_dict(self) -> dict:
+        return {n: getattr(self, n) for n in self._fields}
+
+
+class HermitianEigen(Record):
     """Spectral decomposition ``V diag(values) V*`` with values descending (of each matrix of a stack)."""
 
     values: np.ndarray
@@ -84,8 +145,7 @@ class HermitianEigen:
         return (self.vectors * self.values[..., None, :]) @ dagger(self.vectors)
 
 
-@dataclass(frozen=True)
-class Svd:
+class Svd(Record):
     """Decomposition ``m = u diag(singulars) v*`` with singulars descending.
 
     ``u`` and ``v`` carry orthonormal columns (economy shape).  Of a stack, every

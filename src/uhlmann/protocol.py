@@ -25,13 +25,11 @@ stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import matcore, states, uhlmann
 from .errors import BadParamsError, DimensionMismatchError, NotNormalizedError, NotUnitaryError
-from .matcore import dagger
+from .matcore import Record, dagger
 from .states import BipartitePureState
 from .uhlmann import UhlmannInstance
 
@@ -53,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class ProtocolParams(Record):
     """Round count and acceptance threshold for one protocol execution."""
 
     n: int
@@ -104,8 +101,7 @@ class ProtocolParams:
         return cls.create(n=n, r=r, gamma=gamma, eta=eta, kappa=kappa)
 
 
-@dataclass(frozen=True)
-class ProverStrategy:
+class ProverStrategy(Record):
     """A prover acting by a fixed unitary on B' (optionally with ancilla).
 
     ``channel`` has dimension ``dim_b * ancilla_dim``; the ancilla starts
@@ -130,8 +126,7 @@ class ProverStrategy:
         return self.channel.shape[0] // self.ancilla_dim
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(Record):
     accepted: bool
     j: int
     i_star: int
@@ -190,8 +185,7 @@ def prover_output_density(prover: ProverStrategy, input_state: np.ndarray) -> np
     return grid @ dagger(grid)
 
 
-@dataclass(frozen=True)
-class TrialInvariants:
+class TrialInvariants(Record):
     """The values every trial of one (instance, prover, input) shares; see ``run_protocol``.  The output's
     fidelity to the pure target ``t = completion @ input_state`` is ``sqrt(<t|rho|t> / (<t|t> Tr rho))``."""
 
@@ -271,12 +265,11 @@ def completeness_experiment(
     return sum(o.accepted for o in outs) / trials
 
 
-@dataclass(frozen=True)
-class SoundnessReport:
+class SoundnessReport(Record):
     """Acceptance frequency and output deviation per probed prover."""
 
     r: int
-    rows: list = field(default_factory=list)
+    rows: list
 
     @property
     def max_distance_accepted(self) -> float:

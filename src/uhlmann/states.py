@@ -15,14 +15,13 @@ here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import matcore
 from .errors import DimensionMismatchError, NotNormalizedError, NotPsdError
-from .matcore import as_matrix, dagger
+from .matcore import Record, as_matrix, dagger
 
 __all__ = [
     "BipartitePureState",
@@ -43,8 +42,7 @@ __all__ = [
 NORM_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class BipartitePureState:
+class BipartitePureState(Record):
     """Pure state on a ``dim_a x dim_b`` product space.
 
     ``normalized=False`` marks deliberately unnormalized vectors (the
@@ -87,16 +85,16 @@ class BipartitePureState:
         return self.coeffs.ravel()
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Record):
     """Hermitian, PSD, trace-one matrix.  With a ``grid`` M (from ``reduce_a``: ``mat = M M* / trace``),
     ``factor`` is M's SVD scaled by ``trace^-1/2``, taken the first time it is read, and ``eigen`` is
     read off it.  Without one, ``factor`` is None and ``eigen`` is the ``psd_eigen`` that validated mat.
     Every reader of the spectrum reuses ``eigen``."""
 
     mat: np.ndarray
-    grid: np.ndarray | None = field(default=None, compare=False, repr=False)
-    trace: float = field(default=1.0, compare=False, repr=False)
+    grid: np.ndarray | None = None
+    trace: float = 1.0
+    _hidden = ("grid", "trace")
 
     def __post_init__(self):
         m = as_matrix(self.mat)
@@ -126,8 +124,7 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
-class SchmidtFrame:
+class SchmidtFrame(Record):
     """Schmidt data of a state: ``|s> = sum_i lambda_i |a_i>|b_i>``.
 
     ``coefficients`` descend; ``basis_a``/``basis_b`` hold the vectors as
@@ -206,14 +203,15 @@ def overlap(d: BipartitePureState, r: np.ndarray, c: BipartitePureState) -> comp
     return complex(np.vdot(dm, cm @ r.T))
 
 
-def fidelity(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.ndarray) -> float:
+def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity ``F(rho, sigma) = Tr sqrt(rho^1/2 sigma rho^1/2)`` by one rule: the sum of the
     singular values of ``sigma^1/2 rho^1/2`` that the rank rule keeps.  A root is ``gram_power`` of the
     state's ``factor`` when it has one, else ``psd_function`` of its eigendecomposition; with both
-    factors this is ``SpectralCore.fidelity``, bit for bit."""
-    rs, ss = (matcore.gram_power(x.factor, 1) if getattr(x, "factor", None) is not None
-              else matcore.psd_function(x.eigen, np.sqrt) if isinstance(x, DensityMatrix)
-              else matcore.psd_sqrt(x) for x in (rho, sigma))
+    factors this is ``SpectralCore.fidelity``, bit for bit.  Both must be DensityMatrix (else TypeError)."""
+    if not (isinstance(rho, DensityMatrix) and isinstance(sigma, DensityMatrix)):
+        raise TypeError(f"fidelity takes two DensityMatrix, got {type(rho).__name__}, {type(sigma).__name__}")
+    rs, ss = (matcore.gram_power(x.factor, 1) if x.factor is not None
+              else matcore.psd_function(x.eigen, np.sqrt) for x in (rho, sigma))
     if rs.shape != ss.shape:
         raise DimensionMismatchError(f"shape mismatch {rs.shape} vs {ss.shape}")
     b = matcore.svd(ss @ rs)

@@ -21,10 +21,8 @@ conjugated matrices so client code can use the formulas verbatim.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,7 +39,7 @@ from .errors import (
     NotUnitaryError,
     ZeroFidelityError,
 )
-from .matcore import dagger
+from .matcore import Record, dagger
 from .states import BipartitePureState, DensityMatrix
 
 __all__ = [
@@ -72,8 +70,7 @@ _WALK_BLOCK = 64
 _CHUNK_ENTRIES = 2**18
 
 
-@dataclass(frozen=True)
-class UhlmannInstance:
+class UhlmannInstance(Record):
     """A pair of bipartite pure states with cached reduced density matrices."""
 
     c: BipartitePureState
@@ -221,8 +218,7 @@ class SpectralCore:
         return u
 
 
-@dataclass(frozen=True)
-class IdentityFrame:
+class IdentityFrame(Record):
     """Instance data rotated so both coefficient grids are PSD square roots.
 
     ``x_c``/``x_d`` are the B-side isometries with
@@ -401,8 +397,7 @@ def _rigidity_residuals(inst: UhlmannInstance, rs: np.ndarray) -> list[float]:
     return np.float_power(np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)), 2).tolist()
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(Record):
     """Rigidity parameters of an instance at a given overlap deficit."""
 
     fidelity: float
@@ -412,9 +407,6 @@ class RigidityReport:
     delta_bound: float
     weak_bound: float
     empirical_primal: float | None = None
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def rigidity_report(

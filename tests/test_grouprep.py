@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -604,7 +603,7 @@ def test_grouprep_checks_each_row_through_the_module(monkeypatch, capsys):
     for k, (line, (us, res)) in enumerate(zip(out.splitlines(), calls, strict=True)):
         alone = perturbed_rep(FiniteGroup.symmetric3(), 3, 0.3, np.random.default_rng((2, k)))
         assert us == alone.unitaries.tobytes()
-        assert json.loads(line) == {"index": k, **dataclasses.asdict(res)}
+        assert json.loads(line) == {"index": k, **res.to_dict()}
 
 
 def test_grouprep_rows_do_not_depend_on_the_pass(capsys):
@@ -614,7 +613,7 @@ def test_grouprep_rows_do_not_depend_on_the_pass(capsys):
     long = _grouprep_out(capsys, "--group", "z8", "--count", "70", "--seed", "4").splitlines(keepends=True)
     assert len(long) == 70 and "".join(long[:3]) == short
     alone = stability_check(perturbed_rep(FiniteGroup.cyclic(8), 8, 0.2, np.random.default_rng((4, 64))))
-    assert json.loads(long[64]) == {"index": 64, **dataclasses.asdict(alone)}  # first row of pass two
+    assert json.loads(long[64]) == {"index": 64, **alone.to_dict()}  # first row of pass two
 
 
 @pytest.mark.parametrize("name,dim", [("s3", 3), ("z4", 4)])

@@ -1,11 +1,20 @@
+import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from conftest import random_complex, random_hermitian, random_psd, random_unitary
 from uhlmann import matcore
-from uhlmann.errors import DimensionMismatchError, NotHermitianError, NotPsdError
+from uhlmann.errors import DimensionMismatchError, NotHermitianError, NotNormalizedError, NotPsdError
+from uhlmann.protocol import RunOutcome
+from uhlmann.states import BipartitePureState, DensityMatrix, reduce_a
+from uhlmann.uhlmann import RigidityReport
 from uhlmann.matcore import (
     dagger,
     hermitian_eigen,
@@ -419,3 +428,152 @@ def test_as_matrix_passes_finite_arrays_through(rng):
     real = rng.normal(size=(2, 2))
     out = matcore.as_matrix(real)
     assert out.dtype == complex and out.tobytes() == real.astype(complex).tobytes()
+
+
+# Record: the frozen base of every record in the package
+
+
+class _Noted(matcore.Record):
+    x: int
+    note: str = ""
+    _hidden = ("note",)
+
+
+def _report(**kwargs):
+    return RigidityReport(1.0, 0.5, 2.0, 0.01, 0.08, 0.8, **kwargs)
+
+
+def test_record_binds_positional_keyword_and_default_arguments():
+    out = RunOutcome(True, 3, 1, 0.5)
+    assert (out.accepted, out.j, out.i_star, out.output_state_fidelity) == (True, 3, 1, 0.5)
+    assert out == RunOutcome(accepted=True, j=3, i_star=1, output_state_fidelity=0.5)
+    assert out == RunOutcome(True, 3, output_state_fidelity=0.5, i_star=1)
+    assert _report().empirical_primal is None and _report(empirical_primal=0.2).empirical_primal == 0.2
+    kw = dict(fidelity=1.0, eta=0.5, kappa=2.0, epsilon=0.01, delta_bound=0.08, weak_bound=0.8)
+    assert RigidityReport(**kw) == _report()
+    assert RigidityReport(**kw, empirical_primal=0.2) == _report(empirical_primal=0.2)
+    grid = np.eye(2, dtype=complex) / np.sqrt(2)
+    assert BipartitePureState(grid).normalized is True
+    assert BipartitePureState(grid, normalized=False).normalized is False
+    assert BipartitePureState(normalized=False, coeffs=grid).normalized is False
+    assert BipartitePureState(grid).coeffs is grid  # __post_init__ replaced it through object.__setattr__
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RunOutcome(True, 3, 1),  # missing
+    lambda: RunOutcome(accepted=True, j=3, i_star=1),
+    lambda: RunOutcome(),
+    lambda: BipartitePureState(),
+    lambda: BipartitePureState(normalized=True),
+    lambda: RunOutcome(True, 3, 1, 0.5, x=1),  # unexpected
+    lambda: RunOutcome(accepted=True, j=3, i_star=1, output_state_fidelity=0.5, x=1),
+    lambda: _report(x=1),
+    lambda: DensityMatrix(np.eye(2) / 2, eigen=None),
+    lambda: RunOutcome(True, 3, 1, 0.5, j=4),  # duplicated
+    lambda: RunOutcome(True, accepted=False, j=3, i_star=1, output_state_fidelity=0.5),
+    lambda: BipartitePureState(np.eye(1), coeffs=np.eye(1)),
+    lambda: RunOutcome(True, 3, 1, 0.5, 9),  # surplus
+    lambda: BipartitePureState(np.eye(1), True, 5),
+    lambda: _Noted(1, "a", 2),
+], ids=["missing", "missing_kw", "none", "none_required", "default_only", "unexpected", "unexpected_kw",
+        "unexpected_default", "unexpected_cached", "duplicated", "duplicated_first", "duplicated_one",
+        "surplus", "surplus_default", "surplus_hidden"])
+def test_record_rejects_arguments_that_do_not_bind(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_record_is_frozen():
+    out = RunOutcome(True, 3, 1, 0.5)
+    for name in ("j", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(out, name, 4)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(out, name)
+    assert out.j == 3 and not hasattr(out, "other")
+    rho = reduce_a(BipartitePureState(np.diag([0.6, 0.8]).astype(complex)))
+    assert rho.factor is rho.factor  # cached_property still caches in the instance
+
+
+def test_record_equality_and_hash_read_the_fields():
+    out = RunOutcome(True, 3, 1, 0.5)
+    assert out == RunOutcome(True, 3, 1, 0.5) and hash(out) == hash(RunOutcome(True, 3, 1, 0.5))
+    assert out != RunOutcome(True, 4, 1, 0.5) and out != (True, 3, 1, 0.5)
+    assert hash(out) == hash((True, 3, 1, 0.5))  # the dataclass hash: of the tuple of fields
+    assert _Noted(1, "a") == _Noted(1, "b") and hash(_Noted(1, "a")) == hash(_Noted(1, "b"))
+    assert _Noted(1) != _Noted(2)
+    rho = reduce_a(BipartitePureState(np.diag([0.6, 0.8]).astype(complex)))
+    bare, scaled = DensityMatrix(rho.mat), DensityMatrix(rho.mat, grid=2 * rho.grid, trace=4.0)
+    assert rho == bare == scaled  # grid and trace stay out of ==
+    with pytest.raises(TypeError):
+        hash(rho)  # an array field is unhashable, as in the dataclass
+
+
+def test_record_repr_is_the_dataclass_text():
+    # each string is what @dataclass(frozen=True) printed for the same class and values
+    assert repr(RunOutcome(True, 3, 1, 0.5)) == (
+        "RunOutcome(accepted=True, j=3, i_star=1, output_state_fidelity=0.5)")
+    assert repr(matcore.HermitianEigen(np.array([1.0, 0.0]), np.eye(2, dtype=complex))) == (
+        "HermitianEigen(values=array([1., 0.]), vectors=array([[1.+0.j, 0.+0.j],\n       [0.+0.j, 1.+0.j]]))")
+    assert repr(_report()) == ("RigidityReport(fidelity=1.0, eta=0.5, kappa=2.0, epsilon=0.01, "
+                               "delta_bound=0.08, weak_bound=0.8, empirical_primal=None)")
+    rho = reduce_a(BipartitePureState(np.diag([0.6, 0.8]).astype(complex)))
+    assert repr(rho) == "DensityMatrix(mat=array([[0.36+0.j, 0.  +0.j],\n       [0.  +0.j, 0.64+0.j]]))"
+    assert repr(_Noted(1, "a")) == "_Noted(x=1)"
+
+
+def test_record_to_dict_in_field_order():
+    assert list(_report(empirical_primal=0.2).to_dict().items()) == [
+        ("fidelity", 1.0), ("eta", 0.5), ("kappa", 2.0), ("epsilon", 0.01), ("delta_bound", 0.08),
+        ("weak_bound", 0.8), ("empirical_primal", 0.2)]
+    rho = reduce_a(BipartitePureState(np.diag([0.6, 0.8]).astype(complex)))
+    assert list(rho.to_dict()) == ["mat", "grid", "trace"] and rho.to_dict()["grid"] is rho.grid
+    assert RunOutcome(True, 3, 1, 0.5).to_dict() == {"accepted": True, "j": 3, "i_star": 1,
+                                                     "output_state_fidelity": 0.5}
+
+
+def test_record_post_init_still_validates():
+    with pytest.raises(NotNormalizedError):
+        BipartitePureState(np.eye(2, dtype=complex))  # norm sqrt(2)
+    with pytest.raises(NotNormalizedError):
+        BipartitePureState(2 * np.eye(1, dtype=complex))  # norm 2
+    with pytest.raises(NotPsdError):
+        DensityMatrix(np.diag([2.0, -1.0]).astype(complex))
+
+
+def test_record_serves_dataclasses_replace():
+    out = RunOutcome(True, 3, 1, 0.5)
+    assert dataclasses.replace(out, accepted=False) == RunOutcome(False, 3, 1, 0.5)
+    assert [f.name for f in dataclasses.fields(out)] == ["accepted", "j", "i_star", "output_state_fidelity"]
+    rho = reduce_a(BipartitePureState(np.diag([0.6, 0.8]).astype(complex)))
+    moved = dataclasses.replace(rho, trace=2.0)
+    assert moved.grid is rho.grid and moved.trace == 2.0
+    assert [f.compare for f in dataclasses.fields(rho)] == [True, False, False]
+
+
+def test_the_package_imports_without_dataclass_or_namedtuple():
+    # a fresh interpreter in which @dataclass and namedtuple raise; the modules the package imports
+    # from the standard library and numpy are loaded first, so only the package's own classes count
+    script = textwrap.dedent("""
+        import argparse, collections, dataclasses, functools, inspect, itertools, json, re, sys
+        import numpy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a class built by @dataclass or namedtuple")
+
+        dataclasses.dataclass = collections.namedtuple = refuse
+        import uhlmann, uhlmann.cli
+        classes = [c for name, mod in list(sys.modules.items()) if name.split(".")[0] == "uhlmann"
+                   for c in vars(mod).values() if isinstance(c, type) and c.__module__ == name]
+        # a Record answers the dataclass protocol (__dataclass_fields__, for dataclasses.replace), but
+        # only the decorator leaves __dataclass_params__
+        made = [c.__qualname__ for c in classes if "__dataclass_params__" in vars(c)]
+        assert not made, made
+        print(sum(issubclass(c, uhlmann.matcore.Record) for c in classes))
+    """)
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) == 25  # Record and its 24 subclasses

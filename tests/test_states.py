@@ -184,6 +184,14 @@ def test_fidelity_basics(rng):
     assert -1e-9 <= fidelity(rho, sig) <= 1 + 1e-9
 
 
+def test_fidelity_takes_density_matrices_only():
+    rho = DensityMatrix(np.eye(2, dtype=complex) / 2)
+    assert fidelity(rho, rho) == pytest.approx(1, abs=1e-12)
+    for args in ((rho.mat, rho), (rho, rho.mat), (rho.mat, rho.mat)):
+        with pytest.raises(TypeError, match="DensityMatrix"):
+            fidelity(*args)
+
+
 def test_fidelity_diagonal_family_value():
     # d=4 diagonal pair: rho maximally mixed, sigma = (0.46, 0.46, 0.04, 0.04)
     delta = 0.08

@@ -41,7 +41,9 @@ written:
   completion, ``states.fidelity`` (of the pair's factored density matrices
   and of bare ones, built from their matrices alone), ``input_ensemble_state``,
   ``geometric_mean``, ``soundness_probe`` rows and
-  ``completeness_experiment``; on rand5 (a kernel to complete) and full8
+  ``completeness_experiment``; ``repr()`` of a ``RigidityReport``, a
+  ``DualCertificate``, a ``StabilityResult``, a ``RunOutcome``, a
+  ``ProtocolParams`` and a ``SoundnessReport``; on rand5 (a kernel to complete) and full8
   (full rank), a 130-trial ``primal_probe`` at eps 0, 1e-2 and 5 and 70
   ``near_optimal_unitaries`` walks, both past the 64-walk block; on rand5,
   ``primal_probe`` at 64 and 65 trials (one block, and one walk past it);
@@ -189,7 +191,7 @@ def _pairs():
 def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
     import numpy as np
 
-    from uhlmann import adversarial, certificate, matcore, protocol, states, uhlmann
+    from uhlmann import adversarial, certificate, grouprep, matcore, protocol, states, uhlmann
 
     rec = Dump(out)
     os.chdir(out)  # relative paths, so error messages match across checkouts
@@ -325,6 +327,17 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
     fparams = protocol.ProtocolParams.for_instance(fam.instance, n=2, r=2)
     rec.value("soundness_probe_eta", lambda: protocol.soundness_probe(
         fam.instance, fparams, [protocol.derangement_prover(fam.adversary_r)], trials=50, seed=1).rows)
+    # repr() of one of each scalar record: the text of a record is an output too
+    rec.value("repr.rigidity_report", lambda: uhlmann.rigidity_report(
+        insts["rand5"], 0.01, empirical_primal=0.5))
+    rec.value("repr.dual_certificate", lambda: certificate.build_certificate(insts["rand3"], 0.01, -1.5))
+    rec.value("repr.stability_result", lambda: grouprep.stability_check(grouprep.perturbed_rep(
+        grouprep.FiniteGroup.symmetric3(), 3, 0.3, np.random.default_rng(21))))
+    rec.value("repr.run_outcome", lambda: protocol.run_protocol(
+        ref, params, provers[1], protocol.input_ensemble_state(ref, np.random.default_rng(22)), 23))
+    rec.value("repr.protocol_params", lambda: params)
+    rec.value("repr.soundness_report", lambda: protocol.soundness_probe(
+        ref, params, provers, trials=20, seed=24))
 
     for name, m in _edge_matrices().items():
         rec.value(f"cmjson_edge.{name}", lambda: matcore.matrix_json_text(
