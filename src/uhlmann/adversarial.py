@@ -21,6 +21,7 @@ import numpy as np
 from . import certificate, matcore, states, uhlmann
 from .errors import (
     BadParamsError,
+    ConsistencyError,
     DegenerateProjectionError,
     EpsilonTooLargeError,
     NotInvertibleError,
@@ -84,8 +85,8 @@ def qutrit_sensitivity(epsilon: float) -> QutritSensitivity:
     w = uhlmann.canonical_w(exact, rank_tol=rank_tol)
     wt = uhlmann.canonical_w(perturbed, rank_tol=rank_tol)
     swap12 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
-    assert matcore.op_norm(w - np.eye(3)) < 1e-10
-    assert matcore.op_norm(wt - swap12) < 1e-10
+    if not (matcore.op_norm(w - np.eye(3)) < 1e-10 and matcore.op_norm(wt - swap12) < 1e-10):
+        raise ConsistencyError("canonical maps of the qutrit pair are not the identity and the 1-2 swap")
     return QutritSensitivity(
         exact=exact,
         perturbed=perturbed,

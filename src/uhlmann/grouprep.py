@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from . import matcore, uhlmann
-from .errors import BadParamsError, ConsistencyError, DimensionMismatchError, NotUnitaryError
+from .errors import BadParamsError, ConsistencyError, DimensionMismatchError, NotUnitaryError, UhlmannError
 from .matcore import Record, dagger
 from .states import BipartitePureState, DensityMatrix
 from .uhlmann import UhlmannInstance
@@ -252,8 +252,9 @@ def build_states(rep: ApproxRep, grids: tuple | None = None) -> UhlmannInstance:
     B-side layout is B1 (x) B2 (x) B3 with B1 slowest:
     ``C`` superposes ``sqrt(mu(g)/|G|) (1 (x) U_g)|psi> |g> |h>`` and
     ``D`` carries ``U_hg`` instead.  Both A-side reductions equal the
-    purifying marginal, so the pair has fidelity 1.  ``grids``, the pair's
-    (C, D) grids from a stacked pass, stands in for the encoding.
+    purifying marginal, so the pair has fidelity 1.  ``grids``, the (C, D)
+    grids of a pair or the (rows, d, d|G|^2) stacks of a stacked pass, stands
+    in for the encoding; stacks give a stacked instance.
     """
     mc, md = grids if grids is not None else (g[0] for g in _encode(rep, rep.unitaries[None]))
     inst = UhlmannInstance.from_states(BipartitePureState(mc), BipartitePureState(md))
@@ -328,29 +329,47 @@ def stability_check(rep: ApproxRep, row: _Row | None = None) -> StabilityResult:
     which never changes the result.  When omitted it is a pass of one.
     """
     row = row or _rows([rep])[0]
-    inst = build_states(rep, row.grids)
-    eta = uhlmann.spectral_gap_eta(inst)
-    kappa = uhlmann.obliqueness_kappa(inst)
+    if isinstance(row.spectral, Exception):
+        raise row.spectral
+    eta, kappa, misses = row.spectral
     if abs(eta - 1.0) > 1e-8 or abs(kappa - 1.0) > 1e-8:
         raise ConsistencyError(f"expected eta = kappa = 1, got ({eta}, {kappa})")
     if row.distance > row.defect + 1e-6:
         raise ConsistencyError(f"stability distance {row.distance} exceeds defect {row.defect}")
-    if matcore.op_norm_exceeds(row.c_w - inst.d.coeffs, 1e-9):
+    if misses:
         raise ConsistencyError("W~ does not map C to D")
     return StabilityResult(row.defect, row.distance, row.residual, eta, kappa)
 
 
-class _Row(Record):  # a representation's share of a stacked pass; stability_check compares c_w with its D
-    grids: tuple  # C's and D's grids
-    c_w: np.ndarray  # C's grid times W~ᵀ
+class _Row(Record):  # a representation's share of a stacked pass: stability_check only compares
+    spectral: tuple | Exception  # (eta, kappa, ||C W~ᵀ - D|| > 1e-9), or what its pass of one raised there
     residual: float
     defect: float
     distance: float
 
 
+def _spectral(rep: ApproxRep, grids: tuple, c_w: np.ndarray) -> list:
+    """``(eta, kappa, ||C W~ᵀ - D|| > 1e-9)`` of each row of the instance ``build_states`` makes of ``grids``
+    (a stack, or one pair) and of its grids ``c_w`` of C times W~ᵀ."""
+    inst = build_states(rep, grids)
+    eta, kappa = uhlmann.spectral_gap_eta(inst), uhlmann.obliqueness_kappa(inst)
+    return list(zip(np.atleast_1d(eta).tolist(), np.atleast_1d(kappa).tolist(),
+                    matcore.exceeding(c_w - inst.d.coeffs, 1e-9)))
+
+
+def _spectral_alone(rep: ApproxRep, grids: tuple, c_w: np.ndarray) -> tuple | Exception:
+    """``_spectral`` of one pair, or the error it raised."""
+    try:
+        return _spectral(rep, grids, c_w)[0]
+    except (UhlmannError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
 def _rows(reps: list) -> list:
     """``stability_check``'s stack work for representations sharing one group, dim, mu and rho, on
-    (rows, |G|, |G|, d, d) stacks; every row keeps the bits of its pass of one."""
+    (rows, |G|, |G|, d, d) stacks, eta and kappa on one stacked instance; every row keeps the bits of its
+    pass of one.  If the rows' rank cuts differ, or the stacked instance raises, each row is taken alone,
+    and a failing row keeps its error for ``stability_check`` to raise."""
     rep, us = reps[0], np.stack([r.unitaries for r in reps])
     n, d, mult = rep.group.order, rep.dim, rep.group.mult
     mc, md = _encode(rep, us)
@@ -361,11 +380,13 @@ def _rows(reps: list) -> list:
     squares = np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)  # np.linalg.norm's, per row
     # convolution at every g, [row, g, h] summed over h: in C order numpy adds as `convolution` does
     conj = np.ascontiguousarray(dagger(us)[:, None] @ us[:, mult.T]).sum(axis=2) / n
-    rows = zip(mc, md, _grid(cb @ wt.mT), squares.tolist(), _defects(rep, us),
-               _rho_weighted_sums(us - conj, rep.mu, rep.rho))
-    # own buffers for the grids, as a pass of one's: at d = 1 reduce_a's M M* is a dot, rounded by address
-    return [_Row((np.array(c), np.array(dd)), cw, float(np.sqrt(sq) ** 2), e, s)
-            for c, dd, cw, sq, e, s in rows]
+    c_w = _grid(cb @ wt.mT)
+    try:
+        spectral = _spectral(rep, (mc, md), c_w)
+    except (UhlmannError, np.linalg.LinAlgError):
+        spectral = [_spectral_alone(rep, grids, cw) for *grids, cw in zip(mc, md, c_w)]
+    rows = zip(spectral, squares.tolist(), _defects(rep, us), _rho_weighted_sums(us - conj, rep.mu, rep.rho))
+    return [_Row(sp, float(np.sqrt(sq) ** 2), e, s) for sp, sq, e, s in rows]
 
 
 def _sweep(group: FiniteGroup, dim: int, scale: float, seed: int, count: int):

@@ -18,6 +18,7 @@ import dataclasses
 import inspect
 import json
 import re
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -163,6 +164,15 @@ class Svd(Record):
         """The mask of the singular values the rank rule keeps."""
         return rank_mask(self.singulars, max(self.u.shape[-2], self.v.shape[-2]), rank_tol)
 
+    def cut(self, rank_tol: float | None = None) -> int:
+        """How many singular values the rank rule keeps: they descend, so it keeps the first ``cut``.
+        The matrices of a stack must share it, else DimensionMismatchError."""
+        keep = self.kept(rank_tol)
+        kinds = set(keep.sum(axis=-1).tolist()) if keep.ndim > 1 else {int(np.count_nonzero(keep))}
+        if len(kinds) > 1:
+            raise DimensionMismatchError(f"a stack's matrices keep {sorted(kinds)} singular values")
+        return kinds.pop() if kinds else 0
+
 
 def hermitian_eigen(m, tol: float = 1e-10) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix, or of each matrix of an (n, d, d) stack.
@@ -206,11 +216,11 @@ def rank_mask(values: np.ndarray, n: int, rank_tol: float | None = None) -> np.n
 
 
 def gram_power(f: Svd, power: int, rank_tol: float | None = None) -> np.ndarray:
-    """``U S^power U*`` over the kept singular values of ``X = U S V*``: power 1, -1 and 0
-    give the square root, pseudoinverse square root and image projector of ``X X*``."""
-    keep = f.kept(rank_tol)
-    u = f.u[:, keep]
-    return (u * f.singulars[keep] ** power) @ dagger(u)
+    """``U S^power U*`` over the kept singular values of ``X = U S V*`` (of each X of a stack, all cut
+    alike): power 1, -1 and 0 give the square root, pseudoinverse square root and image projector of ``X X*``."""
+    r = f.cut(rank_tol)
+    u = f.u[..., :r]
+    return (u * f.singulars[..., None, :r] ** power) @ dagger(u)
 
 
 def pseudoinverse(m, rank_tol: float | None = None) -> np.ndarray:
@@ -288,7 +298,12 @@ def op_norm(m) -> float:
 
 
 def op_norm_exceeds(m, tol: float) -> bool:
-    """``op_norm(m) > tol`` for a matrix, or for any matrix of an (n, d, d) stack.
+    """``op_norm(m) > tol`` for a matrix, or for any matrix of an (n, d, d) stack (see ``exceeding``)."""
+    return any(exceeding(m, tol))
+
+
+def exceeding(m, tol: float) -> Iterator[bool]:
+    """``op_norm(x) > tol`` for the matrix ``m``, or for each matrix x of an (n, d, d) stack, in order.
 
     The Frobenius norm bounds the operator norm from above, so a Frobenius
     norm at most ``tol`` settles a matrix as False; only a matrix with a
@@ -298,14 +313,14 @@ def op_norm_exceeds(m, tol: float) -> bool:
     gets the same decision as ``op_norm(m) > tol``.  A non-finite norm fails
     the screen, so such input reaches ``op_norm`` exactly as before.  The
     screen compares squared norms, a whole stack's in one ``vecdot``; only
-    the matrices that fail it are decomposed.
+    the matrices that fail it are decomposed, as the decisions are read.
     """
     m = np.asarray(m)
     stack = m if m.ndim == 3 else m[None]
     rows = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
     squares = np.vecdot(rows, rows).real.tolist()  # squared Frobenius norms
     bound = (tol * (1.0 - _SCREEN_MARGIN)) ** 2
-    return any(not sq <= bound and op_norm(x) > tol for sq, x in zip(squares, stack))
+    return (not sq <= bound and op_norm(x) > tol for sq, x in zip(squares, stack))
 
 
 def _min_eig(h: np.ndarray) -> float:

@@ -42,6 +42,13 @@ __all__ = [
 NORM_TOL = 1e-6
 
 
+def _check_rows(m: np.ndarray, failing: list, error: type, message) -> None:
+    """Raise ``error(message(k))`` for the first k with ``failing[k]``, naming matrix k when m is a stack."""
+    if True in failing:
+        k = failing.index(True)
+        raise error(f"row {k}: " * (m.ndim == 3) + message(k))
+
+
 class BipartitePureState(Record):
     """Pure state on a ``dim_a x dim_b`` product space.
 
@@ -55,30 +62,35 @@ class BipartitePureState(Record):
     normalized: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", as_matrix(self.coeffs))
+        object.__setattr__(self, "coeffs", as_matrix(self.coeffs, stack=True))
         if self.normalized:
-            nrm = float(np.linalg.norm(self.coeffs))
-            if abs(nrm - 1.0) > NORM_TOL:
-                raise NotNormalizedError(f"state norm {nrm} deviates from 1 by more than {NORM_TOL}")
+            nrm = self.norm()
+            nrm = nrm.tolist() if self.coeffs.ndim == 3 else [nrm]
+            _check_rows(self.coeffs, [abs(x - 1.0) > NORM_TOL for x in nrm], NotNormalizedError,
+                        lambda k: f"state norm {nrm[k]} deviates from 1 by more than {NORM_TOL}")
 
     @property
     def dim_a(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-2]
 
     @property
     def dim_b(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+    def norm(self) -> float | np.ndarray:
+        """``np.linalg.norm`` of the grid; of a stack, each grid's, bit for bit (two real dots and a sqrt)."""
+        if self.coeffs.ndim == 2:
+            return float(np.linalg.norm(self.coeffs))
+        rows = self.coeffs.reshape(len(self.coeffs), -1)
+        return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
 
     def normalize(self) -> "BipartitePureState":
         if self.normalized:
             return self
-        nrm = self.norm()
-        if nrm == 0.0:
+        nrm = np.asarray(self.norm())
+        if (nrm == 0.0).any():
             raise NotNormalizedError("cannot normalize the zero vector")
-        return BipartitePureState(self.coeffs / nrm)
+        return BipartitePureState(self.coeffs / nrm[..., None, None])
 
     def vector(self) -> np.ndarray:
         """Flat amplitude vector, index = i * dim_b + j."""
@@ -89,7 +101,7 @@ class DensityMatrix(Record):
     """Hermitian, PSD, trace-one matrix.  With a ``grid`` M (from ``reduce_a``: ``mat = M M* / trace``),
     ``factor`` is M's SVD scaled by ``trace^-1/2``, taken the first time it is read, and ``eigen`` is
     read off it.  Without one, ``factor`` is None and ``eigen`` is the ``psd_eigen`` that validated mat.
-    Every reader of the spectrum reuses ``eigen``."""
+    Every reader of the spectrum reuses ``eigen``.  A stack of grids gives a stack of each, checked per row."""
 
     mat: np.ndarray
     grid: np.ndarray | None = None
@@ -97,23 +109,24 @@ class DensityMatrix(Record):
     _hidden = ("grid", "trace")
 
     def __post_init__(self):
-        m = as_matrix(self.mat)
-        if m.shape[0] != m.shape[1]:
+        m = as_matrix(self.mat, stack=self.grid is not None)
+        if m.shape[-2] != m.shape[-1]:
             raise DimensionMismatchError("density matrix must be square")
-        if matcore.op_norm_exceeds(m - dagger(m), 1e-10):
-            raise NotPsdError("density matrix is not Hermitian within 1e-10")
+        _check_rows(m, list(matcore.exceeding(m - dagger(m), 1e-10)), NotPsdError,
+                    lambda k: "density matrix is not Hermitian within 1e-10")
         if self.grid is None:
             object.__setattr__(self, "eigen", matcore.psd_eigen(m))  # NotPsdError below -1e-10
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise NotPsdError(f"density matrix trace {np.trace(m)} != 1 within 1e-10")
+        tr = np.ravel(m.trace(axis1=-2, axis2=-1))
+        _check_rows(m, [abs(t.real - 1.0) > 1e-10 or abs(t.imag) > 1e-10 for t in tr.tolist()], NotPsdError,
+                    lambda k: f"density matrix trace {tr[k]} != 1 within 1e-10")
         object.__setattr__(self, "mat", m)
 
     @cached_property
     def factor(self) -> matcore.Svd | None:
         if self.grid is None:
             return None
-        f = matcore.svd(self.grid)
-        return matcore.Svd(f.u, f.singulars / np.sqrt(self.trace), f.v)
+        f = matcore.svd(self.grid, stack=True)
+        return matcore.Svd(f.u, f.singulars / np.sqrt(self.trace)[..., None], f.v)
 
     @cached_property
     def eigen(self) -> matcore.HermitianEigen:
@@ -121,7 +134,7 @@ class DensityMatrix(Record):
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
 
 class SchmidtFrame(Record):
@@ -168,11 +181,15 @@ def _normalized(s: BipartitePureState) -> BipartitePureState:
 
 
 def reduce_a(s: BipartitePureState) -> DensityMatrix:
-    """Reduced density matrix ``M M* / Tr`` on subsystem A; its factor is the SVD of the grid M."""
+    """Reduced density matrix ``M M* / Tr`` on subsystem A (of each grid of a stack); its factor is the
+    SVD of the grid M.  At dim_a = 1, M M* is a sum of squares, not a BLAS dot rounded by M's layout."""
     m = _normalized(s).coeffs
-    g = m @ dagger(m)
-    tr = np.trace(g).real
-    return DensityMatrix(g / tr, grid=m, trace=tr)
+    if s.dim_a == 1:
+        g = (np.square(m.real) + np.square(m.imag)).sum(axis=-1, keepdims=True).astype(complex)
+    else:
+        g = m @ dagger(m)
+    tr = g.trace(axis1=-2, axis2=-1).real
+    return DensityMatrix(g / tr[..., None, None], grid=m, trace=tr)
 
 
 def reduce_b(s: BipartitePureState) -> DensityMatrix:

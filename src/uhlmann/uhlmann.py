@@ -80,7 +80,8 @@ class UhlmannInstance(Record):
 
     @classmethod
     def from_states(cls, c: BipartitePureState, d: BipartitePureState) -> "UhlmannInstance":
-        if (c.dim_a, c.dim_b) != (d.dim_a, d.dim_b):
+        """The pair (C, D), or a stack of pairs when both grids are (n, dim_a, dim_b) stacks."""
+        if c.coeffs.shape != d.coeffs.shape:
             raise DimensionMismatchError("C and D must live on the same product space")
         c = c if c.normalized else c.normalize()
         d = d if d.normalized else d.normalize()
@@ -116,7 +117,12 @@ class UhlmannInstance(Record):
 class SpectralCore:
     """The decompositions every spectral quantity of an instance derives from.
 
-    Every support is cut at ``rank_tol`` on a factor's singular values.  The grid
+    Every support is cut at ``rank_tol`` on a factor's singular values, as a count: the kept
+    values are a prefix, sliced off.  On a stacked instance the roots, ``_b``, ``projector``,
+    ``mean`` (arrays of matrices) and ``fidelity``, ``eta``, ``kappa`` (arrays of floats) are
+    each row's, bit for bit, provided the rows share every cut (else DimensionMismatchError);
+    the frame and everything from it (``a``, ``w``, ``p``, ``canonical_w``, the completion and
+    the certificate) take one instance only.  The grid
     SVDs ``rho.factor``/``sigma.factor`` give the roots and Image(rho).  One SVD
     ``U S V*`` of ``b = sigma^1/2 rho^1/2`` (``b* b = h = rho^1/2 sigma rho^1/2``)
     gives F = sum S, P = V V* (onto Image h), eta's rank, ``mean = rho^-1 # sigma
@@ -150,37 +156,42 @@ class SpectralCore:
     def _b(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``b = sigma^1/2 rho^1/2`` and its ``U``, ``S``, ``V`` on the kept singular values."""
         b = self.sqrt_sigma @ self.sqrt_rho
-        f = matcore.svd(b)
-        keep = f.kept(self.rank_tol)
-        return b, f.u[:, keep], f.singulars[keep], f.v[:, keep]
+        f = matcore.svd(b, stack=True)
+        r = f.cut(self.rank_tol)  # copies of the kept parts: views would keep all of U and V alive
+        return b, f.u[..., :r].copy(), f.singulars[..., :r].copy(), f.v[..., :r].copy()
+
+    def _floats(self, x: np.ndarray) -> float | np.ndarray:
+        """A per-row value: a float for one instance, the array for a stack."""
+        return float(x) if self.c.coeffs.ndim == 2 else x
 
     @cached_property
-    def fidelity(self) -> float:
-        return float(self._b[2].sum())  # states.fidelity, bit for bit
+    def fidelity(self) -> float | np.ndarray:
+        return self._floats(self._b[2].sum(axis=-1))  # states.fidelity, bit for bit
 
     @cached_property
     def projector(self) -> np.ndarray:
-        if not self._b[2].size:
+        if not self._b[2].shape[-1]:
             raise ZeroFidelityError("rho^1/2 sigma rho^1/2 vanishes: reduced supports are orthogonal")
         return self._b[3] @ dagger(self._b[3])
 
     @cached_property
     def mean(self) -> np.ndarray:
         _, _, s, v = self._b
-        return self.rho_pinv_sqrt @ ((v * s) @ dagger(v)) @ self.rho_pinv_sqrt
+        return self.rho_pinv_sqrt @ ((v * s[..., None, :]) @ dagger(v)) @ self.rho_pinv_sqrt
 
     @cached_property
-    def eta(self) -> float:
+    def eta(self) -> float | np.ndarray:
         _ = self.projector  # ZeroFidelityError unless b keeps a singular value
-        return float(np.linalg.eigvalsh((self.mean + dagger(self.mean)) / 2)[::-1][self._b[2].size - 1])
+        return self._floats(np.linalg.eigvalsh((self.mean + dagger(self.mean)) / 2)[..., -self._b[2].shape[-1]])
 
     @cached_property
-    def kappa(self) -> float:
+    def kappa(self) -> float | np.ndarray:
         p = self.projector
         leak = p - matcore.gram_power(self.rho.factor, 0, self.rank_tol) @ p  # (1 - Proj Image(rho)) P
-        if matcore.op_norm_exceeds(leak, 1e-6):
-            raise IllConditionedError(f"projector leaks {matcore.op_norm(leak):.3e} outside Image(rho)")
-        return float(matcore.op_norm(self.rho_pinv_sqrt @ p @ self.sqrt_rho) ** 2)
+        if matcore.op_norm_exceeds(leak, 1e-6):  # of a stack: the largest leak
+            raise IllConditionedError(f"projector leaks {np.max(matcore.op_norm(leak)):.3e} outside Image(rho)")
+        norm = matcore.op_norm(self.rho_pinv_sqrt @ p @ self.sqrt_rho)
+        return norm**2 if isinstance(norm, float) else np.array([x**2 for x in norm.tolist()])  # libm's pow
 
     @cached_property
     def frame(self) -> "IdentityFrame":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uhlmann import states
+from uhlmann import adversarial, states
 from uhlmann.adversarial import (
     build_boosted_kappa,
     build_eta_family,
@@ -13,7 +13,7 @@ from uhlmann.adversarial import (
     round_spectral_gap,
 )
 from uhlmann.certificate import dual_bound
-from uhlmann.errors import BadParamsError, EpsilonTooLargeError
+from uhlmann.errors import BadParamsError, ConsistencyError, EpsilonTooLargeError
 from uhlmann.states import DensityMatrix
 from uhlmann.uhlmann import canonical_w, obliqueness_kappa, random_instance, spectral_gap_eta
 
@@ -35,6 +35,21 @@ def test_qutrit_sensitivity_degenerates_smoothly():
     sens = qutrit_sensitivity(1e-8)
     assert sens.state_distance <= 2e-4
     assert sens.w_distance == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_qutrit_sensitivity_raises_a_typed_error_on_a_wrong_map(which, monkeypatch):
+    # the exact pair's W (call 0) or the perturbed pair's (call 1) comes back wrong
+    calls, true_w = [], adversarial.uhlmann.canonical_w
+
+    def wrong(inst, rank_tol=None):
+        calls.append(inst)
+        w = true_w(inst, rank_tol)
+        return -w if len(calls) - 1 == which else w
+
+    monkeypatch.setattr(adversarial.uhlmann, "canonical_w", wrong)
+    with pytest.raises(ConsistencyError, match="not the identity and the 1-2 swap"):
+        qutrit_sensitivity(0.05)
 
 
 # -- spectral-gap family ------------------------------------------------------

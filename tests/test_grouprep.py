@@ -643,3 +643,74 @@ def test_grouprep_sweep_memory_does_not_grow_with_count(monkeypatch, capsys):
         finally:
             tracemalloc.stop()
     assert peaks[2] < 1.1 * peaks[1]  # one pass of 64 rows would hold about 8 times as much
+
+
+# -- eta and kappa on the pass's stacked instance -------------------------------------
+
+
+def test_d1_eta_and_kappa_do_not_depend_on_where_the_grids_sit():
+    # Z8 at d = 1 (1 x 64 grids): a BLAS dot for M M* rounded by the grid's place in a larger buffer
+    inst = build_states(perturbed_rep(FiniteGroup.cyclic(8), 1, 0.7, np.random.default_rng((2, 0))))
+    seen = set()
+    for width, offset in [(1, 0), (2, 1), (4, 0), (4, 3), (5, 2), (8, 7)]:  # entry k at buf[k, offset]
+        placed = []
+        for grid in (inst.c.coeffs, inst.d.coeffs):
+            buf = np.zeros((grid.size + 1, width), dtype=complex)
+            buf[:grid.size, offset] = grid.ravel()
+            placed.append(BipartitePureState(buf[:grid.size, offset].reshape(grid.shape)))
+        core = UhlmannInstance.from_states(*placed).spectral_core()
+        seen.add(np.array([core.eta, core.kappa, core.fidelity]).tobytes())
+    assert len(seen) == 1
+
+
+def test_grouprep_linalg_calls_do_not_grow_with_count(decompositions, capsys):
+    counts = []
+    for count in ("1", "8"):
+        decompositions.clear()
+        _grouprep_out(capsys, "--group", "s3", "--count", count, "--seed", "3")
+        counts.append(dict(decompositions))
+    assert counts[0] == counts[1]
+
+
+def _ragged_pass():
+    """Six S3 reps at d = 3 whose rho has an eigenvalue just above the rank cut: noise puts b's
+    smallest singular value on both sides of it across the rows."""
+    for k in range(1, 200):
+        ev = np.array([1.0, 0.5, 3e-12 * (1 + k * 2.0**-50)])
+        rho = DensityMatrix(np.diag(ev / ev.sum()).astype(complex))
+        rngs = [np.random.default_rng((9, j)) for j in range(6)]
+        reps = grouprep._perturbed_reps(FiniteGroup.symmetric3(), 3, 0.3, rngs, rho)
+        mc, md = grouprep._encode(reps[0], np.stack([r.unitaries for r in reps]))
+        try:
+            uhlmann.spectral_gap_eta(build_states(reps[0], (mc, md)))
+        except DimensionMismatchError:
+            return reps
+    raise AssertionError("no rho near the cut gave a ragged pass")
+
+
+def test_a_ragged_pass_takes_each_row_alone(monkeypatch):
+    reps = _ragged_pass()
+    alone, spectral_alone = [], grouprep._spectral_alone
+    monkeypatch.setattr(grouprep, "_spectral_alone", lambda *a: alone.append(1) or spectral_alone(*a))
+    rows = grouprep._rows(reps)
+    assert len(alone) == len(reps)
+    for rep, row in zip(reps, rows, strict=True):
+        assert stability_check(rep, row) == stability_check(rep)
+
+
+def test_a_failing_row_raises_its_own_error_in_its_turn(monkeypatch):
+    rngs = [np.random.default_rng((8, k)) for k in range(4)]
+    reps = grouprep._perturbed_reps(FiniteGroup.symmetric3(), 3, 0.3, rngs)
+    bad, build = build_states(reps[2]).c.coeffs, grouprep.build_states
+
+    def failing(rep, grids=None):  # row 2's reductions "disagree", alone or inside the stack
+        if any(np.array_equal(m, bad) for m in np.reshape(grids[0], (-1, *bad.shape))):
+            raise ConsistencyError("A-side reductions of C and D should coincide")
+        return build(rep, grids)
+
+    monkeypatch.setattr(grouprep, "build_states", failing)
+    rows = grouprep._rows(reps)
+    for k in (0, 1, 3):
+        assert stability_check(reps[k], rows[k]) == stability_check(reps[k])
+    with pytest.raises(ConsistencyError, match=r"^A-side reductions of C and D should coincide$"):
+        stability_check(reps[2], rows[2])

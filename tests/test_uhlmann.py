@@ -1,11 +1,19 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
 
 from conftest import random_psd, random_unitary, walk_instances
 from uhlmann import certificate, matcore, states, uhlmann
-from uhlmann.errors import FrameMismatchError, NotPartialIsometryError, NotPsdError, NotUnitaryError
+from uhlmann.errors import (
+    DimensionMismatchError,
+    FrameMismatchError,
+    NotNormalizedError,
+    NotPartialIsometryError,
+    NotPsdError,
+    NotUnitaryError,
+)
 from uhlmann.matcore import dagger
 from uhlmann.states import BipartitePureState
 from uhlmann.uhlmann import (
@@ -407,3 +415,51 @@ def test_orthogonal_supports_raise_zero_fidelity():
         spectral_gap_eta(inst)
     with pytest.raises(ZeroFidelityError):
         obliqueness_kappa(inst)
+
+
+# -- the stacked spectral core ------------------------------------------------
+
+
+def _stacked(insts) -> UhlmannInstance:
+    """One instance stacking the pairs of same-shape instances."""
+    c, d = (BipartitePureState(np.stack([getattr(i, side).coeffs for i in insts])) for side in "cd")
+    return UhlmannInstance.from_states(c, d)
+
+
+def _bits(core, k=None) -> bytes:
+    """eta, kappa and F of a core (of row k of a stacked one) as bytes."""
+    return np.array([v if k is None else v[k] for v in (core.eta, core.kappa, core.fidelity)]).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_stacked_core_rows_match_their_stacks_of_one(d):
+    # every pair of Schmidt ranks, four random instances each: a stack's rows share their cuts
+    rng = np.random.default_rng(600 + d)
+    for rank_c, rank_d in itertools.product(range(1, d + 1), repeat=2):
+        insts = [random_instance(d, rng, rank_c, rank_d) for _ in range(4)]
+        core = _stacked(insts).spectral_core()
+        assert core.eta.shape == core.kappa.shape == core.fidelity.shape == (4,)
+        for k, inst in enumerate(insts):
+            assert _bits(core, k) == _bits(_stacked([inst]).spectral_core(), 0) == _bits(inst.spectral_core())
+            assert core.projector[k].tobytes() == inst.spectral_core().projector.tobytes()
+            assert core.mean[k].tobytes() == inst.spectral_core().mean.tobytes()
+
+
+def test_a_ragged_cut_raises_and_each_row_keeps_its_bits():
+    rng = np.random.default_rng(61)
+    insts = [random_instance(4, rng, rank_c, 3) for rank_c in (2, 3, 2)]
+    core = _stacked(insts).spectral_core()
+    with pytest.raises(DimensionMismatchError, match=r"keep \[2, 3\] singular values"):
+        core.eta
+    for inst in insts:
+        assert _bits(_stacked([inst]).spectral_core(), 0) == _bits(inst.spectral_core())
+
+
+def test_a_stack_names_its_failing_row():
+    rng = np.random.default_rng(62)
+    grids = np.stack([random_instance(3, rng, 3, 3).c.coeffs for _ in range(3)])
+    grids[1] *= 1.01
+    with pytest.raises(NotNormalizedError, match=r"^row 1: state norm 1\.0099\d* deviates"):
+        BipartitePureState(grids)
+    with pytest.raises(NotNormalizedError, match=r"^state norm 1\.0099\d* deviates"):  # one grid: no row to name
+        BipartitePureState(grids[1])

@@ -28,7 +28,8 @@ written:
   at ``--eta 0.1`` (m = 6400, with its CSV) and a state-file pair, ``grouprep`` on s3, z4, z6, z2 and z3 at dim 2, ``grouprep`` on a
   D4 (order 8, non-abelian) table file at its default dim 8 with
   ``--count 3``, ``grouprep`` on z8 with ``--count 70`` (past one pass of
-  64 rows at dim 8) and on s3 with ``--count 9``, and ``grouprep`` on table
+  64 rows at dim 8) and on s3 with ``--count 9``, ``grouprep`` at dim 1 on z1
+  (1 x 1 grids) and on z8 (1 x 64 grids), and ``grouprep`` on table
   files with float, boolean and ragged entries;
 * ``report`` and ``certificate`` with ``--probe-trials -3``;
 * usage errors (no arguments, an unknown subcommand, an unknown flag, a
@@ -67,6 +68,9 @@ written:
   the C and D grids of ``build_states``, the dense W~ (built here from the
   unitaries, as the tests build it), ``intertwiner``,
   ``convolution`` at every element and the ``stability_check`` fields;
+  three multi-row passes of ``_rows`` (s3 at dim 3, z4 at dim 4, z6 at dim
+  2), each with a rank-deficient rho and a skewed mu with zero weights, record
+  every row's ``stability_check``;
   further outputs record the errors of broken ``from_table`` tables (with
   ragged, nested, float and boolean entries among them) and of
   bad ``ApproxRep.create`` inputs;
@@ -264,6 +268,9 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
     rec.cli("grouprep.default", ["grouprep"])
     rec.cli("grouprep.z8_count70", ["grouprep", "--group", "z8", "--count", "70", "--seed", "3"])
     rec.cli("grouprep.s3_count9", ["grouprep", "--group", "s3", "--count", "9", "--seed", "5"])
+    rec.cli("grouprep.z1_dim1", ["grouprep", "--group", "z1", "--dim", "1", "--count", "3"])
+    rec.cli("grouprep.z8_dim1", ["grouprep", "--group", "z8", "--dim", "1", "--count", "4", "--seed", "2",
+                                  "--scale", "0.7"])
     # D4 = <r, s>: index 4 f + k is r^k s^f, and s r^k = r^-k s
     d4 = [[(a + (-1) ** (a // 4) * b) % 4 + 4 * ((a // 4) ^ (b // 4)) for b in range(8)] for a in range(8)]
     pathlib.Path("table_d4.json").write_text(json.dumps({"order": 8, "table": d4}))
@@ -383,6 +390,16 @@ def _grouprep_sweep(rec: Dump) -> None:
                          *(f"convolution{g} {_hex(grouprep.convolution(rep, g))}" for g in range(n)),
                          f"stability {grouprep.stability_check(rep)!r}"]
                 rec.put(key, "\n".join(lines) + "\n")
+
+    # multi-row passes through the stacked rows, with a rank-deficient rho and a skewed mu with zero weights
+    for name, group, dim in (("s3", groups["s3"], 3), ("z4", groups["z4"], 4), ("z6", groups["z6"], 2)):
+        a = np.random.default_rng((dim, 5)).normal(size=(dim, dim - 1))
+        rho = states.DensityMatrix((a @ a.T / np.trace(a @ a.T)).astype(complex))
+        skewed = np.arange(group.order, dtype=float) % 3
+        reps = grouprep._perturbed_reps(group, dim, 0.3, [np.random.default_rng((31, k)) for k in range(5)],
+                                        rho, skewed / skewed.sum())
+        rec.value(f"grouprep_pass.{name}", lambda: [grouprep.stability_check(rep, row)
+                                                    for rep, row in zip(reps, grouprep._rows(reps))])
 
     tables = {"ragged": [[0, 1], [1]], "empty": [], "out_of_range": [[0, 1], [1, 2]],
               "no_identity": [[0, 0], [0, 0]], "no_inverse": [[0, 1], [1, 1]],
