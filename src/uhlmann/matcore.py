@@ -15,9 +15,9 @@ with no factor at hand, cuts eigenvalues, i.e. X's scale at the tolerance's root
 from __future__ import annotations
 
 import dataclasses
+import gc
 import inspect
 import json
-import re
 from collections.abc import Iterator
 
 import numpy as np
@@ -445,64 +445,19 @@ def read_matrix(path) -> np.ndarray:
 
 
 def read_cmjson(path) -> tuple[np.ndarray, dict]:
-    """A cmjson file's matrix and fields, as ``cmjson_to_matrix(json.load(fh))`` gives them.  numpy
-    parses the data span of a file of ``_SPAN_MIN`` characters or more; json parses the rest, and
-    every file whose span ``_split_cmjson`` declines, and raises the errors."""
+    """A cmjson file's matrix and fields, as ``cmjson_to_matrix(json.load(fh))`` gives them, except that
+    ``data`` is the matrix's (rows*cols, 2) float array of [re, im] pairs, a view of the matrix.  The
+    cyclic garbage collector, process-wide, is paused from the parse until ``data`` has replaced json's
+    lists, so that no collection walks them; its earlier state is restored on success and on error."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    obj = _split_cmjson(text.encode("ascii")) if len(text) >= _SPAN_MIN else None
-    obj = json.loads(text) if obj is None else obj
-    return cmjson_to_matrix(obj), obj
-
-
-# Below about 90 entries json's whole parse costs less than the span route's numpy calls; above,
-# the span route saves json's lists and their garbage collection.
-_SPAN_MIN = 4096
-# The span's bytes by class, whitespace and '-' dropped.  A window of three classes, coded as whether
-# the first starts a token and then the other two, is bad where strtod reads what JSON rejects ('.5',
-# '1.', '+1', '01', '-01') or a slot is empty ('[,', ',]').
-_L, _C, _R, _ZERO, _DIGIT, _DOT, _EXP, _PLUS = range(8)
-_CLASSES = bytes.maketrans(b"[,]0123456789.eE+", bytes([0, 1, 2, 3, *[4] * 9, 5, 6, 6, 7]))
-
-
-def _window_ok(code: int) -> bool:
-    starts, a, b, digit = code >> 6, (code >> 3) & 7, code & 7, (_ZERO, _DIGIT)
-    return not ((a == _DOT and b not in digit) or (b == _DOT and a not in digit) or (b == _PLUS and a != _EXP)
-                or (a, b) in ((_L, _C), (_C, _R)) or (starts == 1 and a == _ZERO and b in digit))
-
-
-_GOOD_WINDOWS = bytes(filter(_window_ok, range(256)))
-_DATA_KEY = re.compile(rb'"data"[ \t\n\r]*:[ \t\n\r]*\[')
-
-
-def _split_cmjson(text: bytes) -> dict | None:
-    """cmjson fields with ``data`` an (n, 2) float array, or None unless ``json.loads(text)`` reads the
-    same: the span's brackets and commas are n pairs of two, no window of it is bad, strtod reads 2n
-    finite numbers from it, and the rest is ASCII JSON whose one NaN, the span's stand-in, is its
-    ``data``.  JSON reads '-0' as the integer 0, so such a token reads +0.0."""
-    key = _DATA_KEY.search(text)
-    if key is None:
-        return None
-    start, quote = key.end() - 1, text.find(b'"', key.end())  # the next key: a span holds no '"'
-    end = text.rfind(b"]", start, quote if quote >= 0 else len(text)) + 1
-    head, span, tail = text[:start], text[start:end], text[end:]
-    skeleton = span.translate(None, b"0123456789.eE+- \t\n\r")
-    n = len(skeleton) // 4
-    k = np.frombuffer(span.translate(_CLASSES, b" \t\n\r-"), np.uint8)
-    windows = (k[:-2] <= _C).view(np.uint8) * 64 + k[1:-1] * 8 + k[2:]
-    if (skeleton != b"[" + (b"[,]," * n)[:-1] + b"]" or windows.tobytes().translate(None, _GOOD_WINDOWS)
-            or b"NaN" in head or b"NaN" in tail):
-        return None
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        obj = json.loads((head + b"NaN" + tail).decode("ascii"))
-        values = np.fromstring(span.translate(bytes.maketrans(b"[]", b"  ")), sep=",") if n else np.zeros(0)
-    except (ValueError, RecursionError):
-        return None
-    data = obj.get("data") if isinstance(obj, dict) else None
-    if not (isinstance(data, float) and data != data and values.size == 2 * n and np.isfinite(values).all()):
-        return None
-    if (values == 0).any():
-        tokens = span.translate(None, b"[] \t\n\r").split(b",")
-        values[[i for i in np.flatnonzero(values == 0) if tokens[i] == b"-0"]] = 0.0
-    obj["data"] = values.reshape(n, 2)
-    return obj
+        obj = json.loads(text)
+        m = cmjson_to_matrix(obj)
+        obj["data"] = m.ravel().view(float).reshape(-1, 2)
+    finally:
+        if enabled:
+            gc.enable()
+    return m, obj

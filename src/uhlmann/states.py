@@ -176,14 +176,17 @@ def apply_b(s: BipartitePureState, r: np.ndarray) -> BipartitePureState:
     return BipartitePureState(s.coeffs @ r.T, normalized=False)
 
 
-def _normalized(s: BipartitePureState) -> BipartitePureState:
-    return s if s.normalized else s.normalize()
+def _grid(s: BipartitePureState, stack: bool = False) -> np.ndarray:
+    """The normalized grid of one state (with ``stack``, of a stack too); a stack raises DimensionMismatchError."""
+    if s.coeffs.ndim == 3 and not stack:
+        raise DimensionMismatchError(f"expected one state, got a stack of {len(s.coeffs)}")
+    return (s if s.normalized else s.normalize()).coeffs
 
 
 def reduce_a(s: BipartitePureState) -> DensityMatrix:
     """Reduced density matrix ``M M* / Tr`` on subsystem A (of each grid of a stack); its factor is the
     SVD of the grid M.  At dim_a = 1, M M* is a sum of squares, not a BLAS dot rounded by M's layout."""
-    m = _normalized(s).coeffs
+    m = _grid(s, stack=True)
     if s.dim_a == 1:
         g = (np.square(m.real) + np.square(m.imag)).sum(axis=-1, keepdims=True).astype(complex)
     else:
@@ -194,7 +197,7 @@ def reduce_a(s: BipartitePureState) -> DensityMatrix:
 
 def reduce_b(s: BipartitePureState) -> DensityMatrix:
     """Reduced density matrix on subsystem B."""
-    m = _normalized(s).coeffs
+    m = _grid(s)
     g = m.T @ m.conj()
     return DensityMatrix(g / np.trace(g).real)
 
@@ -203,9 +206,7 @@ def partial_trace_a_outer(d: BipartitePureState, c: BipartitePureState) -> np.nd
     """The operator ``Tr_A(|D><C|)`` on subsystem B."""
     if (d.dim_a, d.dim_b) != (c.dim_a, c.dim_b):
         raise DimensionMismatchError("states live on different product spaces")
-    dm = _normalized(d).coeffs
-    cm = _normalized(c).coeffs
-    return dm.T @ cm.conj()
+    return _grid(d).T @ _grid(c).conj()
 
 
 def overlap(d: BipartitePureState, r: np.ndarray, c: BipartitePureState) -> complex:
@@ -215,9 +216,7 @@ def overlap(d: BipartitePureState, r: np.ndarray, c: BipartitePureState) -> comp
         raise DimensionMismatchError(f"R must be {c.dim_b}x{c.dim_b}, got {r.shape}")
     if (d.dim_a, d.dim_b) != (c.dim_a, c.dim_b):
         raise DimensionMismatchError("states live on different product spaces")
-    dm = _normalized(d).coeffs
-    cm = _normalized(c).coeffs
-    return complex(np.vdot(dm, cm @ r.T))
+    return complex(np.vdot(_grid(d), _grid(c) @ r.T))
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -245,7 +244,7 @@ def schmidt(s: BipartitePureState) -> SchmidtFrame:
     """
     if s.dim_a > s.dim_b:
         raise DimensionMismatchError("schmidt frame extraction requires dim_a <= dim_b")
-    f = matcore.svd(_normalized(s).coeffs)  # thin: V is dim_b x dim_a
+    f = matcore.svd(_grid(s))  # thin: V is dim_b x dim_a
     x = f.v.conj() @ f.u.T
     return SchmidtFrame(coefficients=f.singulars, basis_a=f.u, basis_b=f.v.conj(), frame_b=x)
 

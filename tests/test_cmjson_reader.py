@@ -1,14 +1,15 @@
 """The cmjson reader against the reader it replaced.
 
-``matcore.read_cmjson`` hands the ``data`` span of a file of at least ``_SPAN_MIN``
-characters to numpy and the rest to ``json``; any file that fails the span's checks goes
-whole to ``json``.  ``_reference`` is the reader it replaced (``json.load``, then
-``cmjson_to_matrix``), kept here as the oracle: a valid file gives the same bits, by the
-span route, and an invalid one the same exception class and message, and the CLI the same
-exit code, stdout and stderr.  ``_split_cmjson`` is also checked directly on small files.
+``matcore.read_cmjson`` parses every file with ``json.loads`` while the cyclic garbage
+collector is paused, then hands ``data`` back as the matrix's float pairs.  ``_reference``
+is the reader it replaced (``json.load``, then ``cmjson_to_matrix``), kept here as the
+oracle: a valid file gives the same bits and the same pairs, small or padded to 4096
+characters, an invalid one the same exception class and message, and the CLI the same exit
+code, stdout and stderr.  After every read the collector is on or off as it was before.
 """
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -36,22 +37,9 @@ def _outcome(read, *args):
     return m.shape, m.tobytes(), {k: v for k, v in obj.items() if k != "data"}
 
 
-def _split(text: str):
-    """The span route's fields, or None where it leaves the file to json."""
-    return matcore._split_cmjson(text.encode("ascii"))
-
-
-def _matrix(obj):
-    return matcore.cmjson_to_matrix(obj), obj
-
-
-def _loads(text: str):
-    return _matrix(json.loads(text))
-
-
 def _padded(text: str) -> str:
-    """``text`` with trailing whitespace up to the span route's size."""
-    return text + " " * max(0, matcore._SPAN_MIN - len(text))
+    """``text`` with trailing whitespace up to 4096 characters: each small file again at a state file's size."""
+    return text + " " * max(0, 4096 - len(text))
 
 
 def _edge_state_text(d: int) -> str:
@@ -129,14 +117,15 @@ def test_valid_files_read_the_same_bits(name, pad, tmp_path):
     want = _outcome(_reference, path)
     assert isinstance(want[0], tuple)  # a valid file
     assert _outcome(matcore.read_cmjson, path) == want
-    split = _split(text)  # by the span route: no valid file goes whole to json
-    assert split is not None and _outcome(_matrix, split) == want
+    m, obj = matcore.read_cmjson(path)  # data: the matrix's pairs, bit-equal to json's
+    pairs = np.array(_reference(path)[1]["data"], dtype=float)
+    assert obj["data"].dtype == float and obj["data"].shape == pairs.shape == (m.size, 2)
+    assert obj["data"].tobytes() == pairs.tobytes() and np.shares_memory(obj["data"], m)
 
 
 def test_state_files_keep_signed_zeros_through_the_span_route(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(VALID["d128"], encoding="ascii")
-    assert len(VALID["d128"]) >= matcore._SPAN_MIN
     coeffs = states.read_state(path).coeffs
     flat = coeffs.ravel()
     assert np.signbit(flat.real[:3]).tolist() == [True, True, False]
@@ -151,9 +140,6 @@ def test_other_files_give_the_same_outcome(name, pad, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(text, encoding="ascii")
     assert _outcome(matcore.read_cmjson, path) == _outcome(_reference, path)
-    split = _split(text)
-    if split is not None:  # the span route only answers where json agrees
-        assert _outcome(_matrix, split) == _outcome(_loads, text)
 
 
 def test_a_non_ascii_file_gives_the_same_error(tmp_path):
@@ -162,6 +148,31 @@ def test_a_non_ascii_file_gives_the_same_error(tmp_path):
     want = _outcome(_reference, path)
     assert want[0] is UnicodeDecodeError
     assert _outcome(matcore.read_cmjson, path) == want
+
+
+_FILES = {**{f"valid_{n}": VALID[n].encode("ascii") for n in ("d1", "d128")},
+          **{n: INVALID[n].encode("ascii") for n in INVALID},
+          "non_ascii": _BASE.replace("0.8", "0.8é").encode("utf-8")}
+
+
+@pytest.mark.parametrize("name", sorted(_FILES))
+@pytest.mark.parametrize("enabled", [True, False])
+def test_the_collector_is_paused_for_the_parse_and_then_restored(name, enabled, tmp_path, monkeypatch):
+    path = tmp_path / "m.json"
+    path.write_bytes(_FILES[name])
+    seen = []
+    to_matrix = matcore.cmjson_to_matrix
+    monkeypatch.setattr(matcore, "cmjson_to_matrix", lambda obj: seen.append(gc.isenabled()) or to_matrix(obj))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        _outcome(matcore.read_cmjson, path)
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is enabled
+    # paused while json's lists are alive, wherever the parse reached cmjson_to_matrix
+    assert seen == [False] if name.startswith("valid") else not any(seen)
 
 
 def _cli(argv):
@@ -183,32 +194,3 @@ def test_cli_exit_code_and_stderr_are_kept(name, tmp_path, monkeypatch):
     got = _cli(argv)
     monkeypatch.setattr(matcore, "read_cmjson", _reference)
     assert got == _cli(argv)
-
-
-_FUZZ_BASES = (
-    _BASE,
-    '{"cols":2,"data":[[-1.5e-05,0.25],[1E+2,-0.0],[0,12],[3.5,-7]],"rows":2}',
-)
-
-
-@pytest.mark.parametrize("base", range(len(_FUZZ_BASES)))
-def test_mutated_files_agree_with_json(base):
-    """Random one-character edits: where the span route answers, json agrees; every edit that
-    json reads as a valid matrix is answered by the span route."""
-    text = _FUZZ_BASES[base]
-    rng = np.random.default_rng(2024 + base)
-    alphabet = '0123456789.eE+-[], \n"x:'
-    answered = 0
-    for _ in range(2000):
-        pos = int(rng.integers(len(text)))
-        ch = alphabet[int(rng.integers(len(alphabet)))]
-        mutant = [text[:pos] + ch + text[pos:], text[:pos] + ch + text[pos + 1:], text[:pos] + text[pos + 1:]][
-            int(rng.integers(3))]
-        want = _outcome(_loads, mutant)
-        split = _split(mutant)
-        if split is None:
-            assert not isinstance(want[0], tuple), mutant  # a valid matrix never goes whole to json
-        else:
-            answered += 1
-            assert _outcome(_matrix, split) == want, mutant
-    assert answered > 300

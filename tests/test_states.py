@@ -234,6 +234,23 @@ def test_overlap_basics(rng):
         overlap(d, np.eye(4), c)
 
 
+@pytest.mark.parametrize("call", [
+    lambda s, one: overlap(s, np.eye(3), one),
+    lambda s, one: overlap(one, np.eye(3), s),
+    lambda s, one: partial_trace_a_outer(s, one),
+    lambda s, one: partial_trace_a_outer(one, s),
+    lambda s, one: reduce_b(s),
+    lambda s, one: schmidt(s),
+], ids=["overlap_d", "overlap_c", "partial_trace_d", "partial_trace_c", "reduce_b", "schmidt"])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_one_state_functions_reject_a_stack(call, normalized, rng):
+    one = random_state(rng, 3, 3)
+    grids = np.stack([one.coeffs, random_state(rng, 3, 3).coeffs]) * (1 if normalized else 2)
+    with pytest.raises(DimensionMismatchError):
+        call(BipartitePureState(grids, normalized=normalized), one)
+    call(one, one)  # one state each is answered
+
+
 def test_overlap_bounded_by_fidelity(rng):
     # Uhlmann bound: |<D|(1 x R)|C>| <= F for 500 random unitaries, d <= 5
     for d in (2, 3, 5):
