@@ -85,7 +85,7 @@ def qutrit_sensitivity(epsilon: float) -> QutritSensitivity:
     w = uhlmann.canonical_w(exact, rank_tol=rank_tol)
     wt = uhlmann.canonical_w(perturbed, rank_tol=rank_tol)
     swap12 = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)
-    if not (matcore.op_norm(w - np.eye(3)) < 1e-10 and matcore.op_norm(wt - swap12) < 1e-10):
+    if matcore.op_norm_exceeds(w - np.eye(3), 1e-10) or matcore.op_norm_exceeds(wt - swap12, 1e-10):
         raise ConsistencyError("canonical maps of the qutrit pair are not the identity and the 1-2 swap")
     return QutritSensitivity(
         exact=exact,
@@ -389,11 +389,11 @@ def round_spectral_gap(
 
     rr, rir = uhlmann._sqrt_pair(rho_hat)
     mean = uhlmann._sandwiched_sqrt(rir, rr, sig_hat)  # rho_hat^-1 # sig_hat
-    w, v = np.linalg.eigh((mean + dagger(mean)) / 2)
-    keep = w >= eta_target
-    if not keep.any():
+    w, v = matcore.lapack("eigh", (mean + dagger(mean)) / 2)
+    start = int(np.searchsorted(w, eta_target))  # eigh's values ascend: those >= eta_target come last
+    if start == w.size:
         raise DegenerateProjectionError("no eigenvalue of the mean clears eta_target")
-    pi = v[:, keep] @ dagger(v[:, keep])
+    pi = v[:, start:] @ dagger(v[:, start:])
     t = float(np.trace(pi @ sig_hat).real)
     beta = 1.0 / t
     sig_rounded = pi @ sig_hat @ pi / t

@@ -73,7 +73,8 @@ def _feasible_point(core: uhlmann.SpectralCore, alpha: float) -> tuple:
         return point
     t = 0.5 * (alpha * dagger(core.a) + core.p @ core.frame.rho @ dagger(core.w))
     f = matcore.svd(t)
-    s = np.where(f.kept(), f.singulars, 0.0)
+    s = f.singulars.copy()
+    s[f.cut():] = 0.0
     y1, y2, t_norm = (f.v * s) @ dagger(f.v), (f.u * s) @ dagger(f.u), float(f.singulars.sum())
     del f  # the factors need not outlive the PSD check's 2d x 2d block
     # Constraint block minus right-hand side reduces to [[Y1, T*], [T, Y2]];
@@ -116,7 +117,7 @@ def psd_core_check(inst: UhlmannInstance, rank_tol: float | None = None) -> floa
         raise FrameMismatchError("A*W does not match rho^1/2 (rho^-1 # sigma) rho^1/2")
     eta, kappa = core.eta, core.kappa
     m = (kappa / eta) * aw - core.p @ inst.frame.rho @ core.p
-    return float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
+    return float(matcore.lapack("eigvalsh", (m + dagger(m)) / 2).min())
 
 
 def dual_bound(inst: UhlmannInstance, epsilon: float, rank_tol: float | None = None) -> float:

@@ -24,8 +24,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import adversarial, certificate, grouprep, matcore, protocol, states, uhlmann
 from .errors import (
     BadParamsError,
@@ -37,8 +35,7 @@ from .errors import (
 
 SCHEMA_VERSION = 1
 # Exit code 1; every other library, input or file error exits 2.
-_NUMERICAL_FAILURES = (NoConvergenceError, ConsistencyError, IllConditionedError,
-                       np.linalg.LinAlgError, FloatingPointError)
+_NUMERICAL_FAILURES = (NoConvergenceError, ConsistencyError, IllConditionedError, FloatingPointError)
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:

@@ -361,7 +361,7 @@ def _spectral_alone(rep: ApproxRep, grids: tuple, c_w: np.ndarray) -> tuple | Ex
     """``_spectral`` of one pair, or the error it raised."""
     try:
         return _spectral(rep, grids, c_w)[0]
-    except (UhlmannError, np.linalg.LinAlgError) as exc:
+    except UhlmannError as exc:
         return exc
 
 
@@ -383,7 +383,7 @@ def _rows(reps: list) -> list:
     c_w = _grid(cb @ wt.mT)
     try:
         spectral = _spectral(rep, (mc, md), c_w)
-    except (UhlmannError, np.linalg.LinAlgError):
+    except UhlmannError:
         spectral = [_spectral_alone(rep, grids, cw) for *grids, cw in zip(mc, md, c_w)]
     rows = zip(spectral, squares.tolist(), _defects(rep, us), _rho_weighted_sums(us - conj, rep.mu, rep.rho))
     return [_Row(sp, float(np.sqrt(sq) ** 2), e, s) for sp, sq, e, s in rows]

@@ -6,10 +6,11 @@ delegated to LAPACK (via numpy), which is deterministic for fixed input
 bits; this module adds the rank conventions, tolerance policy, and checks
 the rest of the package relies on.
 
-Rank rule, one for every support: a singular value of a factor X counts when
-it exceeds ``rank_tol * largest`` (``Svd.kept``; default ``max(rows, cols) * 1e-12``).
-Functions of ``X X*`` come from X's SVD (``gram_power``); only ``psd_function``,
-with no factor at hand, cuts eigenvalues, i.e. X's scale at the tolerance's root.
+Rank rule, one for every support, as a count: ``rank_cut`` keeps the first of a factor X's descending
+singular values, those above ``rank_tol * largest`` (default ``max(rows, cols) * 1e-12``), and ``Svd.cut``
+takes it once per tolerance; callers slice the kept prefix or zero-fill past it.  Functions of ``X X*``
+come from X's SVD (``gram_power``); only ``psd_function``, with no factor at hand, cuts eigenvalues, i.e.
+X's scale at the tolerance's root.  Every LAPACK call goes through ``lapack``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ __all__ = [
     "psd_eigen",
     "psd_function",
     "psd_sqrt",
-    "rank_mask",
+    "rank_cut",
     "read_cmjson",
     "read_matrix",
     "schur_psd_check",
@@ -160,18 +161,23 @@ class Svd(Record):
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.singulars[..., None, :]) @ dagger(self.v)
 
-    def kept(self, rank_tol: float | None = None) -> np.ndarray:
-        """The mask of the singular values the rank rule keeps."""
-        return rank_mask(self.singulars, max(self.u.shape[-2], self.v.shape[-2]), rank_tol)
-
     def cut(self, rank_tol: float | None = None) -> int:
-        """How many singular values the rank rule keeps: they descend, so it keeps the first ``cut``.
-        The matrices of a stack must share it, else DimensionMismatchError."""
-        keep = self.kept(rank_tol)
-        kinds = set(keep.sum(axis=-1).tolist()) if keep.ndim > 1 else {int(np.count_nonzero(keep))}
-        if len(kinds) > 1:
-            raise DimensionMismatchError(f"a stack's matrices keep {sorted(kinds)} singular values")
-        return kinds.pop() if kinds else 0
+        """``rank_cut`` of the singular values, decided once per ``rank_tol``: the rule keeps the first
+        ``cut``.  The matrices of a stack must share it, else DimensionMismatchError."""
+        cuts = self.__dict__.setdefault("_cuts", {})  # not a field: ==, hash, repr and to_dict() skip it
+        if rank_tol not in cuts:
+            cuts[rank_tol] = rank_cut(self.singulars, max(self.u.shape[-2], self.v.shape[-2]), rank_tol)
+        return cuts[rank_tol]
+
+
+def lapack(name: str, *args, **kwargs):
+    """``np.linalg.<name>(*args, **kwargs)``, the package's one call into LAPACK: a LinAlgError raises
+    NoConvergenceError.  The function is looked up on ``np.linalg`` at each call, so a wrapper set there
+    sees every decomposition."""
+    try:
+        return getattr(np.linalg, name)(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(str(exc)) from exc
 
 
 def hermitian_eigen(m, tol: float = 1e-10) -> HermitianEigen:
@@ -188,31 +194,29 @@ def hermitian_eigen(m, tol: float = 1e-10) -> HermitianEigen:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
     if op_norm_exceeds(a - dagger(a), tol):
         raise NotHermitianError(f"matrix is not Hermitian within tol={tol}")
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+    w, v = lapack("eigh", a)
     return HermitianEigen(values=w[..., ::-1].copy(), vectors=v[..., ::-1].copy())
 
 
 def svd(m, stack: bool = False) -> Svd:
     """Singular value decomposition ``m = U Sigma V*``; with ``stack``, of each matrix of a stack."""
     a = as_matrix(m, stack)
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
+    u, s, vh = lapack("svd", a, full_matrices=False)
     return Svd(u=u, singulars=s, v=dagger(vh))
 
 
-def rank_mask(values: np.ndarray, n: int, rank_tol: float | None = None) -> np.ndarray:
-    """The rank rule: which ``values`` exceed ``rank_tol * max(largest, 0)``, the largest of
-    each row for a stack of them.
+def rank_cut(values: np.ndarray, n: int, rank_tol: float | None = None) -> int:
+    """The rank rule: how many of the descending ``values`` exceed ``rank_tol * max(largest, 0)``,
+    each row's own largest for a stack of rows, which must share the count (else DimensionMismatchError).
 
     The default tolerance is ``n * 1e-12``, ``n = max(rows, cols)``.
     """
     tol = rank_tol if rank_tol is not None else n * RANK_TOL_SCALE
-    return values > tol * values.max(axis=-1, keepdims=True, initial=0.0)
+    keep = values > tol * values.max(axis=-1, keepdims=True, initial=0.0)
+    kinds = {int(np.count_nonzero(keep))} if keep.ndim == 1 else set(keep.sum(axis=-1).tolist())
+    if len(kinds) > 1:
+        raise DimensionMismatchError(f"a stack's matrices keep {sorted(kinds)} singular values")
+    return kinds.pop() if kinds else 0
 
 
 def gram_power(f: Svd, power: int, rank_tol: float | None = None) -> np.ndarray:
@@ -230,8 +234,9 @@ def pseudoinverse(m, rank_tol: float | None = None) -> np.ndarray:
     The zero matrix maps to the zero matrix.
     """
     f = svd(m)
-    keep = f.kept(rank_tol)
-    inv = np.where(keep, 1.0 / np.where(keep, f.singulars, 1.0), 0.0)
+    r = f.cut(rank_tol)
+    inv = np.zeros_like(f.singulars)
+    inv[:r] = 1.0 / f.singulars[:r]
     return (f.v * inv) @ dagger(f.u)
 
 
@@ -247,8 +252,8 @@ def matrix_sign(m, rank_tol: float | None = None) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
     f = svd(a)
-    keep = f.kept(rank_tol)
-    return f.u[:, keep] @ dagger(f.v[:, keep])
+    r = f.cut(rank_tol)
+    return f.u[:, :r] @ dagger(f.v[:, :r])
 
 
 def image_projector(m, rank_tol: float | None = None) -> np.ndarray:
@@ -272,8 +277,9 @@ def psd_function(eig: HermitianEigen, fn, rank_tol: float | None = None) -> np.n
     from amplifying O(eps) junk into O(sqrt(eps)) rank.  One decomposition
     serves every ``fn``.
     """
-    kept = rank_mask(eig.values, eig.values.size, rank_tol)
-    vals = np.where(kept, fn(np.where(kept, eig.values, 1.0)), 0.0)
+    r = rank_cut(eig.values, eig.values.shape[-1], rank_tol)
+    vals = np.zeros_like(eig.values)
+    vals[..., :r] = fn(eig.values[..., :r])
     return (eig.vectors * vals) @ dagger(eig.vectors)
 
 
@@ -324,8 +330,7 @@ def exceeding(m, tol: float) -> Iterator[bool]:
 
 
 def _min_eig(h: np.ndarray) -> float:
-    sym = (h + dagger(h)) / 2
-    w = np.linalg.eigvalsh(sym)
+    w = lapack("eigvalsh", (h + dagger(h)) / 2)
     return float(w[0]) if w.size else 0.0
 
 

@@ -231,7 +231,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     if rs.shape != ss.shape:
         raise DimensionMismatchError(f"shape mismatch {rs.shape} vs {ss.shape}")
     b = matcore.svd(ss @ rs)
-    return float(b.singulars[b.kept()].sum())
+    return float(b.singulars[:b.cut()].sum())
 
 
 def schmidt(s: BipartitePureState) -> SchmidtFrame:

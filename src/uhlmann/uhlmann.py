@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatchError,
     FrameMismatchError,
     IllConditionedError,
-    NoConvergenceError,
     NotPartialIsometryError,
     NotPsdError,
     NotUnitaryError,
@@ -182,7 +181,7 @@ class SpectralCore:
     @cached_property
     def eta(self) -> float | np.ndarray:
         _ = self.projector  # ZeroFidelityError unless b keeps a singular value
-        return self._floats(np.linalg.eigvalsh((self.mean + dagger(self.mean)) / 2)[..., -self._b[2].shape[-1]])
+        return self._floats(matcore.lapack("eigvalsh", (self.mean + dagger(self.mean)) / 2)[..., -self._b[2].shape[-1]])
 
     @cached_property
     def kappa(self) -> float | np.ndarray:
@@ -217,10 +216,10 @@ class SpectralCore:
     @cached_property
     def completion_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         f = matcore.svd(states.partial_trace_a_outer(self.d, self.c))
-        keep = f.kept(self.rank_tol)
-        w = f.u[:, keep] @ dagger(f.v[:, keep])  # matrix_sign, bit for bit
+        r = f.cut(self.rank_tol)
+        w = f.u[:, :r] @ dagger(f.v[:, :r])  # matrix_sign, bit for bit
         w.flags.writeable = False
-        return w, f.v[:, ~keep], f.u[:, ~keep]
+        return w, f.v[:, r:], f.u[:, r:]
 
     @cached_property
     def completion(self) -> np.ndarray:  # the honest prover's: completion_basis's kernel onto its cokernel
@@ -346,9 +345,9 @@ def projector_structure_check(inst: UhlmannInstance) -> bool:
     a = inst.spectral_core().a  # sigma^1/2 rho^1/2 in the frame: both images are decided on it
     left = matcore.image_projector(a)
     right = matcore.image_projector(dagger(a))
-    return (
-        matcore.op_norm(wr @ dagger(wr) - left) <= 1e-8
-        and matcore.op_norm(dagger(wr) @ wr - right) <= 1e-8
+    return not (
+        matcore.op_norm_exceeds(wr @ dagger(wr) - left, 1e-8)
+        or matcore.op_norm_exceeds(dagger(wr) @ wr - right, 1e-8)
     )
 
 
@@ -366,8 +365,8 @@ def unitary_completion(w: np.ndarray, rng: np.random.Generator | None = None) ->
     s = f.singulars
     if s.size and (np.minimum(np.abs(s - 1.0), s) > 1e-8).any():
         raise NotPartialIsometryError("singular values are not all 0 or 1 within 1e-8")
-    cut = 0.5  # singular values are 0/1 up to 1e-8, so any mid cut works
-    kernel, coker = f.v[:, s < cut], f.u[:, s < cut]
+    r = int(np.searchsorted(-s, -0.5))  # the descending values are 0/1 up to 1e-8: any mid cut counts the 1s
+    kernel, coker = f.v[:, r:], f.u[:, r:]
     n_missing = kernel.shape[1]
     gauge = _haar_unitary(n_missing, rng) if rng is not None and n_missing else None
     return _complete(w, kernel, coker, gauge)
@@ -460,7 +459,7 @@ def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def _haar_unitaries(z: np.ndarray) -> np.ndarray:
     """The Haar unitary of each complex Gaussian matrix in ``z`` (one matrix or a stack)."""
-    q, r = np.linalg.qr(z)
+    q, r = matcore.lapack("qr", z)
     phase = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phase /= np.abs(phase)
     return q * phase[..., None, :]
@@ -553,10 +552,7 @@ def _walk_blocks(inst, epsilon, chunks, deficit_fraction) -> Iterator[tuple[np.n
     for rngs, count, n in chunks:
         target, zs, hs = (np.concatenate(kind)[:n] for kind in zip(*(draw(rng, count) for rng in rngs)))
         u0 = _complete(w, kernel, coker, _haar_unitaries(zs) if n_missing else None)
-        try:
-            lam, v = np.linalg.eigh((hs + dagger(hs)) / 2)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(str(exc)) from exc
+        lam, v = matcore.lapack("eigh", (hs + dagger(hs)) / 2)
         del zs, hs  # a chunk's stacks are its memory: hold each no longer than needed
         lam /= np.maximum(np.abs(lam).max(axis=1, keepdims=True), 1e-30)
         a = (v.conj() * (k @ u0 @ v)).sum(axis=1)

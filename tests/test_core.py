@@ -9,19 +9,25 @@ per-function implementation computed before the core existed.
 import contextlib
 import gc
 import io
+import json
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
 from conftest import walk_instances
-from uhlmann import adversarial, certificate, cli, matcore, states
+from uhlmann import adversarial, certificate, cli, matcore, protocol, states
+from uhlmann.errors import NoConvergenceError
 from uhlmann.matcore import dagger
 from uhlmann.uhlmann import (
     UhlmannInstance,
     canonical_w,
+    near_optimal_unitary,
+    projector_structure_check,
     random_instance,
     rigidity_report,
+    spectral_gap_eta,
     three_form_deviation,
 )
 
@@ -99,6 +105,71 @@ def test_dual_bound_reuses_the_certificate(loaded, decompositions):
     # everything psd_core_check needs is in the core but its own eigvalsh
     certificate.psd_core_check(inst)
     assert decompositions == {"eigvalsh": 1}
+
+
+def test_a_passing_projector_structure_check_takes_two_svds(loaded, decompositions):
+    inst = _load(loaded)
+    _ = canonical_w(inst), inst.frame, inst.spectral_core().a
+    decompositions.clear()
+    assert projector_structure_check(inst)
+    # the two image projectors; the two 1e-8 checks pass on their Frobenius screens
+    assert decompositions == {"svd": 2}
+
+
+def test_one_core_decides_each_factors_cut_once(loaded, monkeypatch):
+    inst = _load(loaded)
+    seen = []
+    rule = matcore.rank_cut
+    monkeypatch.setattr(matcore, "rank_cut", lambda values, *args: seen.append(values) or rule(values, *args))
+    core = inst.spectral_core()
+    _ = core.fidelity, core.eta, core.kappa
+    certificate.build_certificate(inst, 0.01, alpha=-core.kappa / core.eta)
+    certificate.psd_core_check(inst)
+    # sqrt_rho, rho_pinv_sqrt and kappa's leak projector share one decision on rho's factor
+    assert sum(v is inst.rho.factor.singulars for v in seen) == 1
+    assert sum(v is inst.sigma.factor.singulars for v in seen) == 1
+
+
+def _lapack_fails(monkeypatch, site=None):
+    """Make numpy.linalg's eigvalsh, eigh and qr raise LinAlgError: every call, or only the calls
+    the function named ``site`` makes (through ``matcore.lapack``, or directly)."""
+    for name in ("eigvalsh", "eigh", "qr"):
+        def failing(*args, _orig=getattr(np.linalg, name), **kwargs):
+            caller = sys._getframe(1)
+            caller = caller.f_back if caller.f_code is matcore.lapack.__code__ else caller
+            if site is None or caller.f_code.co_name == site:
+                raise np.linalg.LinAlgError("forced")
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, failing)
+
+
+@pytest.mark.parametrize("site, call", [
+    ("eta", lambda inst: spectral_gap_eta(inst)),
+    ("psd_core_check", lambda inst: certificate.psd_core_check(inst)),
+    ("_min_eig", lambda inst: matcore.schur_psd_margin(np.eye(2), np.zeros((2, 1)), np.eye(1))),
+    ("_walk_blocks", lambda inst: near_optimal_unitary(inst, 0.01, np.random.default_rng(1))),
+    ("_haar_unitaries", lambda inst: near_optimal_unitary(inst, 0.01, np.random.default_rng(1))),
+    ("round_spectral_gap", lambda inst: adversarial.round_spectral_gap(inst, 0.3)),
+    ("_haar_unitaries", lambda inst: protocol.random_prover(3, 1)),
+], ids=["spectral_gap_eta", "psd_core_check", "schur_psd_margin", "walks_eigh", "walks_qr",
+        "round_spectral_gap", "random_prover"])
+def test_a_lapack_failure_raises_no_convergence(loaded, monkeypatch, site, call):
+    inst = _load(loaded)  # ranks 3 and 4 at d = 6: W has a kernel to complete
+    core = inst.spectral_core()
+    if site != "eta":
+        _ = core.eta, core.kappa, inst.frame
+    _lapack_fails(monkeypatch, site)
+    with pytest.raises(NoConvergenceError, match="forced"):
+        call(inst)
+
+
+def test_a_lapack_failure_exits_1_through_the_cli(loaded, monkeypatch):
+    _lapack_fails(monkeypatch)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["report", "--c", loaded[0], "--d", loaded[1]]) == 1
+    assert json.loads(err.getvalue())["error"] == "NoConvergenceError"
 
 
 def test_primal_probe_decomposes_w_once(loaded, decompositions):

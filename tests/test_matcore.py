@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -335,19 +336,27 @@ def test_stacked_op_norm_and_hermitian_eigen_match_each_matrix(rng):
 
 @pytest.mark.parametrize("shape", [(5, 3, 3), (4, 2, 6), (3, 6, 2), (2, 1, 1)])
 def test_stacked_decompositions_act_per_matrix(shape, rng):
-    # Members of rank 1 to full at scales 1 to 1e-9: one maximum over the stack would cut
-    # every value of the small ones, and the stack length is not any member's size.
+    # Members of rank 1 to full at scales 1 to 1e-12: each row's count is its own matrix's,
+    # and a stack whose rows keep different counts has no cut.
     n, rows, cols = shape
-    stack = np.stack([random_complex(rng, rows, k % min(rows, cols) + 1)
-                      @ random_complex(rng, k % min(rows, cols) + 1, cols) * 10.0 ** (-3 * k)
-                      for k in range(n)])
+    ranks = [k % min(rows, cols) + 1 for k in range(n)]
+    stack = np.stack([random_complex(rng, rows, r) @ random_complex(rng, r, cols) * 10.0 ** (-3 * k)
+                      for k, r in enumerate(ranks)])
     f = svd(stack, stack=True)
     for tol in (None, 1e-6):
-        kept = f.kept(tol)
-        assert kept.shape == f.singulars.shape
         for k, m in enumerate(stack):
-            assert kept[k].tolist() == svd(m).kept(tol).tolist()
-    assert [int(k.sum()) for k in f.kept()] == [k % min(rows, cols) + 1 for k in range(n)]
+            row = matcore.Svd(f.u[k:k + 1], f.singulars[k:k + 1], f.v[k:k + 1])  # a one-row stack of f
+            assert row.cut(tol) == svd(m).cut(tol)
+    assert [svd(m).cut() for m in stack] == ranks
+    if len(set(ranks)) > 1:
+        with pytest.raises(DimensionMismatchError):
+            f.cut()
+    # Rows sharing a rank at scales 1 to 1e-9 share the cut: each row is cut on its own largest
+    # value, where one maximum over the stack would cut every value of the small ones at 1e-6.
+    shared = max(1, min(rows, cols) - 1)
+    alike = np.stack([random_complex(rng, rows, shared) @ random_complex(rng, shared, cols)
+                      * 10.0 ** (-9 * k / max(n - 1, 1)) for k in range(n)])
+    assert [svd(alike, stack=True).cut(tol) for tol in (None, 1e-6)] == [shared, shared]
     rebuilt = f.reconstruct()
     for k, m in enumerate(stack):
         assert rebuilt[k].tobytes() == svd(m).reconstruct().tobytes()
@@ -389,7 +398,7 @@ def test_spectral_helpers_share_one_rank_rule(rng):
         np.testing.assert_allclose(matcore.psd_function(eig, matcore.inv_sqrt) @ psd_sqrt(p),
                                    image_projector(p), atol=1e-8)
     # a zero matrix keeps nothing on any path
-    assert not matcore.rank_mask(np.zeros(3), 3).any()
+    assert matcore.rank_cut(np.zeros(3), 3) == 0
     np.testing.assert_array_equal(matrix_sign(np.zeros((2, 2))), np.zeros((2, 2)))
     np.testing.assert_array_equal(matcore.gram_power(matcore.svd(np.zeros((2, 2))), 0), np.zeros((2, 2)))
 
@@ -577,3 +586,77 @@ def test_the_package_imports_without_dataclass_or_namedtuple():
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert int(run.stdout) == 25  # Record and its 24 subclasses
+
+
+_SPECTRA = ("singulars", "values")
+
+
+def _spectrum_names(nodes) -> set:
+    """Names bound to a spectrum: ``x.singulars``, ``x.values``, or the values of ``lapack("eigh" | "svd" |
+    "eigvalsh", ...)``."""
+    names = set()
+    for n in nodes:
+        if not isinstance(n, ast.Assign):
+            continue
+        v = n.value
+        if isinstance(v, ast.Attribute) and v.attr in _SPECTRA:
+            names |= {t.id for t in n.targets if isinstance(t, ast.Name)}
+        elif (isinstance(v, ast.Call) and getattr(v.func, "id", getattr(v.func, "attr", None)) == "lapack"
+              and v.args and isinstance(v.args[0], ast.Constant)):
+            slot = {"eigvalsh": None, "eigh": 0, "svd": 1}.get(v.args[0].value, -1)
+            for t in n.targets:
+                if slot is None and isinstance(t, ast.Name):
+                    names.add(t.id)
+                elif isinstance(t, ast.Tuple) and slot not in (None, -1) and isinstance(t.elts[slot], ast.Name):
+                    names.add(t.elts[slot].id)
+    return names
+
+
+def _gate_offences(source: str, gates: tuple = ()) -> list:
+    """``(line, what)`` of each use of numpy.linalg but ``norm`` (a decomposition, LinAlgError) and each
+    comparison of a spectrum (a mask of singular values or eigenvalues) in ``source``, outside the
+    top-level functions named in ``gates``."""
+    tree = ast.parse(source)
+    gated = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in gates for n in ast.walk(f)}
+    parents = {id(c): n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.Import, ast.ImportFrom)) and "linalg" in ast.unparse(n):
+            out.add((n.lineno, "numpy.linalg"))
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+        nodes = [n for n in ast.walk(scope) if id(n) not in gated]
+        names = _spectrum_names(nodes) if scope is not tree else set()
+        for n in nodes:
+            if isinstance(n, ast.Compare) and any(
+                    (isinstance(x, ast.Attribute) and x.attr in _SPECTRA) or (isinstance(x, ast.Name) and x.id in names)
+                    for x in [n.left, *n.comparators]):
+                out.add((n.lineno, "a comparison of a spectrum"))
+            if (isinstance(n, ast.Attribute) and n.attr == "linalg" and getattr(n.value, "id", None) == "np"
+                    and getattr(parents.get(id(n)), "attr", None) != "norm"):
+                out.add((n.lineno, "numpy.linalg"))
+    return sorted(out)
+
+
+def test_matcore_makes_every_rank_cut_and_every_decomposition():
+    # outside matcore.lapack (the one LAPACK gate) and matcore.rank_cut (the one rank rule), no module
+    # calls numpy.linalg but its norm, catches its LinAlgError, or masks singular values or eigenvalues
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "uhlmann"
+    files = sorted(src.glob("*.py"))
+    assert len(files) == 11
+    for path in files:
+        gates = ("lapack", "rank_cut") if path.name == "matcore.py" else ()
+        assert _gate_offences(path.read_text(encoding="utf-8"), gates) == [], path.name
+    # the guard sees the forms it forbids
+    forbidden = textwrap.dedent("""
+        def f(m, tol):
+            s = svd(m).singulars
+            keep = s > tol
+            w, v = lapack("eigh", m)
+            try:
+                u, s2, vh = np.linalg.svd(m)
+            except np.linalg.LinAlgError:
+                pass
+            return v[:, w >= tol], np.where(svd(m).singulars > tol, 1, 0), np.linalg.norm(m)
+    """)
+    assert _gate_offences(forbidden) == [(4, "a comparison of a spectrum"), (7, "numpy.linalg"),
+                                         (8, "numpy.linalg"), (10, "a comparison of a spectrum")]

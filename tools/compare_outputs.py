@@ -52,7 +52,10 @@ written:
   trials on a random pair at d = 2 (``default_rng(102)``);
   ``three_form_deviation`` and ``psd_core_check`` of a pair whose C grid is
   ``random_instance(3, default_rng(1))``'s scaled by 1 + 5e-7, a norm that
-  ``NORM_TOL`` accepts unscaled;
+  ``NORM_TOL`` accepts unscaled; on matrices of rank d // 2 at d = 2, 3, 5, 6,
+  ``pseudoinverse``, ``matrix_sign``, ``psd_function`` (``sqrt`` and
+  ``inv_sqrt``), ``gram_power`` (1, -1, 0) and ``states.fidelity`` of bare
+  density matrices;
 * the cmjson text (with extra keys on both sides of ``data``) of writer edge
   matrices: a 3x5 grid holding -0.0 in either part, 5e-324, -1.5e-310 and
   1e300, that grid scaled by 1e-12, its transpose, a read-only copy, a 1x1
@@ -323,6 +326,19 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
     for k, d in enumerate((2, 4, 7)):
         a, b = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2))
         rec.value(f"geometric_mean{k}", lambda: _hex(uhlmann.geometric_mean(a @ a.conj().T, b @ b.conj().T)))
+    # the rank rule's slicing and zero-filling sites, on matrices of rank d // 2
+    for d in (2, 3, 5, 6):
+        rng = np.random.default_rng(300 + d)
+        x, y, z = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in ((d, d // 2), (d // 2, d), (d, d // 2)))
+        m, p, q = x @ y, x @ x.conj().T, z @ z.conj().T
+        eig = matcore.psd_eigen(p)
+        rec.value(f"rank{d}.pseudoinverse", lambda: _hex(matcore.pseudoinverse(m)))
+        rec.value(f"rank{d}.matrix_sign", lambda: _hex(matcore.matrix_sign(m)))
+        rec.value(f"rank{d}.psd_function", lambda: [_hex(matcore.psd_function(eig, fn))
+                                                    for fn in (np.sqrt, matcore.inv_sqrt)])
+        rec.value(f"rank{d}.gram_power", lambda: [_hex(matcore.gram_power(matcore.svd(m), k)) for k in (1, -1, 0)])
+        rec.value(f"rank{d}.fidelity_bare", lambda: states.fidelity(
+            states.DensityMatrix(p / np.trace(p).real), states.DensityMatrix(q / np.trace(q).real)))
 
     ref = protocol.completeness_reference_instance(2)
     params = protocol.ProtocolParams.for_instance(ref, n=2, r=2)
