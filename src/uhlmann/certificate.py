@@ -125,7 +125,7 @@ def dual_bound(inst: UhlmannInstance, epsilon: float, rank_tol: float | None = N
     core = inst.spectral_core(rank_tol)
     eta, kappa = core.eta, core.kappa
     cert = build_certificate(inst, epsilon, alpha=-kappa / eta, rank_tol=rank_tol)
-    return float(2.0 * (cert.value + np.trace(core.p @ inst.frame.rho).real))
+    return 2.0 * (cert.value + float(np.trace(core.p @ inst.frame.rho).real))  # floats: no overflow warning
 
 
 def primal_probe(

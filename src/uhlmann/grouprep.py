@@ -100,6 +100,10 @@ class FiniteGroup(Record):
     def from_file(cls, path) -> "FiniteGroup":
         with open(path, "r", encoding="ascii") as fh:
             obj = json.load(fh)
+        if type(obj) is not dict:
+            raise BadParamsError(f"group file must hold a JSON object, got {type(obj).__name__}")
+        if type(obj.get("labels", [])) is not list:
+            raise BadParamsError(f"labels field must be a list, got {obj['labels']!r}")
         if type(obj["order"]) is not int:  # json also gives floats, strings and bools
             raise BadParamsError(f"order field must be an integer, got {obj['order']!r}")
         if obj["order"] != len(obj["table"]):

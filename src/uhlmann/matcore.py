@@ -18,7 +18,9 @@ from __future__ import annotations
 import dataclasses
 import gc
 import inspect
+import itertools
 import json
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -407,7 +409,11 @@ def format_value(x) -> str:
 
 
 def json_line(items: dict) -> str:
-    """``{"k":v,...}`` and a newline: sorted keys, each value by ``format_value``."""
+    """``{"k":v,...}`` and a newline: sorted keys, each value by ``format_value``.  A float that JSON
+    cannot hold (inf, nan) raises ValueError naming its key, so every line parses."""
+    for k, v in items.items():
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{k} is {v}, which JSON cannot hold")
     return "{" + ",".join(f'"{k}":{format_value(items[k])}' for k in sorted(items)) + "}\n"
 
 
@@ -418,19 +424,41 @@ def matrix_to_cmjson(m) -> dict:
 
 
 def cmjson_to_matrix(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
+    """The matrix of cmjson fields: ``rows`` and ``cols`` are integers (``json_count``) and ``data`` is a
+    list of rows*cols [re, im] pairs of JSON numbers (or ``matrix_to_cmjson``'s float array).  Anything else
+    raises ValueError naming the field, or DimensionMismatchError for a data length off rows*cols."""
+    if type(obj) is not dict:
+        raise ValueError(f"cmjson must be a JSON object, got {type(obj).__name__}")
+    rows, cols = json_count(obj, "rows", "cmjson"), json_count(obj, "cols", "cmjson")
+    data = obj["data"].tolist() if isinstance(obj["data"], np.ndarray) else obj["data"]
+    if type(data) is not list:
+        raise ValueError(f"cmjson data must be a list of [re, im] pairs, got {type(data).__name__}")
     if len(data) != rows * cols:
         raise DimensionMismatchError(
             f"cmjson data length {len(data)} != rows*cols = {rows * cols}"
         )
-    pairs = np.array(data, dtype=float).reshape(rows * cols, 2)
-    bad = ~np.isfinite(pairs).all(axis=1)
+    try:  # a pair of anything but two numbers fails the length or the types, strings and objects included
+        flat = list(itertools.chain.from_iterable(data)) if set(map(len, data)) <= {2} else None
+    except TypeError:  # an entry without a length
+        flat = None
+    if flat is None or not set(map(type, flat)) <= {int, float}:
+        raise ValueError("cmjson data entries must be [re, im] pairs of numbers")
+    try:
+        pairs = np.fromiter(flat, float, len(flat))
+    except OverflowError:  # an integer past the float range, as a literal past it reads inf
+        raise ValueError("cmjson data holds an integer too large for a float") from None
+    bad = ~np.isfinite(pairs.reshape(-1, 2)).all(axis=1)
     if bad.any():
         raise ValueError(f"cmjson entry {int(bad.argmax())} is not finite")
-    flat = np.empty(rows * cols, dtype=complex)
-    flat.real, flat.imag = pairs[:, 0], pairs[:, 1]  # keeps signed zeros
-    return flat.reshape(rows, cols)
+    return pairs.view(complex).reshape(rows, cols)  # [re, im] interleaved is complex128's layout
+
+
+def json_count(obj: dict, key: str, where: str) -> int:
+    """``obj[key]`` when it is a JSON integer >= 0 (not a boolean, not a float), else ValueError naming it."""
+    v = obj[key]
+    if type(v) is not int or v < 0:
+        raise ValueError(f"{where} field {key} must be an integer >= 0, got {v!r}")
+    return v
 
 
 def matrix_json_text(m, extra: dict | None = None) -> str:

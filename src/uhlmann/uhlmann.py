@@ -515,9 +515,11 @@ def near_optimal_unitaries(
 
     Only the draws run per walk.  All else runs once per compute chunk of
     ``_chunk_walks(inst)`` walks (one QR of the gauges, one unitarity check of the
-    completions, one eigh, the bisection on arrays of ``t``, one product and one
-    ``vecdot`` for the overlaps), so memory stays bounded whatever the number of
-    generators.  No walk's bits depend on the chunk it is computed in.
+    completions, one eigh, the bisection on arrays of ``t`` in preallocated buffers,
+    one product and one ``vecdot`` for the overlaps), so memory stays bounded whatever
+    the number of generators.  The doubling stops at the first step where no walk of
+    the chunk grows: every later step would repeat it, so each ``t`` keeps the bits
+    of all six steps.  No walk's bits depend on the chunk it is computed in.
     """
     rngs, size = iter(rngs), _chunk_walks(inst)
     chunks = ((b, 1, len(b)) for b in iter(lambda: list(itertools.islice(rngs, size)), []))
@@ -556,17 +558,7 @@ def _walk_blocks(inst, epsilon, chunks, deficit_fraction) -> Iterator[tuple[np.n
         del zs, hs  # a chunk's stacks are its memory: hold each no longer than needed
         lam /= np.maximum(np.abs(lam).max(axis=1, keepdims=True), 1e-30)
         a = (v.conj() * (k @ u0 @ v)).sum(axis=1)
-        lo, hi = np.zeros(n), np.full(n, np.pi / 4)
-        for _ in range(6):
-            grow = f - _walk_overlap(a, lam, hi) < target
-            lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
-        weak = f - _walk_overlap(a, lam, hi) < target
-        t_weak = hi
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            down = f - _walk_overlap(a, lam, mid) < target
-            lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
-        t_final = np.where(weak, t_weak, lo)
+        t_final = _walk_times(f, a, lam, target)
         rs = u0 @ ((v * np.exp(1j * t_final[:, None, None] * lam[:, None, :])) @ dagger(v))
         del u0, v
         # from_states normalizes both states, so these are the coefficients states.overlap reads;
@@ -575,6 +567,42 @@ def _walk_blocks(inst, epsilon, chunks, deficit_fraction) -> Iterator[tuple[np.n
         del rs
 
 
-def _walk_overlap(a: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``Re sum_k a_k exp(i t lam_k)``: the real overlap of each walk at its ``t``."""
-    return (a * np.exp(1j * t[:, None] * lam)).sum(axis=1).real
+def _walk_times(f: float, a: np.ndarray, lam: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Each walk's ``t``: doubling from pi/4, then 60 bisection steps, every step one ``_reaches``
+    into buffers allocated once.  A doubling step where no walk grows would repeat itself to the
+    end and decide ``weak`` alike, so the doubling stops there; only after six growing steps does
+    ``weak`` take one more step."""
+    n = len(target)
+    z = np.zeros(a.shape, complex)  # i t lam: the real part stays +0, which exp maps as it maps -0
+    bufs = (z, np.empty_like(z), np.empty(n, complex), np.empty(n))
+    below, above = np.empty(n, bool), np.empty(n, bool)
+    lo, hi, mid = np.zeros(n), np.full(n, np.pi / 4), np.empty(n)
+    weak = None
+    for _ in range(6):
+        if not _reaches(f, a, lam, hi, target, bufs, below).any():
+            break
+        np.copyto(lo, hi, where=below)
+        np.multiply(hi, 2.0, out=hi, where=below)
+    else:
+        weak, t_weak = _reaches(f, a, lam, hi, target, bufs, below).copy(), hi.copy()
+    for _ in range(60):
+        np.add(lo, hi, out=mid)
+        mid /= 2
+        _reaches(f, a, lam, mid, target, bufs, below)
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=np.logical_not(below, out=above))
+    if weak is not None:
+        np.copyto(lo, t_weak, where=weak)
+    return lo
+
+
+def _reaches(f, a, lam, t, target, bufs, out) -> np.ndarray:
+    """Into ``out``, whether each walk's deficit ``f - Re sum_k a_k exp(i t lam_k)`` at its ``t`` is
+    below its target; every stage writes into ``bufs``, so a step allocates nothing."""
+    z, e, s, deficit = bufs
+    np.multiply(t[:, None], lam, out=z.imag)
+    np.exp(z, out=e)
+    np.multiply(a, e, out=e)
+    np.add.reduce(e, axis=1, out=s)
+    np.subtract(f, s.real, out=deficit)
+    return np.less(deficit, target, out=out)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from uhlmann import adversarial, cli, matcore, states
-from uhlmann.uhlmann import canonical_w, random_instance
+from uhlmann.uhlmann import canonical_w, obliqueness_kappa, random_instance, spectral_gap_eta
 
 
 @pytest.fixture
@@ -437,6 +437,26 @@ def test_epsilon_must_be_finite_and_nonnegative(eps, state_files, capsys):
         assert error["message"].startswith("epsilon must be finite and >= 0")
 
 
+@pytest.mark.parametrize("cmd,scale,field", [("report", 0.75, "delta_bound"), ("certificate", 0.75, "dual_bound"),
+                                              ("certificate", 1.5, "value")])
+def test_a_bound_past_the_float_range_exits_2_instead_of_printing_inf(cmd, scale, field, state_files, capsys):
+    # the bounds are about 2 (kappa/eta) eps and the certificate's value about (kappa/eta) eps
+    inst, c_path, d_path = state_files
+    ratio = obliqueness_kappa(inst) / spectral_gap_eta(inst)
+    eps = repr(scale * (sys.float_info.max / ratio))
+    code, out, err = run_cli_strict(capsys, cmd, "--c", c_path, "--d", d_path, "--epsilon", eps)
+    assert code == 2 and out == "" and err.count("\n") == 1  # and no overflow warning
+    assert json.loads(err) == {"error": "ValueError", "message": f"{field} is inf, which JSON cannot hold"}
+
+
+def test_json_lines_refuse_non_finite_floats_and_csv_keeps_nan(capsys):
+    for bad in (float("inf"), float("-inf"), float("nan"), np.float64("inf")):
+        with pytest.raises(ValueError, match="^x is .*, which JSON cannot hold$"):
+            matcore.json_line({"a": 1.0, "x": bad})
+    code, out, _ = run_cli(capsys, "adversarial", "boost")  # its residual and bound columns are nan
+    assert code == 0 and out.splitlines()[1].endswith(",nan,nan,false")
+
+
 def test_epsilon_zero_is_accepted(state_files, capsys):
     _, c_path, d_path = state_files
     files = ["--c", c_path, "--d", d_path]
@@ -545,3 +565,73 @@ def test_outputs_across_blas_thread_counts(tmp_path):
                 assert value == pytest.approx(two[key], rel=1e-10, abs=0), (name, key)
             else:
                 assert value == two[key], (name, key)
+
+
+_STATE = '{"cols":2,"data":[[0.6,0.0],[0.0,0.8]],"dim_a":1,"dim_b":2,"normalized":true,"rows":1}'
+
+
+_TYPED = {
+    "top_list": ("[1,2]", "cmjson must be a JSON object, got list"),
+    "rows_list": (_STATE.replace('"rows":1', '"rows":[1]'), "cmjson field rows must be an integer >= 0, got [1]"),
+    "rows_string": (_STATE.replace('"rows":1', '"rows":"1"'), "cmjson field rows must be an integer >= 0, got '1'"),
+    "rows_bool": (_STATE.replace('"rows":1', '"rows":true'), "cmjson field rows must be an integer >= 0, got True"),
+    "cols_float": (_STATE.replace('"cols":2', '"cols":1.9'), "cmjson field cols must be an integer >= 0, got 1.9"),
+    "cols_whole_float": (_STATE.replace('"cols":2', '"cols":2.0'), "cmjson field cols must be an integer >= 0, got 2.0"),
+    "dim_a_null": (_STATE.replace('"dim_a":1', '"dim_a":null'),
+                   "state file field dim_a must be an integer >= 0, got None"),
+    "dim_b_negative": (_STATE.replace('"dim_b":2', '"dim_b":-2'),
+                       "state file field dim_b must be an integer >= 0, got -2"),
+    "data_number": (_STATE.replace("[[0.6,0.0],[0.0,0.8]]", "5"),
+                    "cmjson data must be a list of [re, im] pairs, got int"),
+    "data_string": (_STATE.replace("[[0.6,0.0],[0.0,0.8]]", '"ab"'),
+                    "cmjson data must be a list of [re, im] pairs, got str"),
+    "entry_string": (_STATE.replace("0.6,0.0", '"1",0'), "cmjson data entries must be [re, im] pairs of numbers"),
+    "entry_bool": (_STATE.replace("0.6,0.0", "true,0"), "cmjson data entries must be [re, im] pairs of numbers"),
+    "entry_null": (_STATE.replace("0.6,0.0", "null,0"), "cmjson data entries must be [re, im] pairs of numbers"),
+    "pair_string": (_STATE.replace("[0.6,0.0]", '"ab"'), "cmjson data entries must be [re, im] pairs of numbers"),
+    "pair_object": (_STATE.replace("[0.6,0.0]", '{"a":0.6,"b":0}'),
+                    "cmjson data entries must be [re, im] pairs of numbers"),
+    "pair_number": (_STATE.replace("[0.6,0.0]", "0.6"), "cmjson data entries must be [re, im] pairs of numbers"),
+    "pairs_ragged": (_STATE.replace("[0.6,0.0],[0.0,0.8]", "[0.6,0.0,0.0],[0.8]"),
+                     "cmjson data entries must be [re, im] pairs of numbers"),
+    "huge_integer": (_STATE.replace("0.6,0.0", "1" + "0" * 400 + ",0"),
+                     "cmjson data holds an integer too large for a float"),
+    "normalized_string": (_STATE.replace('"normalized":true', '"normalized":"no"'),
+                          "state file field normalized must be true or false, got 'no'"),
+    "normalized_number": (_STATE.replace('"normalized":true', '"normalized":1'),
+                          "state file field normalized must be true or false, got 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TYPED))
+def test_wrongly_typed_state_files_exit_2_naming_the_field(name, state_files, tmp_path, capsys):
+    (text, message), (_, c_path, d_path) = _TYPED[name], state_files
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="ascii")
+    for argv in (["--c", str(bad), "--d", d_path], ["--c", c_path, "--d", str(bad)]):
+        code, out, err = run_cli(capsys, "report", *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_integer_data_stays_valid_and_reads_as_floats(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_text(_STATE.replace("[[0.6,0.0],[0.0,0.8]]", "[[0,1],[-0,0]]").replace('"normalized":true',
+                                                                                          '"normalized":false'))
+    coeffs = states.read_state(path).coeffs
+    assert coeffs.dtype == complex and coeffs.tobytes() == np.array([[1j, 0]]).tobytes()
+
+
+@pytest.mark.parametrize("obj,message", [
+    pytest.param([1, 2], "group file must hold a JSON object, got list", id="top_list"),
+    pytest.param({"order": 2, "table": [[0, 1], [1, 0]], "labels": 5}, "labels field must be a list, got 5",
+                 id="labels_number"),
+    pytest.param({"order": 2, "table": [[0, 1], [1, 0]], "labels": "ab"}, "labels field must be a list, got 'ab'",
+                 id="labels_string"),
+])
+def test_wrongly_typed_group_files_exit_2_naming_the_field(obj, message, tmp_path, capsys):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli_strict(capsys, "grouprep", "--group", str(path), "--count", "1", "--seed", "1")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "BadParamsError", "message": message}

@@ -31,7 +31,14 @@ written:
   64 rows at dim 8) and on s3 with ``--count 9``, ``grouprep`` at dim 1 on z1
   (1 x 1 grids) and on z8 (1 x 64 grids), and ``grouprep`` on table
   files with float, boolean and ragged entries;
-* ``report`` and ``certificate`` with ``--probe-trials -3``;
+* ``report`` and ``certificate`` with ``--probe-trials -3`` and with
+  ``--epsilon 1e308`` (a bound that overflows);
+* ``canonical`` on state files whose fields have the wrong JSON type (a
+  top-level array; ``rows`` an array or a string; ``cols`` a float; ``dim_a``
+  null; ``data`` a number, or holding a string, a boolean or an integer past
+  the float range; ``normalized`` a string) and ``grouprep`` on group files
+  that are an array or have numeric ``labels``; an error that escapes
+  ``cli.main`` is recorded as the output;
 * usage errors (no arguments, an unknown subcommand, an unknown flag, a
   missing required flag, a bad type, a bad choice) and ``--help`` for the
   program and two subcommands, run after the calls above in the same
@@ -45,8 +52,10 @@ written:
   ``completeness_experiment``; ``repr()`` of a ``RigidityReport``, a
   ``DualCertificate``, a ``StabilityResult``, a ``RunOutcome``, a
   ``ProtocolParams`` and a ``SoundnessReport``; on rand5 (a kernel to complete) and full8
-  (full rank), a 130-trial ``primal_probe`` at eps 0, 1e-2 and 5 and 70
-  ``near_optimal_unitaries`` walks, both past the 64-walk block; on rand5,
+  (full rank), a 130-trial ``primal_probe`` at eps 0, 1e-2, 0.1 and 5 and 70
+  ``near_optimal_unitaries`` walks at eps 1e-2 and 0.1, both past the 64-walk
+  block (at eps 0.1 some walks of a chunk grow in the doubling and some do
+  not); on rand5,
   ``primal_probe`` at 64 and 65 trials (one block, and one walk past it);
   ``primal_probe`` past one compute chunk: 300 trials on rand32 and 5000
   trials on a random pair at d = 2 (``default_rng(102)``);
@@ -148,7 +157,10 @@ class Dump:
 
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # an error that escapes main is the output
+                code = f"uncaught {type(exc).__name__}: {exc}"
         parts = [f"exit {code}", out.getvalue(), err.getvalue()]
         for path in files:
             parts.append(pathlib.Path(path).read_text() if os.path.exists(path) else "(none)")
@@ -287,6 +299,23 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
     for cmd in ("report", "certificate"):
         rec.cli(f"rand3.{cmd}_probe_negative", [cmd, "--c", "rand3_c.json", "--d", "rand3_d.json",
                                                  "--probe-trials", "-3", "--seed", "4"])
+        rec.cli(f"rand3.{cmd}_eps1e308", [cmd, "--c", "rand3_c.json", "--d", "rand3_d.json", "--epsilon", "1e308"])
+    # state, matrix and group files whose fields have the wrong JSON type
+    base = '{"cols":2,"data":[[0.6,0.0],[0.0,0.8]],"dim_a":1,"dim_b":2,"normalized":true,"rows":1}'
+    for name, text in (("top_list", "[1,2]"), ("rows_list", base.replace('"rows":1', '"rows":[1]')),
+                       ("rows_string", base.replace('"rows":1', '"rows":"1"')),
+                       ("cols_float", base.replace('"cols":2', '"cols":2.9')),
+                       ("dim_a_null", base.replace('"dim_a":1', '"dim_a":null')),
+                       ("data_number", base.replace("[[0.6,0.0],[0.0,0.8]]", "5")),
+                       ("data_string", base.replace("0.6,0.0", '"0.6",0')),
+                       ("data_bool", base.replace("0.6,0.0", "true,0")),
+                       ("data_huge_integer", base.replace("0.6,0.0", "1" + "0" * 400 + ",0")),
+                       ("normalized_string", base.replace('"normalized":true', '"normalized":"no"'))):
+        pathlib.Path(f"typed_{name}.json").write_text(text)
+        rec.cli(f"typed_error.{name}", ["canonical", "--c", f"typed_{name}.json", "--d", "rand3_d.json"])
+    for name, text in (("top_list", "[1,2]"), ("labels_number", '{"order":2,"table":[[0,1],[1,0]],"labels":5}')):
+        pathlib.Path(f"group_{name}.json").write_text(text)
+        rec.cli(f"typed_error.group_{name}", ["grouprep", "--group", f"group_{name}.json", "--count", "1"])
 
     for name, inst in _pairs().items():
         core = inst.spectral_core()
@@ -306,12 +335,15 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
         rec.value(f"{name}.input_state", lambda: _hex(protocol.input_ensemble_state(
             inst, np.random.default_rng(11))))
     # past one block of walks (64), on a pair with a kernel to complete and on a full-rank one
+    # eps 0.1 grows some walks of the chunk in the doubling and not others (rand5: 30 of 130 probe
+    # walks and 19 of 70 walks; full8: 80 and 45); 0 and 1e-2 grow almost none, and 5 grows all
     for name in ("rand5", "full8"):
-        for eps in (0.0, 1e-2, 5.0):
+        for eps in (0.0, 1e-2, 0.1, 5.0):
             rec.value(f"{name}.probe130_eps{eps:g}", lambda: certificate.primal_probe(insts[name], eps, 130, 12))
-        rec.value(f"{name}.walks70", lambda: [
-            (_hex(r), ov.hex()) for r, ov in _with_w(uhlmann.near_optimal_unitaries, insts[name], 0.01,
-                                                      (np.random.default_rng((13, i)) for i in range(70)))])
+        for eps, suffix in ((0.01, ""), (0.1, "_eps0.1")):
+            rec.value(f"{name}.walks70{suffix}", lambda: [
+                (_hex(r), ov.hex()) for r, ov in _with_w(uhlmann.near_optimal_unitaries, insts[name], eps,
+                                                          (np.random.default_rng((13, i)) for i in range(70)))])
     for trials in (64, 65):
         rec.value(f"rand5.probe{trials}", lambda: certificate.primal_probe(insts["rand5"], 0.01, trials, 14))
     # past one compute chunk of walks: 256 walks per chunk at d = 32, 4096 at d <= 8
