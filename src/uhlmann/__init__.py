@@ -10,9 +10,17 @@ Submodules:
 * ``protocol``    interactive synthesis protocol simulation
 * ``grouprep``    stability of approximate group representations
 * ``cli``         command-line entry point
+
+``errors``, ``matcore``, ``states`` and ``uhlmann`` load with the package.
+``adversarial``, ``certificate``, ``grouprep`` and ``protocol`` load the
+first time they are read (``uhlmann.protocol``, ``from uhlmann import
+protocol``), through the module ``__getattr__`` of PEP 562, so a process
+that never reads them never compiles them.
 """
 
-from . import adversarial, certificate, errors, grouprep, matcore, protocol, states
+import importlib
+
+from . import errors, matcore, states
 from . import uhlmann as core
 from .errors import UhlmannError
 from .states import BipartitePureState, DensityMatrix, fidelity, omega, overlap
@@ -57,3 +65,16 @@ __all__ = [
     "states",
     "unitary_completion",
 ]
+
+
+_ON_FIRST_USE = ("adversarial", "certificate", "grouprep", "protocol")
+
+
+def __getattr__(name: str):
+    if name in _ON_FIRST_USE:
+        return importlib.import_module(f"{__name__}.{name}")  # binds the attribute: one call per module
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_ON_FIRST_USE})

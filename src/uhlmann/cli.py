@@ -23,8 +23,9 @@ import argparse
 import functools
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import adversarial, certificate, grouprep, matcore, protocol, states, uhlmann
+from . import matcore, states, uhlmann
 from .errors import (
     BadParamsError,
     ConsistencyError,
@@ -33,7 +34,14 @@ from .errors import (
     UhlmannError,
 )
 
+# adversarial, certificate, grouprep and protocol are imported by the handlers that use them, so a
+# subcommand loads only its own modules
+if TYPE_CHECKING:
+    from . import grouprep, protocol
+
 SCHEMA_VERSION = 1
+# protocol's built-in instances (the reference pair, the eta family) are 2^n-dimensional
+MAX_BUILTIN_N = 10
 # Exit code 1; every other library, input or file error exits 2.
 _NUMERICAL_FAILURES = (NoConvergenceError, ConsistencyError, IllConditionedError, FloatingPointError)
 
@@ -88,6 +96,8 @@ def _probe_best(args, inst) -> float | None:
     """The primal probe's best residual, or None without ``--probe-trials``."""
     if not args.probe_trials:
         return None
+    from . import certificate
+
     seed = _require_seed(args)
     return certificate.primal_probe(inst, args.epsilon, args.probe_trials, seed).best_residual
 
@@ -101,6 +111,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_certificate(args) -> int:
+    from . import certificate
+
     inst = _load_instance(args)
     eta = uhlmann.spectral_gap_eta(inst, rank_tol=args.tol)
     kappa = uhlmann.obliqueness_kappa(inst, rank_tol=args.tol)
@@ -117,6 +129,8 @@ _ADV_HEADER = ["family", "d", "fidelity", "eta", "kappa", "epsilon", "residual",
 
 
 def _cmd_adversarial(args) -> int:
+    from . import adversarial, certificate
+
     nan = float("nan")
     if args.family == "eta":
         fam = adversarial.build_eta_family(args.d, args.eta, args.tau)
@@ -143,6 +157,8 @@ def _cmd_adversarial(args) -> int:
 
 
 def _cmd_round_gap(args) -> int:
+    from . import adversarial
+
     inst = _load_instance(args)
     rounded = adversarial.round_spectral_gap(inst, args.eta_target, args.mix_delta)
     if args.out_c:
@@ -164,6 +180,8 @@ def _cmd_round_gap(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
+    from . import protocol
+
     seed = _require_seed(args)
     if args.trials < 1:
         raise BadParamsError(f"--trials must be >= 1, got {args.trials}")
@@ -172,7 +190,11 @@ def _cmd_protocol(args) -> int:
     fam = None
     if args.c:
         inst = _load_instance(args)
+    elif args.n > MAX_BUILTIN_N:
+        raise BadParamsError(f"--n must be <= {MAX_BUILTIN_N} without --c/--d, got {args.n}")
     elif args.prover == "derangement":
+        from . import adversarial
+
         fam = adversarial.build_eta_family(2**args.n, args.eta, args.tau)
         inst = fam.instance
     else:
@@ -202,6 +224,8 @@ def _cmd_protocol(args) -> int:
 
 
 def _build_prover(spec_str: str, inst, fam, seed: int) -> protocol.ProverStrategy:
+    from . import protocol
+
     if spec_str == "honest":
         return protocol.honest_prover(inst)
     if spec_str == "derangement":
@@ -217,6 +241,8 @@ def _build_prover(spec_str: str, inst, fam, seed: int) -> protocol.ProverStrateg
 
 
 def _cmd_grouprep(args) -> int:
+    from . import grouprep
+
     seed = _require_seed(args)
     if args.count < 1:
         raise BadParamsError(f"--count must be >= 1, got {args.count}")
@@ -231,6 +257,8 @@ def _cmd_grouprep(args) -> int:
 
 
 def _build_group(name: str) -> grouprep.FiniteGroup:
+    from . import grouprep
+
     if name.startswith("z") and name[1:].isdigit():
         return grouprep.FiniteGroup.cyclic(int(name[1:]))
     if name == "s3":
@@ -315,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("protocol", help="Monte-Carlo protocol experiments")
     add_states(sp, required=False)
     add_common(sp, seed=True)
-    sp.add_argument("--n", type=int, default=2)
+    sp.add_argument("--n", type=int, default=2,
+                    help=f"2^n is B's dimension; at most {MAX_BUILTIN_N} without --c/--d")
     sp.add_argument("--r", type=int, default=2)
     sp.add_argument("--gamma", type=float, default=None, help="default: honest accept probability")
     sp.add_argument("--trials", type=int, default=200)

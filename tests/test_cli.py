@@ -366,6 +366,20 @@ def test_protocol_rejects_n_below_one(n, capsys):
     assert json.loads(err) == {"error": "BadParamsError", "message": "n and r must be positive integers"}
 
 
+@pytest.mark.parametrize("prover", ["honest", "derangement"])
+def test_protocol_caps_n_for_the_built_in_instances(prover, capsys):
+    # 2^40 dimensions: without the cap the first allocation fails at once, and its MemoryError escaped cli.main
+    code, out, err = run_cli(capsys, "protocol", "--n", "40", "--trials", "2", "--seed", "1", "--prover", prover)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "BadParamsError", "message": "--n must be <= 10 without --c/--d, got 40"}
+
+
+def test_protocol_help_states_the_n_cap(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    code, out, _ = run_cli(capsys, "protocol", "--help")
+    assert code == 0 and f"at most {cli.MAX_BUILTIN_N} without --c/--d" in " ".join(out.split())
+
+
 @pytest.mark.parametrize("family", ["kappa", "boost"])
 @pytest.mark.parametrize("d", ["0", "1", "-1"])
 def test_adversarial_kappa_rejects_d_below_two(family, d, capsys):

@@ -466,30 +466,43 @@ def test_record_binds_positional_keyword_and_default_arguments():
     assert BipartitePureState(grid, normalized=False).normalized is False
     assert BipartitePureState(normalized=False, coeffs=grid).normalized is False
     assert BipartitePureState(grid).coeffs is grid  # __post_init__ replaced it through object.__setattr__
+    u, sv, v = np.eye(3, 2, dtype=complex), np.array([2.0, 1.0]), np.eye(2, dtype=complex)
+    for svd in (matcore.Svd(u, sv, v), matcore.Svd(u=u, singulars=sv, v=v), matcore.Svd(u, sv, v=v),
+                matcore.Svd(u, v=v, singulars=sv)):
+        assert svd.u is u and svd.singulars is sv and svd.v is v
+    values, vectors = np.array([1.0, 0.0]), np.eye(2, dtype=complex)
+    for eig in (matcore.HermitianEigen(values, vectors), matcore.HermitianEigen(vectors=vectors, values=values),
+                matcore.HermitianEigen(values, vectors=vectors)):
+        assert eig.values is values and eig.vectors is vectors
 
 
-@pytest.mark.parametrize("make", [
-    lambda: RunOutcome(True, 3, 1),  # missing
-    lambda: RunOutcome(accepted=True, j=3, i_star=1),
-    lambda: RunOutcome(),
-    lambda: BipartitePureState(),
-    lambda: BipartitePureState(normalized=True),
-    lambda: RunOutcome(True, 3, 1, 0.5, x=1),  # unexpected
-    lambda: RunOutcome(accepted=True, j=3, i_star=1, output_state_fidelity=0.5, x=1),
-    lambda: _report(x=1),
-    lambda: DensityMatrix(np.eye(2) / 2, eigen=None),
-    lambda: RunOutcome(True, 3, 1, 0.5, j=4),  # duplicated
-    lambda: RunOutcome(True, accepted=False, j=3, i_star=1, output_state_fidelity=0.5),
-    lambda: BipartitePureState(np.eye(1), coeffs=np.eye(1)),
-    lambda: RunOutcome(True, 3, 1, 0.5, 9),  # surplus
-    lambda: BipartitePureState(np.eye(1), True, 5),
-    lambda: _Noted(1, "a", 2),
-], ids=["missing", "missing_kw", "none", "none_required", "default_only", "unexpected", "unexpected_kw",
-        "unexpected_default", "unexpected_cached", "duplicated", "duplicated_first", "duplicated_one",
-        "surplus", "surplus_default", "surplus_hidden"])
-def test_record_rejects_arguments_that_do_not_bind(make):
-    with pytest.raises(TypeError):
+@pytest.mark.parametrize("make,message", [
+    (lambda: RunOutcome(True, 3, 1), "missing a required argument: 'output_state_fidelity'"),
+    (lambda: RunOutcome(accepted=True, j=3, i_star=1), "missing a required argument: 'output_state_fidelity'"),
+    (lambda: RunOutcome(), "missing a required argument: 'accepted'"),
+    (lambda: BipartitePureState(), "missing a required argument: 'coeffs'"),
+    (lambda: BipartitePureState(normalized=True), "missing a required argument: 'coeffs'"),
+    (lambda: matcore.Svd(1, 2), "missing a required argument: 'v'"),
+    (lambda: RunOutcome(True, 3, 1, 0.5, x=1), "got an unexpected keyword argument 'x'"),
+    (lambda: RunOutcome(accepted=True, j=3, i_star=1, output_state_fidelity=0.5, x=1),
+     "got an unexpected keyword argument 'x'"),
+    (lambda: _report(x=1), "got an unexpected keyword argument 'x'"),
+    (lambda: DensityMatrix(np.eye(2) / 2, eigen=None), "got an unexpected keyword argument 'eigen'"),
+    (lambda: RunOutcome(True, 3, 1, 0.5, j=4), "multiple values for argument 'j'"),
+    (lambda: RunOutcome(True, accepted=False, j=3, i_star=1, output_state_fidelity=0.5),
+     "multiple values for argument 'accepted'"),
+    (lambda: BipartitePureState(np.eye(1), coeffs=np.eye(1)), "multiple values for argument 'coeffs'"),
+    (lambda: RunOutcome(True, 3, 1, 0.5, 9), "too many positional arguments"),
+    (lambda: BipartitePureState(np.eye(1), True, 5), "too many positional arguments"),
+    (lambda: _Noted(1, "a", 2), "too many positional arguments"),
+    (lambda: matcore.Svd(1, 2, 3, 4), "too many positional arguments"),
+], ids=["missing", "missing_kw", "none", "none_required", "default_only", "missing_last", "unexpected",
+        "unexpected_kw", "unexpected_default", "unexpected_cached", "duplicated", "duplicated_first",
+        "duplicated_one", "surplus", "surplus_default", "surplus_hidden", "surplus_svd"])
+def test_record_rejects_arguments_that_do_not_bind(make, message):
+    with pytest.raises(TypeError) as info:  # inspect.Signature.bind's message
         make()
+    assert str(info.value) == message
 
 
 def test_record_is_frozen():
@@ -571,7 +584,9 @@ def test_the_package_imports_without_dataclass_or_namedtuple():
             raise AssertionError("a class built by @dataclass or namedtuple")
 
         dataclasses.dataclass = collections.namedtuple = refuse
-        import uhlmann, uhlmann.cli
+        # every submodule by name (not __main__, which runs the CLI): the package loads some on first use
+        import uhlmann.adversarial, uhlmann.certificate, uhlmann.cli, uhlmann.errors, uhlmann.grouprep
+        import uhlmann.matcore, uhlmann.protocol, uhlmann.states, uhlmann.uhlmann
         classes = [c for name, mod in list(sys.modules.items()) if name.split(".")[0] == "uhlmann"
                    for c in vars(mod).values() if isinstance(c, type) and c.__module__ == name]
         # a Record answers the dataclass protocol (__dataclass_fields__, for dataclasses.replace), but

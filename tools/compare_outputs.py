@@ -13,7 +13,8 @@ are printed).  ``--keep DIR`` keeps both dumps under ``DIR/old`` and
 ``DIR/new``.
 
 Outputs, each recorded with the exit code, stdout, stderr and every file
-written:
+written, with the checkout's root in any text replaced by ``<checkout>`` (a
+warning names the file that raised it):
 
 * eight state pairs: random at d = 3, 5, 6, 32, 64 (``default_rng(100 + d)``),
   full rank at d = 8 and at d = 32 (``default_rng(7)``, the pinned pair of
@@ -39,6 +40,12 @@ written:
   the float range; ``normalized`` a string) and ``grouprep`` on group files
   that are an array or have numeric ``labels``; an error that escapes
   ``cli.main`` is recorded as the output;
+* per subcommand (``canonical``, ``report`` with and without a probe,
+  ``certificate``, ``round-gap``, ``adversarial eta``, ``protocol`` with the
+  honest and the derangement prover, ``grouprep``), the sorted ``uhlmann.*``
+  modules that a fresh interpreter has loaded after the call, and
+  ``protocol --n 40`` with either prover in a fresh interpreter whose address
+  space is capped at 4 GB;
 * usage errors (no arguments, an unknown subcommand, an unknown flag, a
   missing required flag, a bad type, a bad choice) and ``--help`` for the
   program and two subcommands, run after the calls above in the same
@@ -138,12 +145,27 @@ def _with_w(fn, inst, *args):
     return fn(inst, *args)
 
 
+# one cli.main call in a fresh interpreter: its output, and the package modules loaded after it
+_FRESH_CALL = """import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))  # an allocation past this fails at once
+from uhlmann import cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = cli.main(json.loads(sys.argv[1]))
+    except Exception as exc:
+        code = f"uncaught {type(exc).__name__}: {exc}"
+loaded = " ".join(sorted(m for m in sys.modules if m.split(".")[0] == "uhlmann"))
+print(f"exit {code}", out.getvalue(), err.getvalue(), loaded, sep="\\n--\\n")
+"""
+
+
 class Dump:
-    def __init__(self, out: pathlib.Path):
-        self.out = out
+    def __init__(self, out: pathlib.Path, root: pathlib.Path):
+        self.out, self.root = out, str(root)
 
     def put(self, name: str, text: str) -> None:
-        (self.out / name).write_text(text, encoding="utf-8")
+        (self.out / name).write_text(text.replace(self.root, "<checkout>"), encoding="utf-8")
 
     def value(self, name: str, thunk) -> None:
         try:
@@ -167,6 +189,11 @@ class Dump:
             if os.path.exists(path):
                 os.remove(path)
         self.put(name, "\n--\n".join(parts))
+
+    def fresh_cli(self, name: str, argv: list) -> None:
+        run = subprocess.run([sys.executable, "-c", _FRESH_CALL, json.dumps(argv)], capture_output=True,
+                             text=True, env=os.environ)
+        self.put(name, f"exit {run.returncode}\n{run.stdout}\n--\n{run.stderr}")
 
 
 def _edge_matrices():
@@ -212,7 +239,7 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
 
     from uhlmann import adversarial, certificate, grouprep, matcore, protocol, states, uhlmann
 
-    rec = Dump(out)
+    rec = Dump(out, demos.parent)
     os.chdir(out)  # relative paths, so error messages match across checkouts
     insts = _pairs()
     for name, inst in insts.items():
@@ -254,6 +281,19 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
                        ("unknown_flag", ["report", *files, "--bogus"]), ("missing_required", ["canonical"]),
                        ("bad_type", ["protocol", "--n", "two"]), ("bad_choice", ["adversarial", "zeta"])):
         rec.cli(f"usage.{name}", argv)
+
+    for name, argv in (("canonical", ["canonical", *files]), ("report", ["report", *files]),
+                       ("report_probe", ["report", *files, "--probe-trials", "3", "--seed", "1"]),
+                       ("certificate", ["certificate", *files]),
+                       ("round_gap", ["round-gap", *files, "--eta-target", "0.3"]),
+                       ("adversarial_eta", ["adversarial", "eta"]),
+                       ("protocol_honest", ["protocol", "--trials", "3", "--seed", "1"]),
+                       ("protocol_derangement", ["protocol", "--prover", "derangement", "--trials", "3", "--seed", "1"]),
+                       ("grouprep", ["grouprep", "--count", "1", "--seed", "1"]),
+                       ("protocol_n40_honest", ["protocol", "--n", "40", "--trials", "2", "--seed", "1"]),
+                       ("protocol_n40_derangement", ["protocol", "--n", "40", "--trials", "2", "--seed", "1",
+                                                     "--prover", "derangement"])):
+        rec.fresh_cli(f"fresh.{name}", argv)
 
     adv = {
         "eta": [[], ["--d", "8", "--eta", "0.2", "--tau", "0.7"]],
