@@ -72,6 +72,8 @@ def _load_instance(args) -> uhlmann.UhlmannInstance:
 def _require_seed(args) -> int:
     if os.environ.get("CI_STRICT") == "1" and args.seed is None:
         raise BadParamsError("CI_STRICT=1 requires an explicit --seed on randomized subcommands")
+    if args.seed is not None and args.seed < 0:
+        raise BadParamsError(f"--seed must be >= 0, got {args.seed}")
     return 0 if args.seed is None else args.seed
 
 
@@ -247,7 +249,9 @@ def _cmd_grouprep(args) -> int:
     if args.count < 1:
         raise BadParamsError(f"--count must be >= 1, got {args.count}")
     group = _build_group(args.group)
-    dim = args.dim if args.dim else (3 if group.order == 6 else group.order)
+    dim = (3 if group.order == 6 else group.order) if args.dim is None else args.dim
+    if dim < 1:  # before _sweep sizes its passes by (|G| dim)^2
+        raise BadParamsError(f"dim must be >= 1, got {dim}")
     lines = []
     for k, (rep, row) in enumerate(grouprep._sweep(group, dim, args.scale, seed, args.count)):
         res = grouprep.stability_check(rep, row)
@@ -356,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("grouprep", help="stability sweep over perturbed representations")
     add_common(sp, seed=True)
     sp.add_argument("--group", default="z4", help="z<n>, s3, or a JSON table file")
-    sp.add_argument("--dim", type=int, default=0)
+    sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--scale", type=float, default=0.2)
     sp.add_argument("--count", type=int, default=5)
     sp.set_defaults(func=_cmd_grouprep)

@@ -52,8 +52,6 @@ __all__ = [
     "psd_sqrt",
     "rank_cut",
     "read_cmjson",
-    "read_matrix",
-    "schur_psd_check",
     "schur_psd_margin",
     "svd",
     "trace_norm",
@@ -242,25 +240,25 @@ def pseudoinverse(m, rank_tol: float | None = None) -> np.ndarray:
     return (f.v * inv) @ dagger(f.u)
 
 
-def matrix_sign(m, rank_tol: float | None = None) -> np.ndarray:
+def matrix_sign(m) -> np.ndarray:
     """Partial-isometry factor ``U sgn(Sigma) V*`` of a square matrix.
 
     Equal to the gauge-free function ``m (m* m)^(-1/2)`` (pseudoinverse
     square root), so degenerate singular values cause no ambiguity; the
-    retained support is decided on the singular values directly, below
-    ``rank_tol * sigma_max`` counts as zero.
+    retained support is decided on the singular values directly, by the
+    default rank rule.
     """
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
     f = svd(a)
-    r = f.cut(rank_tol)
+    r = f.cut()
     return f.u[:, :r] @ dagger(f.v[:, :r])
 
 
-def image_projector(m, rank_tol: float | None = None) -> np.ndarray:
-    """Hermitian projector onto the column space of ``m``."""
-    return gram_power(svd(m), 0, rank_tol)
+def image_projector(m) -> np.ndarray:
+    """Hermitian projector onto the column space of ``m``, whose rank the default rank rule decides."""
+    return gram_power(svd(m), 0)
 
 
 def psd_eigen(m, tol: float = 1e-10) -> HermitianEigen:
@@ -374,11 +372,6 @@ def schur_psd_margin(a, b, c, tol: float = 1e-9) -> float:
     return direct_margin
 
 
-def schur_psd_check(a, b, c, tol: float = 1e-9) -> bool:
-    """Decide PSD-ness of ``[[A, B], [B*, C]]`` up to ``tol`` (see ``schur_psd_margin``)."""
-    return schur_psd_margin(a, b, c, tol) >= -tol
-
-
 # ---------------------------------------------------------------------------
 # Output text, one rule for every printed value: floats to 17 significant
 # digits, true/false, null, and a line is a dict with sorted keys.
@@ -470,11 +463,6 @@ def write_matrix(path, m, extra: dict | None = None) -> None:
     """Write ``m`` to ``path`` in cmjson format."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(matrix_json_text(m, extra=extra))
-
-
-def read_matrix(path) -> np.ndarray:
-    """Read a cmjson matrix file."""
-    return read_cmjson(path)[0]
 
 
 def read_cmjson(path) -> tuple[np.ndarray, dict]:

@@ -1,4 +1,4 @@
-"""Bipartite pure states, partial traces, Schmidt frames, and fidelity.
+"""Bipartite pure states, partial traces, and fidelity.
 
 Vectorization convention, fixed once for the whole package: a state on a
 ``dim_a x dim_b`` product space is stored as its coefficient grid
@@ -26,7 +26,6 @@ from .matcore import Record, as_matrix, dagger
 __all__ = [
     "BipartitePureState",
     "DensityMatrix",
-    "SchmidtFrame",
     "apply_b",
     "fidelity",
     "omega",
@@ -35,7 +34,6 @@ __all__ = [
     "read_state",
     "reduce_a",
     "reduce_b",
-    "schmidt",
     "write_state",
 ]
 
@@ -92,10 +90,6 @@ class BipartitePureState(Record):
             raise NotNormalizedError("cannot normalize the zero vector")
         return BipartitePureState(self.coeffs / nrm[..., None, None])
 
-    def vector(self) -> np.ndarray:
-        """Flat amplitude vector, index = i * dim_b + j."""
-        return self.coeffs.ravel()
-
 
 class DensityMatrix(Record):
     """Hermitian, PSD, trace-one matrix.  With a ``grid`` M (from ``reduce_a``: ``mat = M M* / trace``),
@@ -135,24 +129,6 @@ class DensityMatrix(Record):
     @property
     def dim(self) -> int:
         return self.mat.shape[-1]
-
-
-class SchmidtFrame(Record):
-    """Schmidt data of a state: ``|s> = sum_i lambda_i |a_i>|b_i>``.
-
-    ``coefficients`` descend; ``basis_a``/``basis_b`` hold the vectors as
-    columns.  ``frame_b`` is the unitary (isometry when dim_a < dim_b) X
-    with ``coeffs = sqrt(reduce_a) @ X.T``, i.e. the B-side frame of the
-    state relative to the maximally entangled reference.
-    """
-
-    coefficients: np.ndarray
-    basis_a: np.ndarray
-    basis_b: np.ndarray
-    frame_b: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.basis_a * self.coefficients) @ self.basis_b.T
 
 
 def omega(d: int) -> BipartitePureState:
@@ -232,21 +208,6 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise DimensionMismatchError(f"shape mismatch {rs.shape} vs {ss.shape}")
     b = matcore.svd(ss @ rs)
     return float(b.singulars[:b.cut()].sum())
-
-
-def schmidt(s: BipartitePureState) -> SchmidtFrame:
-    """Schmidt decomposition plus the B-side frame operator.
-
-    With ``M = U Sigma V*`` the Schmidt vectors are ``a_i = U[:, i]`` and
-    ``b_i = conj(V[:, i])``, and the frame is ``X = conj(V) U.T`` extended
-    isometrically on the kernel, so that ``M = sqrt(M M*) @ X.T`` exactly
-    (also for rank-deficient states).
-    """
-    if s.dim_a > s.dim_b:
-        raise DimensionMismatchError("schmidt frame extraction requires dim_a <= dim_b")
-    f = matcore.svd(_grid(s))  # thin: V is dim_b x dim_a
-    x = f.v.conj() @ f.u.T
-    return SchmidtFrame(coefficients=f.singulars, basis_a=f.u, basis_b=f.v.conj(), frame_b=x)
 
 
 # ---------------------------------------------------------------------------

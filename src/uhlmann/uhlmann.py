@@ -16,7 +16,8 @@ its coefficient grids become ``sqrt(rho_A)`` and ``sqrt(sigma_A)`` makes
 the B-side reduced matrices the entrywise *conjugates* of the A-side
 ones, and it is those conjugates that enter every B-side operator formula
 (``W = sgn(sqrt(sigma) sqrt(rho))`` etc.).  ``IdentityFrame`` carries the
-conjugated matrices so client code can use the formulas verbatim.
+conjugate of rho, the one such matrix its readers use, so client code can
+use the formulas verbatim.
 """
 
 from __future__ import annotations
@@ -233,14 +234,12 @@ class IdentityFrame(Record):
 
     ``x_c``/``x_d`` are the B-side isometries with
     ``C.coeffs = sqrt(rho_A) @ x_c.T`` (same for D), so the original
-    canonical transformation is ``x_d @ W_rot @ x_c*``.  ``rho``/``sigma``
-    are the *conjugates* of the A-side reduced matrices, i.e. the reduced
-    B-side matrices of the rotated pair; all B-side operator formulas use
-    these.
+    canonical transformation is ``x_d @ W_rot @ x_c*``.  ``rho`` is the
+    *conjugate* of the A-side reduced matrix of C, i.e. the reduced B-side
+    matrix of the rotated C; the B-side operator formulas use it.
     """
 
     rho: np.ndarray
-    sigma: np.ndarray
     x_c: np.ndarray
     x_d: np.ndarray
 
@@ -250,7 +249,7 @@ class IdentityFrame(Record):
             raise FrameMismatchError("identity-frame rotation requires dim_a <= dim_b")
         # the Schmidt frame conj(V) U^T of each grid M = U S V*
         x_c, x_d = (m.factor.v.conj() @ m.factor.u.T for m in (core.rho, core.sigma))
-        frame = cls(rho=core.rho.mat.conj(), sigma=core.sigma.mat.conj(), x_c=x_c, x_d=x_d)
+        frame = cls(rho=core.rho.mat.conj(), x_c=x_c, x_d=x_d)
         for x, root, s in ((x_c, core.sqrt_rho, core.c), (x_d, core.sqrt_sigma, core.d)):
             if matcore.op_norm_exceeds(dagger(x) @ x - np.eye(s.dim_a), 1e-8):
                 raise FrameMismatchError("frame operator is not an isometry")

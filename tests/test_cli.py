@@ -35,7 +35,7 @@ def test_canonical_writes_w(state_files, tmp_path, capsys):
     out = tmp_path / "w.json"
     code, _, err = run_cli(capsys, "canonical", "--c", c_path, "--d", d_path, "--out", str(out))
     assert code == 0 and err == ""
-    np.testing.assert_allclose(matcore.read_matrix(out), canonical_w(inst), atol=1e-12)
+    np.testing.assert_allclose(matcore.read_cmjson(out)[0], canonical_w(inst), atol=1e-12)
 
 
 def test_report_json(state_files, capsys):
@@ -284,6 +284,19 @@ def test_probe_trials_below_one_is_a_bad_param(cmd, state_files, capsys):
     assert json.loads(err) == {"error": "BadParamsError", "message": "trials must be >= 1"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["protocol", "--trials", "5"],
+    ["grouprep", "--count", "1"],
+    ["report", "--probe-trials", "5"],
+], ids=["protocol", "grouprep", "report_probe"])
+def test_a_negative_seed_is_a_bad_param(argv, state_files, capsys):
+    _, c_path, d_path = state_files
+    files = ["--c", c_path, "--d", d_path] if argv[0] == "report" else []
+    code, out, err = run_cli(capsys, *argv, *files, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert err == '{"error":"BadParamsError","message":"--seed must be >= 0, got -1"}\n'
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_grouprep_rejects_count_below_one(count, capsys):
     code, out, err = run_cli(capsys, "grouprep", "--count", count, "--seed", "1")
@@ -397,6 +410,7 @@ def run_cli_strict(capsys, *argv):
 
 @pytest.mark.parametrize("argv,message", [
     (["--dim", "-1"], "dim must be >= 1, got -1"),
+    (["--dim", "0"], "dim must be >= 1, got 0"),
     (["--scale", "inf"], "scale must be finite, got inf"),
     (["--scale", "nan"], "scale must be finite, got nan"),
 ])

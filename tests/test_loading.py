@@ -123,3 +123,19 @@ def test_an_unknown_attribute_raises_the_usual_attribute_error():
     assert str(info.value) == "module 'uhlmann' has no attribute 'no_such_module'"
     with pytest.raises(ImportError, match="cannot import name 'no_such_module' from 'uhlmann'"):
         from uhlmann import no_such_module  # noqa: F401
+
+
+def test_every_submodule_binds_every_name_in_its_all(tmp_path):
+    # the bench tracer wraps each module's __all__ through getattr, so a stale entry breaks every run
+    out = _fresh("""
+        import importlib, json, pkgutil
+        import uhlmann
+        names = sorted(m.name for m in pkgutil.iter_modules(uhlmann.__path__) if m.name != "__main__")
+        mods = {name: importlib.import_module("uhlmann." + name) for name in names}
+        stale = [f"{name}.{n}" for name, mod in mods.items() for n in getattr(mod, "__all__", ())
+                 if not hasattr(mod, n)]
+        print(json.dumps([names, stale]))
+    """, tmp_path)
+    names, stale = json.loads(out)
+    assert {"adversarial", "certificate", "grouprep", "matcore", "protocol", "states", "uhlmann"} <= set(names)
+    assert stale == []

@@ -17,8 +17,8 @@ from uhlmann.states import (
     partial_trace_a_outer,
     reduce_a,
     reduce_b,
-    schmidt,
 )
+from uhlmann.uhlmann import UhlmannInstance
 
 
 def apply_a(s: BipartitePureState, a: np.ndarray) -> BipartitePureState:
@@ -201,27 +201,17 @@ def test_fidelity_diagonal_family_value():
     assert fidelity(rho, sigma) == pytest.approx(expected, abs=1e-12)
 
 
-def test_schmidt_product_and_maximally_entangled(rng):
-    product = BipartitePureState(np.array([[1.0, 0], [0, 0]], dtype=complex))
-    assert schmidt(product).coefficients == pytest.approx([1, 0], abs=1e-12)
-    w = omega(3).normalize()
-    assert schmidt(w).coefficients == pytest.approx([1 / np.sqrt(3)] * 3, abs=1e-12)
-
-
 def test_schmidt_reconstruction_and_frame(rng):
+    # the identity frame's X, the Schmidt frame conj(V) U^T of a grid: coeffs = sqrt(reduce_a) X^T, X an isometry
     for _ in range(20):
         da = int(rng.integers(2, 5))
         db = int(rng.integers(da, 7))
         s = random_state(rng, da, db, rank=int(rng.integers(1, da + 1)))
-        fr = schmidt(s)
-        np.testing.assert_allclose(fr.reconstruct(), s.coeffs, atol=1e-9)
-        assert np.sum(fr.coefficients**2) == pytest.approx(1, abs=1e-10)
-        # frame identity: coeffs = sqrt(reduce_a) X^T, X an isometry
-        x = fr.frame_b
+        inst = UhlmannInstance.from_states(s, s)
+        x = inst.frame.x_c
         np.testing.assert_allclose(dagger(x) @ x, np.eye(da), atol=1e-9)
-        np.testing.assert_allclose(
-            matcore.psd_sqrt(reduce_a(s).mat) @ x.T, s.coeffs, atol=1e-9
-        )
+        for root in (inst.spectral_core().sqrt_rho, matcore.psd_sqrt(reduce_a(s).mat)):  # and an eigen root
+            np.testing.assert_allclose(root @ x.T, s.coeffs, atol=1e-9)
 
 
 def test_overlap_basics(rng):
@@ -240,8 +230,7 @@ def test_overlap_basics(rng):
     lambda s, one: partial_trace_a_outer(s, one),
     lambda s, one: partial_trace_a_outer(one, s),
     lambda s, one: reduce_b(s),
-    lambda s, one: schmidt(s),
-], ids=["overlap_d", "overlap_c", "partial_trace_d", "partial_trace_c", "reduce_b", "schmidt"])
+], ids=["overlap_d", "overlap_c", "partial_trace_d", "partial_trace_c", "reduce_b"])
 @pytest.mark.parametrize("normalized", [True, False])
 def test_one_state_functions_reject_a_stack(call, normalized, rng):
     one = random_state(rng, 3, 3)

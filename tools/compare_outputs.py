@@ -33,7 +33,8 @@ warning names the file that raised it):
   (1 x 1 grids) and on z8 (1 x 64 grids), and ``grouprep`` on table
   files with float, boolean and ragged entries;
 * ``report`` and ``certificate`` with ``--probe-trials -3`` and with
-  ``--epsilon 1e308`` (a bound that overflows);
+  ``--epsilon 1e308`` (a bound that overflows), ``grouprep --dim 0`` and
+  ``protocol --seed -1``;
 * ``canonical`` on state files whose fields have the wrong JSON type (a
   top-level array; ``rows`` an array or a string; ``cols`` a float; ``dim_a``
   null; ``data`` a number, or holding a string, a boolean or an integer past
@@ -340,6 +341,8 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
         rec.cli(f"rand3.{cmd}_probe_negative", [cmd, "--c", "rand3_c.json", "--d", "rand3_d.json",
                                                  "--probe-trials", "-3", "--seed", "4"])
         rec.cli(f"rand3.{cmd}_eps1e308", [cmd, "--c", "rand3_c.json", "--d", "rand3_d.json", "--epsilon", "1e308"])
+    rec.cli("grouprep.dim0", ["grouprep", "--dim", "0", "--count", "1", "--seed", "1"])
+    rec.cli("protocol.seed_negative", ["protocol", "--trials", "5", "--seed", "-1"])
     # state, matrix and group files whose fields have the wrong JSON type
     base = '{"cols":2,"data":[[0.6,0.0],[0.0,0.8]],"dim_a":1,"dim_b":2,"normalized":true,"rows":1}'
     for name, text in (("top_list", "[1,2]"), ("rows_list", base.replace('"rows":1', '"rows":[1]')),
