@@ -389,7 +389,7 @@ def round_spectral_gap(
 
     rr, rir = uhlmann._sqrt_pair(rho_hat)
     mean = uhlmann._sandwiched_sqrt(rir, rr, sig_hat)  # rho_hat^-1 # sig_hat
-    w, v = matcore.lapack("eigh", (mean + dagger(mean)) / 2)
+    w, v = matcore.lapack("eigh", matcore.hermitian_part(mean))
     start = int(np.searchsorted(w, eta_target))  # eigh's values ascend: those >= eta_target come last
     if start == w.size:
         raise DegenerateProjectionError("no eigenvalue of the mean clears eta_target")
@@ -397,7 +397,7 @@ def round_spectral_gap(
     t = float(np.trace(pi @ sig_hat).real)
     beta = 1.0 / t
     sig_rounded = pi @ sig_hat @ pi / t
-    sig_rounded = (sig_rounded + dagger(sig_rounded)) / 2
+    sig_rounded = matcore.hermitian_part(sig_rounded)
 
     x_c, x_d = inst.frame.x_c, inst.frame.x_d
     mc_new = rr @ x_c.T

@@ -117,7 +117,7 @@ def psd_core_check(inst: UhlmannInstance, rank_tol: float | None = None) -> floa
         raise FrameMismatchError("A*W does not match rho^1/2 (rho^-1 # sigma) rho^1/2")
     eta, kappa = core.eta, core.kappa
     m = (kappa / eta) * aw - core.p @ inst.frame.rho @ core.p
-    return float(matcore.lapack("eigvalsh", (m + dagger(m)) / 2).min())
+    return float(matcore.lapack("eigvalsh", matcore.hermitian_part(m)).min())
 
 
 def dual_bound(inst: UhlmannInstance, epsilon: float, rank_tol: float | None = None) -> float:

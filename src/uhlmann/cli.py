@@ -70,10 +70,10 @@ def _load_instance(args) -> uhlmann.UhlmannInstance:
 
 
 def _require_seed(args) -> int:
+    """The seed of a randomized run (``main`` has checked a given one): 0 when omitted, except under
+    ``CI_STRICT=1``."""
     if os.environ.get("CI_STRICT") == "1" and args.seed is None:
         raise BadParamsError("CI_STRICT=1 requires an explicit --seed on randomized subcommands")
-    if args.seed is not None and args.seed < 0:
-        raise BadParamsError(f"--seed must be >= 0, got {args.seed}")
     return 0 if args.seed is None else args.seed
 
 
@@ -139,6 +139,8 @@ def _cmd_adversarial(args) -> int:
         row = ["eta", fam.d, fam.instance.fidelity(), fam.eta, 1.0, fam.epsilon,
                fam.residual, fam.bound, abs(fam.residual - fam.bound) <= 1e-6]
     elif args.family in ("kappa", "boost"):
+        if args.lam <= 0:  # kappa_rho takes 0, where rho is singular and the family has no kappa
+            raise BadParamsError(f"--lam must lie in (0, 1/(d-1)], got {args.lam}")
         rho = adversarial.kappa_rho(args.d, args.lam)
         vec = adversarial.kappa_vec(args.d, args.weight)
         fam = adversarial.build_kappa_family(args.d, rho, vec, args.epsilon)
@@ -377,6 +379,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "tol", None) is not None:
             _check_tol(args.tol)
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # whether or not the run draws
+            raise BadParamsError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (*_NUMERICAL_FAILURES, UhlmannError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write(matcore.json_line({"error": type(exc).__name__, "message": str(exc)}))

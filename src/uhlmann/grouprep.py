@@ -14,6 +14,7 @@ permutation representation ``R(g) = sum |h><hg|`` and the isometry
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 
@@ -43,6 +44,8 @@ class FiniteGroup(Record):
 
     ``mult[a, b]`` is the index of the product ab.  Associativity,
     identity, and inverses are verified exhaustively at construction.
+    ``mult`` and ``inverse`` are read-only, so one group can be shared: the
+    built-in groups are built once per process.
     """
 
     order: int
@@ -77,9 +80,11 @@ class FiniteGroup(Record):
         labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
         if len(labels) != n:
             raise BadParamsError("labels length must match the order")
+        mult.flags.writeable = inverse.flags.writeable = False
         return cls(order=n, mult=mult, inverse=inverse, labels=labels, identity=identity)
 
     @classmethod
+    @functools.cache
     def cyclic(cls, n: int) -> "FiniteGroup":
         if not 1 <= n <= 8:
             raise BadParamsError("cyclic groups are provided for 1 <= n <= 8")
@@ -87,6 +92,7 @@ class FiniteGroup(Record):
         return cls.from_table(table, labels=[f"g{a}" for a in range(n)])
 
     @classmethod
+    @functools.cache
     def symmetric3(cls) -> "FiniteGroup":
         perms = list(itertools.permutations(range(3)))
         index = {p: i for i, p in enumerate(perms)}
@@ -215,7 +221,7 @@ def _perturbed_reps(group, dim, scale, rngs, rho=None, mu=None) -> list[ApproxRe
     base = np.stack(exact_representation(group, dim))
     parts = np.stack([rng.normal(size=(group.order, 2, dim, dim)) for rng in rngs])
     h = (parts[:, :, 0] + 1j * parts[:, :, 1]).reshape(-1, dim, dim)
-    h = (h + dagger(h)) / 2
+    h = matcore.hermitian_part(h)
     h /= np.maximum(matcore.op_norm(h), 1e-30)[:, None, None]
     eig = matcore.hermitian_eigen(h)
     rot = (eig.vectors * np.exp(1j * scale * eig.values)[:, None]) @ dagger(eig.vectors)

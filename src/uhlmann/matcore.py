@@ -41,6 +41,7 @@ __all__ = [
     "dagger",
     "gram_power",
     "hermitian_eigen",
+    "hermitian_part",
     "image_projector",
     "inv_sqrt",
     "matrix_sign",
@@ -75,6 +76,15 @@ def as_matrix(m, stack: bool = False) -> np.ndarray:
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return m.conj().mT
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + dagger(m)) / 2`` of a square float or complex matrix, or of each matrix of a stack: the same
+    bits, C-ordered, built in one array (``m*`` written into it, then ``+= m`` and ``/= 2`` in place)."""
+    h = np.conjugate(m.mT, out=np.empty_like(m, order="C"))
+    h += m
+    h /= 2
+    return h
 
 
 class Record:
@@ -330,7 +340,8 @@ def exceeding(m, tol: float) -> Iterator[bool]:
 
 
 def _min_eig(h: np.ndarray) -> float:
-    w = lapack("eigvalsh", (h + dagger(h)) / 2)
+    """The smallest eigenvalue of the Hermitian ``h`` (0 when it is empty)."""
+    w = lapack("eigvalsh", h)
     return float(w[0]) if w.size else 0.0
 
 
@@ -358,11 +369,24 @@ def schur_psd_margin(a, b, c, tol: float = 1e-9) -> float:
 
     a_pinv = pseudoinverse(a)
     criterion = (
-        _min_eig(a) >= -tol
+        _min_eig(hermitian_part(a)) >= -tol
         and not op_norm_exceeds((np.eye(n) - a @ a_pinv) @ b, tol)
-        and _min_eig(c - dagger(b) @ a_pinv @ b) >= -tol
+        and _min_eig(hermitian_part(c - dagger(b) @ a_pinv @ b)) >= -tol
     )
-    direct_margin = _min_eig(np.block([[a, b], [dagger(b), c]]))
+    del a_pinv
+    # hermitian_part of the block, built in place a quadrant at a time: quadrant (i, j) is
+    # (H_ij + H_ji*) / 2, with H_ji* = [[A*, B], [B*, C*]]_ij written first
+    h = np.empty((n + m, n + m), dtype=complex)
+    np.conjugate(a.mT, out=h[:n, :n])
+    h[:n, n:] = b
+    np.conjugate(b.mT, out=h[n:, :n])
+    np.conjugate(c.mT, out=h[n:, n:])
+    h[:n, :n] += a
+    h[:n, n:] += b
+    h[n:, :n] += h[n:, :n]  # H_10 = B* is what the quadrant holds
+    h[n:, n:] += c
+    h /= 2
+    direct_margin = _min_eig(h)
     direct = direct_margin >= -tol
     if criterion != direct and abs(direct_margin) > 1e-6:
         raise ConsistencyError(

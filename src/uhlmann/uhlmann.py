@@ -182,7 +182,7 @@ class SpectralCore:
     @cached_property
     def eta(self) -> float | np.ndarray:
         _ = self.projector  # ZeroFidelityError unless b keeps a singular value
-        return self._floats(matcore.lapack("eigvalsh", (self.mean + dagger(self.mean)) / 2)[..., -self._b[2].shape[-1]])
+        return self._floats(matcore.lapack("eigvalsh", matcore.hermitian_part(self.mean))[..., -self._b[2].shape[-1]])
 
     @cached_property
     def kappa(self) -> float | np.ndarray:
@@ -553,7 +553,7 @@ def _walk_blocks(inst, epsilon, chunks, deficit_fraction) -> Iterator[tuple[np.n
     for rngs, count, n in chunks:
         target, zs, hs = (np.concatenate(kind)[:n] for kind in zip(*(draw(rng, count) for rng in rngs)))
         u0 = _complete(w, kernel, coker, _haar_unitaries(zs) if n_missing else None)
-        lam, v = matcore.lapack("eigh", (hs + dagger(hs)) / 2)
+        lam, v = matcore.lapack("eigh", matcore.hermitian_part(hs))
         del zs, hs  # a chunk's stacks are its memory: hold each no longer than needed
         lam /= np.maximum(np.abs(lam).max(axis=1, keepdims=True), 1e-30)
         a = (v.conj() * (k @ u0 @ v)).sum(axis=1)

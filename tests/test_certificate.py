@@ -8,7 +8,7 @@ from uhlmann import states, uhlmann
 from uhlmann.adversarial import build_eta_family
 from uhlmann.certificate import build_certificate, dual_bound, primal_probe, psd_core_check
 from uhlmann.errors import BadParamsError
-from uhlmann.matcore import dagger, op_norm, trace_norm
+from uhlmann.matcore import dagger, op_norm, schur_psd_margin, trace_norm
 from uhlmann.states import BipartitePureState
 from uhlmann.uhlmann import (
     UhlmannInstance,
@@ -327,6 +327,23 @@ def test_chunked_probe_memory_is_bounded(d, trials):
     finally:
         tracemalloc.stop()
     assert peak <= 40 * 2**20
+
+
+def test_psd_cross_check_holds_no_full_size_temporary():
+    # the 2d x 2d block is built once, already Hermitian; eigvalsh reads it without a second copy
+    inst = random_instance(64, np.random.default_rng(3), rank_c=32, rank_d=32)
+    core = inst.spectral_core()
+    cert = build_certificate(inst, 0.01, alpha=-core.kappa / core.eta)
+    y1, b, y2 = cert.y1, dagger(cert.t), cert.y2
+    tracemalloc.start()
+    try:
+        margin = schur_psd_margin(y1, b, y2, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = np.block([[y1, b], [dagger(b), y2]])
+    assert peak < 3 * block.nbytes
+    assert margin == np.linalg.eigvalsh((block + dagger(block)) / 2)[0] == cert.feasibility_margin
 
 
 @pytest.mark.parametrize("trials", [0, -3])

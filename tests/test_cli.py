@@ -149,7 +149,7 @@ def test_missing_file_exit_code(capsys):
     assert "message" in json.loads(err)
 
 
-def test_ci_strict_requires_seed(monkeypatch, capsys):
+def test_ci_strict_requires_seed(monkeypatch, state_files, capsys):
     monkeypatch.setenv("CI_STRICT", "1")
     code, _, err = run_cli(capsys, "protocol", "--n", "1", "--r", "2", "--trials", "5")
     assert code == 2
@@ -158,6 +158,10 @@ def test_ci_strict_requires_seed(monkeypatch, capsys):
         capsys, "protocol", "--n", "1", "--r", "2", "--trials", "5", "--seed", "0"
     )
     assert code2 == 0
+    # only a randomized run needs one: report draws only with a probe
+    _, c_path, d_path = state_files
+    assert run_cli(capsys, "report", "--c", c_path, "--d", d_path)[0] == 0
+    assert run_cli(capsys, "report", "--c", c_path, "--d", d_path, "--probe-trials", "5")[0] == 2
 
 
 def test_tol_range_validated(state_files, capsys):
@@ -254,11 +258,12 @@ def test_protocol_matches_golden_bytes(prover, tmp_path, capsys):
 
 @pytest.mark.parametrize("group", ["s3", "z4"])
 def test_grouprep_matches_golden_bytes(group, capsys):
-    code, out, _ = run_cli(
-        capsys, "grouprep", "--group", group, "--seed", "3", "--count", "2", "--scale", "0.3",
-    )
-    assert code == 0
-    assert out.encode() == (GOLDEN / f"grouprep_{group}.stdout").read_bytes()
+    for _ in range(2):  # the second call takes the group its process built first
+        code, out, _ = run_cli(
+            capsys, "grouprep", "--group", group, "--seed", "3", "--count", "2", "--scale", "0.3",
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"grouprep_{group}.stdout").read_bytes()
 
 
 def test_error_line_is_written_by_json_line(capsys):
@@ -288,10 +293,13 @@ def test_probe_trials_below_one_is_a_bad_param(cmd, state_files, capsys):
     ["protocol", "--trials", "5"],
     ["grouprep", "--count", "1"],
     ["report", "--probe-trials", "5"],
-], ids=["protocol", "grouprep", "report_probe"])
+    ["report"],
+    ["certificate"],
+], ids=["protocol", "grouprep", "report_probe", "report", "certificate"])
 def test_a_negative_seed_is_a_bad_param(argv, state_files, capsys):
+    # checked whenever it is given, also where no draw reads it
     _, c_path, d_path = state_files
-    files = ["--c", c_path, "--d", d_path] if argv[0] == "report" else []
+    files = ["--c", c_path, "--d", d_path] if argv[0] in ("report", "certificate") else []
     code, out, err = run_cli(capsys, *argv, *files, "--seed", "-1")
     assert code == 2 and out == ""
     assert err == '{"error":"BadParamsError","message":"--seed must be >= 0, got -1"}\n'
@@ -441,7 +449,9 @@ def test_grouprep_rejects_malformed_table_files(table, message, tmp_path, capsys
     (["--weight", "2"], "weight must lie in [0, 1], got 2.0"),
     (["--weight", "nan"], "weight must lie in [0, 1], got nan"),
     (["--weight", "-0.5"], "weight must lie in [0, 1], got -0.5"),
-    (["--lam", "-0.1"], "lam must lie in [0, 1/(d-1)], got -0.1"),
+    (["--lam", "0"], "--lam must lie in (0, 1/(d-1)], got 0.0"),  # kappa_rho's closed range takes 0
+    (["--lam", "-0.0"], "--lam must lie in (0, 1/(d-1)], got -0.0"),
+    (["--lam", "-0.1"], "--lam must lie in (0, 1/(d-1)], got -0.1"),
     (["--lam", "inf"], "lam must lie in [0, 1/(d-1)], got inf"),
     (["--d", "3", "--lam", "0.6"], "lam must lie in [0, 1/(d-1)], got 0.6"),
 ])

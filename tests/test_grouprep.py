@@ -72,6 +72,16 @@ def test_symmetric3():
     )
 
 
+@pytest.mark.parametrize("build", [FiniteGroup.symmetric3, lambda: FiniteGroup.cyclic(4)], ids=["s3", "z4"])
+def test_built_in_groups_are_built_once_and_read_only(build):
+    g = build()
+    assert build() is g
+    for table in (g.mult, g.inverse):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+    assert FiniteGroup.cyclic(3) is not FiniteGroup.cyclic(4)
+
+
 @pytest.mark.parametrize("order", [2.7, "2", True])
 def test_group_from_file_rejects_an_order_that_is_not_an_int(order, tmp_path):
     path = tmp_path / "g.json"

@@ -403,6 +403,18 @@ def test_spectral_helpers_share_one_rank_rule(rng):
     np.testing.assert_array_equal(matcore.gram_power(matcore.svd(np.zeros((2, 2))), 0), np.zeros((2, 2)))
 
 
+def test_hermitian_part_is_the_expression_it_replaces(rng):
+    m = random_complex(rng, 5, 5)
+    m[0, 1], m[1, 0], m[2, 2] = complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)
+    m[3, 4], m[4, 3] = complex(-0.0, 1.0), complex(0.0, 1.0)
+    for x in (m, np.asfortranarray(m), m[::2, ::2], np.stack([m, dagger(m), m.real.astype(complex)]),
+              m.real):
+        want, got = (x + dagger(x)) / 2, matcore.hermitian_part(x)
+        assert got.tobytes() == want.tobytes()
+        assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+        assert got.flags.c_contiguous
+
+
 def test_schur_margin_is_the_direct_minimum_eigenvalue(rng):
     a, c = random_psd(rng, 3, rank=2), random_psd(rng, 2)
     b = 0.05 * random_complex(rng, 3, 2)
@@ -626,10 +638,20 @@ def _spectrum_names(nodes) -> set:
     return names
 
 
+def _is_hermitian_part(n) -> bool:
+    """``(x + dagger(x)) / 2``, either order of the sum, for one expression x."""
+    if not (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div) and isinstance(n.left, ast.BinOp)
+            and isinstance(n.left.op, ast.Add) and getattr(n.right, "value", None) == 2):
+        return False
+    terms = [n.left.left, n.left.right]
+    daggers = [t for t in terms if isinstance(t, ast.Call) and getattr(t.func, "id", None) == "dagger"]
+    return any(len(t.args) == 1 and ast.dump(t.args[0]) == ast.dump(terms[terms[0] is t]) for t in daggers)
+
+
 def _gate_offences(source: str, gates: tuple = ()) -> list:
-    """``(line, what)`` of each use of numpy.linalg but ``norm`` (a decomposition, LinAlgError) and each
-    comparison of a spectrum (a mask of singular values or eigenvalues) in ``source``, outside the
-    top-level functions named in ``gates``."""
+    """``(line, what)`` of each use of numpy.linalg but ``norm`` (a decomposition, LinAlgError), each
+    comparison of a spectrum (a mask of singular values or eigenvalues) and each ``(x + dagger(x)) / 2``
+    in ``source``, outside the top-level functions named in ``gates``."""
     tree = ast.parse(source)
     gated = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in gates for n in ast.walk(f)}
     parents = {id(c): n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
@@ -648,17 +670,20 @@ def _gate_offences(source: str, gates: tuple = ()) -> list:
             if (isinstance(n, ast.Attribute) and n.attr == "linalg" and getattr(n.value, "id", None) == "np"
                     and getattr(parents.get(id(n)), "attr", None) != "norm"):
                 out.add((n.lineno, "numpy.linalg"))
+            if _is_hermitian_part(n):
+                out.add((n.lineno, "a Hermitian part"))
     return sorted(out)
 
 
 def test_matcore_makes_every_rank_cut_and_every_decomposition():
-    # outside matcore.lapack (the one LAPACK gate) and matcore.rank_cut (the one rank rule), no module
-    # calls numpy.linalg but its norm, catches its LinAlgError, or masks singular values or eigenvalues
+    # outside matcore.lapack (the one LAPACK gate), matcore.rank_cut (the one rank rule) and
+    # matcore.hermitian_part, no module calls numpy.linalg but its norm, catches its LinAlgError, masks
+    # singular values or eigenvalues, or takes a Hermitian part as (x + dagger(x)) / 2
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "uhlmann"
     files = sorted(src.glob("*.py"))
     assert len(files) == 11
     for path in files:
-        gates = ("lapack", "rank_cut") if path.name == "matcore.py" else ()
+        gates = ("lapack", "rank_cut", "hermitian_part") if path.name == "matcore.py" else ()
         assert _gate_offences(path.read_text(encoding="utf-8"), gates) == [], path.name
     # the guard sees the forms it forbids
     forbidden = textwrap.dedent("""
@@ -671,6 +696,11 @@ def test_matcore_makes_every_rank_cut_and_every_decomposition():
             except np.linalg.LinAlgError:
                 pass
             return v[:, w >= tol], np.where(svd(m).singulars > tol, 1, 0), np.linalg.norm(m)
+
+        def g(m, x):
+            h = (m + dagger(m)) / 2
+            return h, (dagger(x.mean) + x.mean) / 2, (m + dagger(x)) / 2, (m + m.T) / 2, (m + dagger(m)) / 3
     """)
     assert _gate_offences(forbidden) == [(4, "a comparison of a spectrum"), (7, "numpy.linalg"),
-                                         (8, "numpy.linalg"), (10, "a comparison of a spectrum")]
+                                         (8, "numpy.linalg"), (10, "a comparison of a spectrum"),
+                                         (13, "a Hermitian part"), (14, "a Hermitian part")]

@@ -32,9 +32,10 @@ warning names the file that raised it):
   64 rows at dim 8) and on s3 with ``--count 9``, ``grouprep`` at dim 1 on z1
   (1 x 1 grids) and on z8 (1 x 64 grids), and ``grouprep`` on table
   files with float, boolean and ragged entries;
-* ``report`` and ``certificate`` with ``--probe-trials -3`` and with
-  ``--epsilon 1e308`` (a bound that overflows), ``grouprep --dim 0`` and
-  ``protocol --seed -1``;
+* ``report`` and ``certificate`` with ``--probe-trials -3``, with
+  ``--epsilon 1e308`` (a bound that overflows) and with ``--seed -1`` (no
+  probe), ``grouprep --dim 0``, ``protocol --seed -1`` and ``adversarial
+  kappa`` and ``boost`` at ``--lam 0``;
 * ``canonical`` on state files whose fields have the wrong JSON type (a
   top-level array; ``rows`` an array or a string; ``cols`` a float; ``dim_a``
   null; ``data`` a number, or holding a string, a boolean or an integer past
@@ -341,6 +342,9 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
         rec.cli(f"rand3.{cmd}_probe_negative", [cmd, "--c", "rand3_c.json", "--d", "rand3_d.json",
                                                  "--probe-trials", "-3", "--seed", "4"])
         rec.cli(f"rand3.{cmd}_eps1e308", [cmd, "--c", "rand3_c.json", "--d", "rand3_d.json", "--epsilon", "1e308"])
+        rec.cli(f"rand3.{cmd}_seed_negative", [cmd, "--c", "rand3_c.json", "--d", "rand3_d.json", "--seed", "-1"])
+    for fam in ("kappa", "boost"):
+        rec.cli(f"adversarial.{fam}_lam0", ["adversarial", fam, "--lam", "0"])
     rec.cli("grouprep.dim0", ["grouprep", "--dim", "0", "--count", "1", "--seed", "1"])
     rec.cli("protocol.seed_negative", ["protocol", "--trials", "5", "--seed", "-1"])
     # state, matrix and group files whose fields have the wrong JSON type
