@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import matcore, states, uhlmann
+from . import matcore, uhlmann
 from .errors import BadParamsError, FrameMismatchError
 from .matcore import Record, dagger
 from .uhlmann import UhlmannInstance
@@ -128,41 +128,24 @@ def dual_bound(inst: UhlmannInstance, epsilon: float, rank_tol: float | None = N
     return 2.0 * (cert.value + float(np.trace(core.p @ inst.frame.rho).real))  # floats: no overflow warning
 
 
-def primal_probe(
-    inst: UhlmannInstance,
-    epsilon: float,
-    trials: int,
-    seed: int,
-    extra_candidates: list[np.ndarray] | None = None,
-) -> PrimalProbe:
+def primal_probe(inst: UhlmannInstance, epsilon: float, trials: int, seed: int) -> PrimalProbe:
     """Probe the primal side: maximize the residual over feasible unitaries.
 
-    Candidates are the bisection walks of ``uhlmann.near_optimal_unitaries``, one per
+    Candidates are the bisection walks of ``uhlmann.near_optimal_unitary``, one per
     trial.  The draw block is the stream contract: block b of ``uhlmann._WALK_BLOCK`` walks
     draws a full block from its own generator ``default_rng((seed, b))`` (a short last
-    block keeps its first walks, so walk i never depends on ``trials``; a caller's
-    generator still drives one walk).  The compute chunk is the memory bound: one pass of
-    ``uhlmann._walk_blocks`` runs ``uhlmann._chunk_walks(inst)`` walks, whole blocks whose
-    generators are made in block order as they are drawn, and scores them with one
-    unitarity check (``rigidity_residual``'s, at 1e-8), one residual product and one
-    reduction of the norms on their stack.  Chunking moves no bit of the result.
-    Any caller-supplied unitaries that satisfy the overlap constraint are scored one by
-    one.  By weak duality every probed residual stays below the dual bound.
-    BadParamsError unless ``trials >= 1``.
+    block keeps its first walks, so walk i never depends on ``trials``).  The compute
+    chunk is the memory bound: one pass of ``uhlmann._walk_blocks`` runs
+    ``uhlmann._chunk_walks(inst)`` walks, whole blocks whose generators are made in block
+    order as they are drawn, and scores them with one unitarity check
+    (``rigidity_residual``'s, at 1e-8), one residual product and one reduction of the
+    norms on their stack.  Chunking moves no bit of the result.  By weak duality every
+    probed residual stays below the dual bound.  BadParamsError unless ``trials >= 1``.
     """
     if trials < 1:
         raise BadParamsError("trials must be >= 1")
     uhlmann.check_epsilon(epsilon)
-    f = inst.fidelity()
-    best_res = 0.0
-    best_ov = f
-    for cand in extra_candidates or []:
-        ov = states.overlap(inst.d, cand, inst.c).real
-        if ov < f - epsilon - 1e-9:
-            continue  # infeasible candidate: not part of the probe
-        res = uhlmann.rigidity_residual(inst, cand)
-        if res > best_res:
-            best_res, best_ov = res, float(ov)
+    best_res, best_ov = 0.0, inst.fidelity()
     size, per_chunk = uhlmann._WALK_BLOCK, uhlmann._chunk_walks(inst) // uhlmann._WALK_BLOCK
     n_blocks = -(-trials // size)
     chunks = (((np.random.default_rng((seed, b)) for b in range(first, min(first + per_chunk, n_blocks))),

@@ -139,7 +139,8 @@ def _cmd_adversarial(args) -> int:
         row = ["eta", fam.d, fam.instance.fidelity(), fam.eta, 1.0, fam.epsilon,
                fam.residual, fam.bound, abs(fam.residual - fam.bound) <= 1e-6]
     elif args.family in ("kappa", "boost"):
-        if args.lam <= 0:  # kappa_rho takes 0, where rho is singular and the family has no kappa
+        # kappa_rho's comparison without 0, where rho is singular; kappa_rho reports a d below 2
+        if args.d >= 2 and not 0.0 < args.lam <= 1.0 / (args.d - 1):
             raise BadParamsError(f"--lam must lie in (0, 1/(d-1)], got {args.lam}")
         rho = adversarial.kappa_rho(args.d, args.lam)
         vec = adversarial.kappa_vec(args.d, args.weight)
@@ -292,21 +293,21 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--c", required=required, help="state file for |C>")
         sp.add_argument("--d", required=required, help="state file for |D>")
 
-    def add_common(sp, seed=False, tol=False, tol_default=None):
+    def add_common(sp, seed=False, tol=False):
         if seed:
             sp.add_argument("--seed", type=int, default=None)
-        if tol:
-            sp.add_argument("--tol", type=float, default=tol_default)
+        if tol:  # the relative rank tolerance; None keeps the library default
+            sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
     sp = sub.add_parser("canonical", help="write the canonical transformation W")
     add_states(sp)
-    add_common(sp, tol=True, tol_default=1e-9)
+    add_common(sp, tol=True)
     sp.set_defaults(func=_cmd_canonical)
 
     sp = sub.add_parser("report", help="rigidity report for a state pair")
     add_states(sp)
-    add_common(sp, seed=True, tol=True)  # rank tolerance; None keeps the library default
+    add_common(sp, seed=True, tol=True)
     sp.add_argument("--epsilon", type=float, default=0.01)
     sp.add_argument("--probe-trials", type=int, default=0)
     sp.set_defaults(func=_cmd_report)
@@ -381,6 +382,8 @@ def main(argv=None) -> int:
             _check_tol(args.tol)
         if getattr(args, "seed", None) is not None and args.seed < 0:  # whether or not the run draws
             raise BadParamsError(f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "probe_trials", 0) < 0:  # 0 runs no probe
+            raise BadParamsError(f"--probe-trials must be >= 0, got {args.probe_trials}")
         return args.func(args)
     except (*_NUMERICAL_FAILURES, UhlmannError, ValueError, OSError, KeyError) as exc:
         sys.stderr.write(matcore.json_line({"error": type(exc).__name__, "message": str(exc)}))

@@ -22,8 +22,7 @@ use the formulas verbatim.
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from functools import cached_property
 
 import numpy as np
@@ -52,7 +51,6 @@ __all__ = [
     "flip",
     "geometric_mean",
     "near_optimal_unitary",
-    "near_optimal_unitaries",
     "obliqueness_kappa",
     "projector_structure_check",
     "random_instance",
@@ -484,19 +482,9 @@ def near_optimal_unitary(
     inst: UhlmannInstance, epsilon: float, rng: np.random.Generator,
     deficit_fraction: float | None = None,
 ) -> tuple[np.ndarray, float]:
-    """A unitary with overlap ``>= F - epsilon`` and its real overlap ``<D| (1 (x) R) |C>``:
-    the batch of one of ``near_optimal_unitaries``, which describes the walk."""
-    ((r, ov),) = near_optimal_unitaries(inst, epsilon, [rng], deficit_fraction)
-    return r, ov
+    """A unitary with overlap ``>= F - epsilon`` and its real overlap ``<D| (1 (x) R) |C>``.
 
-
-def near_optimal_unitaries(
-    inst: UhlmannInstance, epsilon: float, rngs: Iterable[np.random.Generator],
-    deficit_fraction: float | None = None,
-) -> Iterator[tuple[np.ndarray, float]]:
-    """Yield one unitary with overlap ``>= F - epsilon`` per generator.
-
-    Each generator drives one walk, drawing a count of 1 in this order: the target
+    The generator drives one walk, drawing a count of 1 in this order: the target
     deficit ``deficit_fraction * epsilon`` (the fraction uniform in [0.3, 1]
     when None), the Haar gauge of a random unitary completion ``U0`` of the
     canonical W (none when W is full rank), and a random Hermitian generator
@@ -506,24 +494,15 @@ def near_optimal_unitaries(
         <D| (1 (x) R(t)) |C> = Tr(R(t) K) = sum_k a_k exp(i t lam_k),
 
     with ``K = Tr_A |C><D|`` and ``a = diag(V* K U0 V)``, so every step of
-    the walk costs O(d) per walk.  ``t`` doubles from pi/4 (at most six
-    times) until the deficit reaches the target, then 60 bisection steps
-    land on the feasible side of it; a generator too weak to reach the
-    target keeps the last, still feasible, ``t``.  Each ``R`` is yielded
-    with its real overlap ``<D| (1 (x) R) |C>``.
-
-    Only the draws run per walk.  All else runs once per compute chunk of
-    ``_chunk_walks(inst)`` walks (one QR of the gauges, one unitarity check of the
-    completions, one eigh, the bisection on arrays of ``t`` in preallocated buffers,
-    one product and one ``vecdot`` for the overlaps), so memory stays bounded whatever
-    the number of generators.  The doubling stops at the first step where no walk of
-    the chunk grows: every later step would repeat it, so each ``t`` keeps the bits
-    of all six steps.  No walk's bits depend on the chunk it is computed in.
+    the walk costs O(d).  ``t`` doubles from pi/4 (at most six times) until
+    the deficit reaches the target, then 60 bisection steps land on the
+    feasible side of it; a generator too weak to reach the target keeps the
+    last, still feasible, ``t``.  This is the one-walk chunk of ``_walk_blocks``,
+    which ``certificate.primal_probe`` runs on chunks of 64-walk blocks: a walk's
+    bits do not depend on the chunk it is computed in.
     """
-    rngs, size = iter(rngs), _chunk_walks(inst)
-    chunks = ((b, 1, len(b)) for b in iter(lambda: list(itertools.islice(rngs, size)), []))
-    for rs, overlaps in _walk_blocks(inst, epsilon, chunks, deficit_fraction):
-        yield from zip(rs, overlaps)
+    ((rs, (ov,)),) = _walk_blocks(inst, epsilon, [([rng], 1, 1)], deficit_fraction)
+    return rs[0], ov
 
 
 def _chunk_walks(inst: UhlmannInstance) -> int:
@@ -534,9 +513,15 @@ def _chunk_walks(inst: UhlmannInstance) -> int:
 
 
 def _walk_blocks(inst, epsilon, chunks, deficit_fraction) -> Iterator[tuple[np.ndarray, list[float]]]:
-    """``near_optimal_unitaries`` a compute chunk at a time: the (n, d, d) stack of R and its
-    overlaps.  A chunk ``(rngs, count, n)`` draws ``count`` walks from each generator in turn
-    and runs the first n; the generators are taken from ``rngs`` only as they are drawn."""
+    """The walks of ``near_optimal_unitary`` a compute chunk at a time: the (n, d, d) stack of R
+    and its overlaps.  A chunk ``(rngs, count, n)`` draws ``count`` walks from each generator in
+    turn and runs the first n; the generators are taken from ``rngs`` only as they are drawn.
+
+    Only the draws run per walk.  All else runs once per chunk (one QR of the gauges, one
+    unitarity check of the completions, one eigh, the bisection on arrays of ``t`` in
+    preallocated buffers, one product and one ``vecdot`` for the overlaps).  The doubling
+    stops at the first step where no walk of the chunk grows: every later step would repeat
+    it, so each ``t`` keeps the bits of all six steps."""
     check_epsilon(epsilon)
     f = inst.fidelity()
     k = states.partial_trace_a_outer(inst.c, inst.d)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from uhlmann import adversarial, cli, matcore, states
-from uhlmann.uhlmann import canonical_w, obliqueness_kappa, random_instance, spectral_gap_eta
+from uhlmann.errors import BadParamsError
+from uhlmann.uhlmann import UhlmannInstance, canonical_w, obliqueness_kappa, random_instance, spectral_gap_eta
 
 
 @pytest.fixture
@@ -164,6 +165,24 @@ def test_ci_strict_requires_seed(monkeypatch, state_files, capsys):
     assert run_cli(capsys, "report", "--c", c_path, "--d", d_path, "--probe-trials", "5")[0] == 2
 
 
+def test_canonical_takes_the_library_rank_rule_by_default(tmp_path, capsys):
+    # Tr_A |D><C| has relative singular values 1, 1, 7.1e-11, 7.1e-11: the library rule
+    # (4e-12) keeps all four, as report's eta = 1e-10 does; a cut at 1e-9 keeps two
+    fam = adversarial.build_eta_family(4, 1e-10, 0.5)
+    c_path, d_path = str(tmp_path / "c.json"), str(tmp_path / "d.json")
+    states.write_state(c_path, fam.instance.c)
+    states.write_state(d_path, fam.instance.d)
+    inst = UhlmannInstance.from_states(states.read_state(c_path), states.read_state(d_path))
+    files = ["--c", c_path, "--d", d_path]
+    code, out, _ = run_cli(capsys, "canonical", *files)
+    assert code == 0 and out == matcore.matrix_json_text(canonical_w(inst))
+    assert np.linalg.matrix_rank(canonical_w(inst)) == 4
+    assert json.loads(run_cli(capsys, "report", *files)[1])["eta"] == pytest.approx(1e-10, rel=1e-6)
+    code, out, _ = run_cli(capsys, "canonical", *files, "--tol", "1e-9")
+    assert code == 0 and out == matcore.matrix_json_text(canonical_w(inst, rank_tol=1e-9))
+    assert np.linalg.matrix_rank(canonical_w(inst, rank_tol=1e-9)) == 2
+
+
 def test_tol_range_validated(state_files, capsys):
     _, c_path, d_path = state_files
     code, _, err = run_cli(capsys, "canonical", "--c", c_path, "--d", d_path, "--tol", "0.5")
@@ -286,7 +305,7 @@ def test_probe_trials_below_one_is_a_bad_param(cmd, state_files, capsys):
     code, out, err = run_cli(capsys, cmd, "--c", c_path, "--d", d_path, "--probe-trials", "-3", "--seed", "1")
     assert code == 2 and out == ""
     assert err.count("\n") == 1
-    assert json.loads(err) == {"error": "BadParamsError", "message": "trials must be >= 1"}
+    assert json.loads(err) == {"error": "BadParamsError", "message": "--probe-trials must be >= 0, got -3"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -452,14 +471,37 @@ def test_grouprep_rejects_malformed_table_files(table, message, tmp_path, capsys
     (["--lam", "0"], "--lam must lie in (0, 1/(d-1)], got 0.0"),  # kappa_rho's closed range takes 0
     (["--lam", "-0.0"], "--lam must lie in (0, 1/(d-1)], got -0.0"),
     (["--lam", "-0.1"], "--lam must lie in (0, 1/(d-1)], got -0.1"),
-    (["--lam", "inf"], "lam must lie in [0, 1/(d-1)], got inf"),
-    (["--d", "3", "--lam", "0.6"], "lam must lie in [0, 1/(d-1)], got 0.6"),
+    (["--lam", "inf"], "--lam must lie in (0, 1/(d-1)], got inf"),
+    (["--lam", "nan"], "--lam must lie in (0, 1/(d-1)], got nan"),
+    (["--d", "3", "--lam", "0.6"], "--lam must lie in (0, 1/(d-1)], got 0.6"),
 ])
 def test_adversarial_kappa_rejects_bad_weight_and_lam(family, argv, message, capsys):
     code, out, err = run_cli_strict(capsys, "adversarial", family, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "BadParamsError", "message": message}
+
+
+@pytest.mark.parametrize("family", ["kappa", "boost"])
+@pytest.mark.parametrize("d", [2, 3, 4, 7])
+def test_adversarial_lam_top_is_kappa_rhos(family, d, capsys):
+    # the CLI passes exactly the lam that kappa_rho takes at the top of its range; there rho's
+    # first eigenvalue 1 - (d-1) lam is 0, so the family's build is what refuses it.  At d = 4
+    # and 7, (d-1) times the next float above the top rounds to 1: a rearranged comparison errs
+    top = 1.0 / (d - 1)
+    above = float(np.nextafter(top, np.inf))
+    adversarial.kappa_rho(d, top)
+    with pytest.raises(BadParamsError, match=r"^lam must lie in \[0, 1/\(d-1\)\]"):
+        adversarial.kappa_rho(d, above)
+    code, out, err = run_cli_strict(capsys, "adversarial", family, "--d", str(d), "--lam", repr(top))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "NotInvertibleError", "message": "rho must be invertible"}
+    code, out, err = run_cli_strict(capsys, "adversarial", family, "--d", str(d), "--lam", repr(above))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "BadParamsError", "message": f"--lam must lie in (0, 1/(d-1)], got {above}"}
+    # a d below 2 keeps kappa_rho's message, whatever --lam
+    code, _, err = run_cli_strict(capsys, "adversarial", family, "--d", "1", "--lam", "0.6")
+    assert code == 2 and json.loads(err) == {"error": "BadParamsError", "message": "d must be >= 2"}
 
 
 @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])

@@ -21,7 +21,6 @@ from uhlmann.uhlmann import (
     canonical_w,
     flip,
     geometric_mean,
-    near_optimal_unitaries,
     near_optimal_unitary,
     obliqueness_kappa,
     projector_structure_check,
@@ -256,8 +255,8 @@ def test_residual_unitarity_check_at_its_tolerance(rng):
 
 def test_stacked_residuals_match_single_residuals():
     for k, inst in enumerate(walk_instances()):
-        walks = near_optimal_unitaries(inst, 1e-2, (np.random.default_rng((k, i)) for i in range(70)))
-        rs = np.array([r for r, _ in walks])
+        gens = [np.random.default_rng((k, i)) for i in range(70)]
+        ((rs, _),) = uhlmann._walk_blocks(inst, 1e-2, [(gens, 1, 70)], None)
         assert uhlmann._rigidity_residuals(inst, rs) == [rigidity_residual(inst, r) for r in rs]
         rs[37] *= 1 + 6e-9
         with pytest.raises(NotUnitaryError):
@@ -332,14 +331,14 @@ def test_robust_rigidity_bound_random(rng):
 
 
 def test_batched_walks_match_single_walks():
-    # More walks than one block, so the block boundary is crossed.
+    # One stack of 70 walks, one per generator: more walks than one block of the probe.
     n = 70
     for k, inst in enumerate(walk_instances()):
         f = inst.fidelity()
         for eps in (1e-4, 1e-2):
-            batch = list(
-                near_optimal_unitaries(inst, eps, (np.random.default_rng((k, i)) for i in range(n)))
-            )
+            gens = [np.random.default_rng((k, i)) for i in range(n)]
+            ((rs, overlaps),) = uhlmann._walk_blocks(inst, eps, [(gens, 1, n)], None)
+            batch = list(zip(rs, overlaps))
             assert len(batch) == n
             for i, (r, ov) in enumerate(batch):
                 r1, ov1 = near_optimal_unitary(inst, eps, np.random.default_rng((k, i)))

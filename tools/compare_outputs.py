@@ -34,8 +34,12 @@ warning names the file that raised it):
   files with float, boolean and ragged entries;
 * ``report`` and ``certificate`` with ``--probe-trials -3``, with
   ``--epsilon 1e308`` (a bound that overflows) and with ``--seed -1`` (no
-  probe), ``grouprep --dim 0``, ``protocol --seed -1`` and ``adversarial
-  kappa`` and ``boost`` at ``--lam 0``;
+  probe), ``grouprep --dim 0``, ``protocol --seed -1``, ``adversarial
+  kappa`` and ``boost`` at ``--lam 0``, and ``adversarial kappa`` at
+  ``--d 3`` with ``--lam`` 0.6, inf and nan and at ``--d 1 --lam 0.1``;
+* ``canonical`` and ``report``, default and ``--tol 1e-9``, on the eta
+  family at d = 4, eta = 1e-10, where Tr_A|D><C| has relative singular
+  values 1, 1, 7.1e-11 and 7.1e-11;
 * ``canonical`` on state files whose fields have the wrong JSON type (a
   top-level array; ``rows`` an array or a string; ``cols`` a float; ``dim_a``
   null; ``data`` a number, or holding a string, a boolean or an integer past
@@ -54,17 +58,17 @@ warning names the file that raised it):
   interpreter, with ``COLUMNS=80`` so help wraps alike;
 * library values, as exact bytes: ``three_form_deviation``,
   ``psd_core_check``, ``projector_structure_check``, ``primal_probe``,
-  ``rigidity_residual``, ``near_optimal_unitaries``, the canonical
+  ``rigidity_residual``, three ``near_optimal_unitary`` walks, the canonical
   completion, ``states.fidelity`` (of the pair's factored density matrices
   and of bare ones, built from their matrices alone), ``input_ensemble_state``,
   ``geometric_mean``, ``soundness_probe`` rows and
   ``completeness_experiment``; ``repr()`` of a ``RigidityReport``, a
   ``DualCertificate``, a ``StabilityResult``, a ``RunOutcome``, a
   ``ProtocolParams`` and a ``SoundnessReport``; on rand5 (a kernel to complete) and full8
-  (full rank), a 130-trial ``primal_probe`` at eps 0, 1e-2, 0.1 and 5 and 70
-  ``near_optimal_unitaries`` walks at eps 1e-2 and 0.1, both past the 64-walk
-  block (at eps 0.1 some walks of a chunk grow in the doubling and some do
-  not); on rand5,
+  (full rank), a 130-trial ``primal_probe`` at eps 0, 1e-2, 0.1 and 5
+  (past the 64-walk block; at eps 0.1 some walks of a chunk grow in the
+  doubling and some do not) and 70 ``near_optimal_unitary`` walks, one
+  generator each, at eps 1e-2 and 0.1; on rand5,
   ``primal_probe`` at 64 and 65 trials (one block, and one walk past it);
   ``primal_probe`` past one compute chunk: 300 trials on rand32 and 5000
   trials on a random pair at d = 2 (``default_rng(102)``);
@@ -345,6 +349,16 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
         rec.cli(f"rand3.{cmd}_seed_negative", [cmd, "--c", "rand3_c.json", "--d", "rand3_d.json", "--seed", "-1"])
     for fam in ("kappa", "boost"):
         rec.cli(f"adversarial.{fam}_lam0", ["adversarial", fam, "--lam", "0"])
+    for name, extra in (("lam0.6", ["--d", "3", "--lam", "0.6"]), ("lam_inf", ["--d", "3", "--lam", "inf"]),
+                        ("lam_nan", ["--d", "3", "--lam", "nan"]), ("d1", ["--d", "1", "--lam", "0.1"])):
+        rec.cli(f"adversarial.kappa_{name}", ["adversarial", "kappa", *extra])
+    # singular values 1, 1, 7.1e-11, 7.1e-11 of Tr_A |D><C|: the default rank rule keeps four, 1e-9 two
+    eta10 = adversarial.build_eta_family(4, 1e-10, 0.5).instance
+    states.write_state("eta10_c.json", eta10.c)
+    states.write_state("eta10_d.json", eta10.d)
+    for cmd in ("canonical", "report"):
+        for suffix, extra in (("", []), ("_tol1e-9", ["--tol", "1e-9"])):
+            rec.cli(f"eta10.{cmd}{suffix}", [cmd, "--c", "eta10_c.json", "--d", "eta10_d.json", *extra])
     rec.cli("grouprep.dim0", ["grouprep", "--dim", "0", "--count", "1", "--seed", "1"])
     rec.cli("protocol.seed_negative", ["protocol", "--trials", "5", "--seed", "-1"])
     # state, matrix and group files whose fields have the wrong JSON type
@@ -377,20 +391,20 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
         rec.value(f"{name}.residual", lambda: _with_w(
             uhlmann.rigidity_residual, inst, uhlmann._haar_unitary(inst.dim_b, np.random.default_rng(6))))
         rec.value(f"{name}.walks", lambda: [
-            (_hex(r), ov) for r, ov in _with_w(uhlmann.near_optimal_unitaries, inst, 0.01,
-                                                (np.random.default_rng((9, i)) for i in range(3)))])
+            (_hex(r), ov) for r, ov in (_with_w(uhlmann.near_optimal_unitary, inst, 0.01, np.random.default_rng((9, i)))
+                                        for i in range(3))])
         rec.value(f"{name}.input_state", lambda: _hex(protocol.input_ensemble_state(
             inst, np.random.default_rng(11))))
     # past one block of walks (64), on a pair with a kernel to complete and on a full-rank one
     # eps 0.1 grows some walks of the chunk in the doubling and not others (rand5: 30 of 130 probe
-    # walks and 19 of 70 walks; full8: 80 and 45); 0 and 1e-2 grow almost none, and 5 grows all
+    # walks; full8: 80); 0 and 1e-2 grow almost none, and 5 grows all
     for name in ("rand5", "full8"):
         for eps in (0.0, 1e-2, 0.1, 5.0):
             rec.value(f"{name}.probe130_eps{eps:g}", lambda: certificate.primal_probe(insts[name], eps, 130, 12))
         for eps, suffix in ((0.01, ""), (0.1, "_eps0.1")):
             rec.value(f"{name}.walks70{suffix}", lambda: [
-                (_hex(r), ov.hex()) for r, ov in _with_w(uhlmann.near_optimal_unitaries, insts[name], eps,
-                                                          (np.random.default_rng((13, i)) for i in range(70)))])
+                (_hex(r), ov.hex()) for r, ov in (_with_w(uhlmann.near_optimal_unitary, insts[name], eps,
+                                                          np.random.default_rng((13, i))) for i in range(70))])
     for trials in (64, 65):
         rec.value(f"rand5.probe{trials}", lambda: certificate.primal_probe(insts["rand5"], 0.01, trials, 14))
     # past one compute chunk of walks: 256 walks per chunk at d = 32, 4096 at d <= 8
