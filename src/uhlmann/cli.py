@@ -139,9 +139,9 @@ def _cmd_adversarial(args) -> int:
         row = ["eta", fam.d, fam.instance.fidelity(), fam.eta, 1.0, fam.epsilon,
                fam.residual, fam.bound, abs(fam.residual - fam.bound) <= 1e-6]
     elif args.family in ("kappa", "boost"):
-        # kappa_rho's comparison without 0, where rho is singular; kappa_rho reports a d below 2
-        if args.d >= 2 and not 0.0 < args.lam <= 1.0 / (args.d - 1):
-            raise BadParamsError(f"--lam must lie in (0, 1/(d-1)], got {args.lam}")
+        # kappa_rho's range without its ends, where rho is singular; kappa_rho reports a d below 2
+        if args.d >= 2 and not 0.0 < args.lam < 1.0 / (args.d - 1):
+            raise BadParamsError(f"--lam must lie in (0, 1/(d-1)), got {args.lam}")
         rho = adversarial.kappa_rho(args.d, args.lam)
         vec = adversarial.kappa_vec(args.d, args.weight)
         fam = adversarial.build_kappa_family(args.d, rho, vec, args.epsilon)

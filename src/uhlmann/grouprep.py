@@ -154,46 +154,45 @@ class ApproxRep(Record):
 
 
 def exact_representation(group: FiniteGroup, dim: int) -> list:
-    """An exact unitary representation of ``group`` on ``dim`` dimensions.
+    """An exact unitary representation of ``group`` on ``dim`` dimensions, read off its table, any labelling.
 
-    Cyclic groups get diagonal character powers (any dim); any group gets
-    its left-regular permutation representation at dim = order; S3 also
-    gets its natural 3-dimensional permutation action.
+    Any group gets its left-regular action at dim = order, on the cosets of the identity; otherwise cyclic
+    groups get diagonal character powers (any dim) and S3 its natural action on the cosets of its
+    least-index involution at dim 3.
     """
     if dim < 1:
         raise BadParamsError(f"dim must be >= 1, got {dim}")
     n = group.order
-    if dim == n:  # column h of the matrix of g is |gh>
-        return [np.eye(n, dtype=complex)[:, group.mult[g]] for g in range(n)]
-    gen = _cyclic_generator(group)
-    if gen is not None:
+    if dim == n:
+        return _coset_action(group, [group.identity])
+    powers = next((p for p in (_element_powers(group, g) for g in range(n)) if len(p) == n), None)
+    if powers is not None:  # the powers of the first element that generates the group
         omega_n = np.exp(2j * np.pi / n)
-        powers = _element_powers(group, gen)
         return [
             np.diag([omega_n ** (powers[g] * (j % n)) for j in range(dim)]).astype(complex)
             for g in range(n)
         ]
-    if n == 6 and dim == 3:  # the non-cyclic group of order 6 is S3; column i is |p(i)>
-        return [np.eye(3, dtype=complex)[:, list(p)] for p in itertools.permutations(range(3))]
+    if n == 6 and dim == 3:  # the non-cyclic group of order 6 is S3
+        involution = np.flatnonzero((group.inverse == np.arange(n)) & (np.arange(n) != group.identity))[0]
+        return _coset_action(group, [group.identity, involution])
     raise BadParamsError(f"no built-in exact representation of this group at dim={dim}")
 
 
-def _cyclic_generator(group: FiniteGroup) -> int | None:
-    """An element generating the whole group, or None when the group is not cyclic."""
-    for g in range(group.order):
-        if len(_element_powers(group, g)) == group.order:
-            return g
-    return None
+def _coset_action(group: FiniteGroup, sub: list) -> list:
+    """Permutation matrices of ``g: xH -> gxH`` on the left cosets of the subgroup ``H = sub``, the cosets
+    in the order of their least elements ``x_k``: column k of g's matrix is the coset of ``g x_k``."""
+    least, slot = np.unique(group.mult[:, sub].min(axis=1), return_inverse=True)
+    eye = np.eye(len(least), dtype=complex)
+    return [eye[:, slot[group.mult[g, least]]] for g in range(group.order)]
 
 
 def _element_powers(group: FiniteGroup, g: int) -> dict:
     """Map element -> exponent along the cyclic subgroup generated by g."""
     powers = {group.identity: 0}
-    cur, k = g, 1
+    cur = g
     while cur not in powers:
-        powers[cur] = k
+        powers[cur] = len(powers)
         cur = group.mult[cur, g]
-        k += 1
     return powers
 
 
@@ -309,11 +308,13 @@ def intertwiner(rep: ApproxRep):
 
 
 def convolution(rep: ApproxRep, g) -> np.ndarray:
-    """``|G|^-1 sum_h U_h* U_hg``, the conjugated representation element
-    (stacked over ``g`` when ``g`` is an index array)."""
-    us, cols = rep.unitaries, rep.group.mult[:, g]
-    left = dagger(us).reshape(us.shape[:1] + (1,) * (cols.ndim - 1) + us.shape[1:])
-    return (left @ us[cols]).sum(axis=0) / rep.group.order
+    """``|G|^-1 sum_h U_h* U_hg``, the conjugated representation element (stacked when ``g`` is an index array)."""
+    return _convolutions(rep.unitaries[None], rep.group.mult)[0, g]
+
+
+def _convolutions(us: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """``convolution`` at every g, ``[row, g]``, of each (|G|, d, d) stack ``us``; C order adds h in index order."""
+    return np.ascontiguousarray(dagger(us)[:, None] @ us[:, mult.T]).sum(axis=2) / len(mult)
 
 
 class StabilityResult(Record):
@@ -388,8 +389,7 @@ def _rows(reps: list) -> list:
     # no (d|G|^2)^2 operator; laid out as the dense C (U - W~)ᵀ, so each norm sums in its order
     x = _grid(cb @ (us[:, None] - wt).mT).reshape(len(us), -1)
     squares = np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)  # np.linalg.norm's, per row
-    # convolution at every g, [row, g, h] summed over h: in C order numpy adds as `convolution` does
-    conj = np.ascontiguousarray(dagger(us)[:, None] @ us[:, mult.T]).sum(axis=2) / n
+    conj = _convolutions(us, mult)
     c_w = _grid(cb @ wt.mT)
     try:
         spectral = _spectral(rep, (mc, md), c_w)

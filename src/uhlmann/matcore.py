@@ -42,7 +42,6 @@ __all__ = [
     "gram_power",
     "hermitian_eigen",
     "hermitian_part",
-    "image_projector",
     "inv_sqrt",
     "matrix_sign",
     "op_norm",
@@ -56,7 +55,6 @@ __all__ = [
     "schur_psd_margin",
     "svd",
     "trace_norm",
-    "write_matrix",
 ]
 
 RANK_TOL_SCALE = 1e-12
@@ -264,11 +262,6 @@ def matrix_sign(m) -> np.ndarray:
     f = svd(a)
     r = f.cut()
     return f.u[:, :r] @ dagger(f.v[:, :r])
-
-
-def image_projector(m) -> np.ndarray:
-    """Hermitian projector onto the column space of ``m``, whose rank the default rank rule decides."""
-    return gram_power(svd(m), 0)
 
 
 def psd_eigen(m, tol: float = 1e-10) -> HermitianEigen:
@@ -481,12 +474,6 @@ def json_count(obj: dict, key: str, where: str) -> int:
 def matrix_json_text(m, extra: dict | None = None) -> str:
     """cmjson text of a matrix, with ``extra``'s keys beside its own."""
     return json_line({**(extra or {}), **matrix_to_cmjson(m)})
-
-
-def write_matrix(path, m, extra: dict | None = None) -> None:
-    """Write ``m`` to ``path`` in cmjson format."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(matrix_json_text(m, extra=extra))
 
 
 def read_cmjson(path) -> tuple[np.ndarray, dict]:

@@ -216,11 +216,9 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def write_state(path, s: BipartitePureState) -> None:
-    matcore.write_matrix(
-        path,
-        s.coeffs,
-        extra={"dim_a": s.dim_a, "dim_b": s.dim_b, "normalized": bool(s.normalized)},
-    )
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(matcore.matrix_json_text(
+            s.coeffs, extra={"dim_a": s.dim_a, "dim_b": s.dim_b, "normalized": bool(s.normalized)}))
 
 
 def read_state(path) -> BipartitePureState:

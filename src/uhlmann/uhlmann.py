@@ -340,8 +340,8 @@ def projector_structure_check(inst: UhlmannInstance) -> bool:
     """
     wr = inst.frame.rotate_b_operator(canonical_w(inst))
     a = inst.spectral_core().a  # sigma^1/2 rho^1/2 in the frame: both images are decided on it
-    left = matcore.image_projector(a)
-    right = matcore.image_projector(dagger(a))
+    left = matcore.gram_power(matcore.svd(a), 0)  # the projectors onto the two images
+    right = matcore.gram_power(matcore.svd(dagger(a)), 0)
     return not (
         matcore.op_norm_exceeds(wr @ dagger(wr) - left, 1e-8)
         or matcore.op_norm_exceeds(dagger(wr) @ wr - right, 1e-8)

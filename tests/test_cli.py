@@ -109,6 +109,51 @@ def test_round_gap(state_files, tmp_path, capsys):
     assert states.read_state(out_c).norm() == pytest.approx(1, abs=1e-10)
 
 
+def test_round_gap_out_d_round_trips_to_the_rounded_d(state_files, tmp_path, capsys):
+    _, c_path, d_path = state_files
+    out_c, out_d = tmp_path / "c2.json", tmp_path / "d2.json"
+    code, out, _ = run_cli(capsys, "round-gap", "--c", c_path, "--d", d_path, "--eta-target", "0.3",
+                           "--out-c", str(out_c), "--out-d", str(out_d))
+    assert code == 0
+    inst = UhlmannInstance.from_states(states.read_state(c_path), states.read_state(d_path))
+    rounded = adversarial.round_spectral_gap(inst, 0.3)
+    assert json.loads(out)["gap"] == rounded.gap
+    for path, pure in ((out_c, rounded.rounded.c), (out_d, rounded.rounded.d)):
+        back = states.read_state(path)
+        assert back.coeffs.tobytes() == pure.coeffs.tobytes() and back.normalized == pure.normalized
+
+
+def test_adversarial_qutrit_row_is_the_library_sensitivity(capsys):
+    code, out, _ = run_cli(capsys, "adversarial", "qutrit", "--epsilon", "0.01")
+    assert code == 0
+    sens = adversarial.qutrit_sensitivity(0.01)
+    row = ["qutrit", 3, sens.perturbed.fidelity(), float("nan"), float("nan"), 0.01,
+           sens.w_distance, sens.state_distance, False]
+    assert out.splitlines() == [",".join(cli._ADV_HEADER), ",".join(map(matcore.format_value, row))]
+
+
+def test_protocol_on_state_files_is_the_library_trial_loop(tmp_path, capsys):
+    from uhlmann import protocol
+
+    pair = random_instance(4, np.random.default_rng(44))  # B is 2^n-dimensional at the default n = 2
+    c_path, d_path, csv = tmp_path / "c.json", tmp_path / "d.json", tmp_path / "trials.csv"
+    states.write_state(c_path, pair.c)
+    states.write_state(d_path, pair.d)
+    code, out, _ = run_cli(capsys, "protocol", "--c", str(c_path), "--d", str(d_path), "--r", "3",
+                           "--trials", "20", "--seed", "1", "--out", str(csv))
+    assert code == 0
+    inst = UhlmannInstance.from_states(states.read_state(c_path), states.read_state(d_path))
+    params = protocol.ProtocolParams.for_instance(inst, 2, 3)
+    inv, outs = protocol._trial_loop(inst, params, protocol.honest_prover(inst), (1,), 20)
+    payload = json.loads(out)
+    assert (payload["prover"], payload["m"], payload["gamma"], payload["threshold"]) == (
+        "honest", params.m, params.gamma, params.threshold)
+    assert payload["accept_probability"] == inv.accept_probability
+    assert payload["acceptance_rate"] == sum(o.accepted for o in outs) / 20
+    rows = [[t, o.accepted, o.j, o.i_star, o.output_state_fidelity] for t, o in enumerate(outs)]
+    assert csv.read_text().splitlines()[1:] == [",".join(map(matcore.format_value, row)) for row in rows]
+
+
 def test_protocol_summary(tmp_path, capsys):
     trials_csv = tmp_path / "trials.csv"
     code, out, _ = run_cli(
@@ -468,12 +513,12 @@ def test_grouprep_rejects_malformed_table_files(table, message, tmp_path, capsys
     (["--weight", "2"], "weight must lie in [0, 1], got 2.0"),
     (["--weight", "nan"], "weight must lie in [0, 1], got nan"),
     (["--weight", "-0.5"], "weight must lie in [0, 1], got -0.5"),
-    (["--lam", "0"], "--lam must lie in (0, 1/(d-1)], got 0.0"),  # kappa_rho's closed range takes 0
-    (["--lam", "-0.0"], "--lam must lie in (0, 1/(d-1)], got -0.0"),
-    (["--lam", "-0.1"], "--lam must lie in (0, 1/(d-1)], got -0.1"),
-    (["--lam", "inf"], "--lam must lie in (0, 1/(d-1)], got inf"),
-    (["--lam", "nan"], "--lam must lie in (0, 1/(d-1)], got nan"),
-    (["--d", "3", "--lam", "0.6"], "--lam must lie in (0, 1/(d-1)], got 0.6"),
+    (["--lam", "0"], "--lam must lie in (0, 1/(d-1)), got 0.0"),  # kappa_rho's closed range takes 0
+    (["--lam", "-0.0"], "--lam must lie in (0, 1/(d-1)), got -0.0"),
+    (["--lam", "-0.1"], "--lam must lie in (0, 1/(d-1)), got -0.1"),
+    (["--lam", "inf"], "--lam must lie in (0, 1/(d-1)), got inf"),
+    (["--lam", "nan"], "--lam must lie in (0, 1/(d-1)), got nan"),
+    (["--d", "3", "--lam", "0.6"], "--lam must lie in (0, 1/(d-1)), got 0.6"),
 ])
 def test_adversarial_kappa_rejects_bad_weight_and_lam(family, argv, message, capsys):
     code, out, err = run_cli_strict(capsys, "adversarial", family, *argv)
@@ -485,20 +530,22 @@ def test_adversarial_kappa_rejects_bad_weight_and_lam(family, argv, message, cap
 @pytest.mark.parametrize("family", ["kappa", "boost"])
 @pytest.mark.parametrize("d", [2, 3, 4, 7])
 def test_adversarial_lam_top_is_kappa_rhos(family, d, capsys):
-    # the CLI passes exactly the lam that kappa_rho takes at the top of its range; there rho's
-    # first eigenvalue 1 - (d-1) lam is 0, so the family's build is what refuses it.  At d = 4
-    # and 7, (d-1) times the next float above the top rounds to 1: a rearranged comparison errs
+    # kappa_rho takes the top of its closed range, where rho's first eigenvalue 1 - (d-1) lam is 0; the
+    # CLI's range is open there, so the top gets the flag message.  The float just below the top passes
+    # the flag and is refused by the family's build.  At d = 4 and 7, (d-1) times the next float above
+    # the top rounds to 1: kappa_rho's own comparison still refuses it
     top = 1.0 / (d - 1)
-    above = float(np.nextafter(top, np.inf))
+    below, above = (float(np.nextafter(top, x)) for x in (0.0, np.inf))
     adversarial.kappa_rho(d, top)
     with pytest.raises(BadParamsError, match=r"^lam must lie in \[0, 1/\(d-1\)\]"):
         adversarial.kappa_rho(d, above)
-    code, out, err = run_cli_strict(capsys, "adversarial", family, "--d", str(d), "--lam", repr(top))
+    for lam in (top, above):
+        code, out, err = run_cli_strict(capsys, "adversarial", family, "--d", str(d), "--lam", repr(lam))
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "BadParamsError", "message": f"--lam must lie in (0, 1/(d-1)), got {lam}"}
+    code, out, err = run_cli_strict(capsys, "adversarial", family, "--d", str(d), "--lam", repr(below))
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": "NotInvertibleError", "message": "rho must be invertible"}
-    code, out, err = run_cli_strict(capsys, "adversarial", family, "--d", str(d), "--lam", repr(above))
-    assert code == 2 and out == ""
-    assert json.loads(err) == {"error": "BadParamsError", "message": f"--lam must lie in (0, 1/(d-1)], got {above}"}
     # a d below 2 keeps kappa_rho's message, whatever --lam
     code, _, err = run_cli_strict(capsys, "adversarial", family, "--d", "1", "--lam", "0.6")
     assert code == 2 and json.loads(err) == {"error": "BadParamsError", "message": "d must be >= 2"}

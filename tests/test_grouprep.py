@@ -160,6 +160,47 @@ def test_exact_reps_have_zero_defect():
         assert rep_defect(rep) <= 1e-10
 
 
+# S3 with its elements renumbered, and D4 = <r, s> with index 4 f + k for r^k s^f (s r^k = r^-k s)
+RELABELLED_S3 = [[0, 1, 2, 3, 4, 5], [1, 5, 4, 2, 3, 0], [2, 3, 0, 1, 5, 4],
+                 [3, 4, 5, 0, 1, 2], [4, 2, 1, 5, 0, 3], [5, 0, 3, 4, 2, 1]]
+D4 = [[(a + (-1) ** (a // 4) * b) % 4 + 4 * ((a // 4) ^ (b // 4)) for b in range(8)] for a in range(8)]
+
+
+def _exact_families():
+    """``(name, group, dim)`` of every built-in exact representation: z1-z8 at dims 1 to order + 2, S3 and
+    its relabelled table at 3 and 6, D4 at 8."""
+    groups = {f"z{n}": FiniteGroup.cyclic(n) for n in range(1, 9)}
+    groups.update(s3=FiniteGroup.symmetric3(), relabelled_s3=FiniteGroup.from_table(RELABELLED_S3),
+                  d4=FiniteGroup.from_table(D4))
+    dims = {"s3": (3, 6), "relabelled_s3": (3, 6), "d4": (8,)}
+    for name, group in groups.items():
+        for dim in dims.get(name, range(1, group.order + 3)):
+            yield pytest.param(name, group, dim, id=f"{name}-dim{dim}")
+
+
+@pytest.mark.parametrize("name,group,dim", _exact_families())
+def test_exact_representation_multiplies_exactly_in_any_labelling(name, group, dim):
+    # U_a U_b = U_ab at every (a, b): exactly for the permutation actions, to 1e-12 for the characters
+    us = np.stack(exact_representation(group, dim))
+    products, expected = us[:, None] @ us[None], us[group.mult]
+    if name.startswith("z") and dim != group.order:
+        np.testing.assert_allclose(products, expected, rtol=0, atol=1e-12)
+        return
+    assert set(us.ravel().tolist()) <= {0, 1}
+    assert (us.sum(axis=1) == 1).all() and (us.sum(axis=2) == 1).all()  # a permutation matrix each
+    np.testing.assert_array_equal(products, expected)
+
+
+def test_relabelled_s3_is_s3_and_sweeps_at_zero_scale_to_zero_defect(tmp_path, capsys):
+    group = FiniteGroup.from_table(RELABELLED_S3)
+    assert (group.mult != group.mult.T).any()  # the non-abelian group of order 6
+    path = tmp_path / "relabelled_s3.json"
+    path.write_text(json.dumps({"order": 6, "table": RELABELLED_S3}))
+    for dim in ([], ["--dim", "6"]):
+        assert cli.main(["grouprep", "--group", str(path), "--scale", "0", "--count", "1", "--seed", "1", *dim]) == 0
+        assert json.loads(capsys.readouterr().out)["defect_epsilon"] <= 1e-28
+
+
 def test_klein_four_has_no_built_in_rep_at_dim_2():
     # not cyclic, so no character powers; dim 2 is not its order either
     klein = FiniteGroup.from_table([[a ^ b for b in range(4)] for a in range(4)])

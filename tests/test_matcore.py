@@ -19,7 +19,6 @@ from uhlmann.uhlmann import RigidityReport
 from uhlmann.matcore import (
     dagger,
     hermitian_eigen,
-    image_projector,
     matrix_sign,
     op_norm,
     op_norm_exceeds,
@@ -147,10 +146,10 @@ def test_psd_sqrt_clamps_dust_but_rejects_negatives():
 
 def test_image_projector(rng):
     m = random_complex(rng, 4, 4)
-    np.testing.assert_allclose(image_projector(m), np.eye(4), atol=1e-10)
-    np.testing.assert_allclose(image_projector(np.zeros((3, 3))), np.zeros((3, 3)), atol=0)
+    np.testing.assert_allclose(matcore.gram_power(svd(m), 0), np.eye(4), atol=1e-10)
+    np.testing.assert_allclose(matcore.gram_power(svd(np.zeros((3, 3))), 0), np.zeros((3, 3)), atol=0)
     m2 = random_complex(rng, 3, 2) @ random_complex(rng, 2, 3)
-    pi = image_projector(m2)
+    pi = matcore.gram_power(svd(m2), 0)
     assert np.trace(pi).real == pytest.approx(2, abs=1e-9)
     assert op_norm(pi @ m2 - m2) <= 1e-9 * op_norm(m2)
 
@@ -260,7 +259,7 @@ def test_schur_two_paths_agree(rng):
 def test_cmjson_roundtrip(tmp_path, rng):
     m = random_complex(rng, 3, 2)
     path = tmp_path / "m.json"
-    matcore.write_matrix(path, m)
+    path.write_text(matcore.matrix_json_text(m), encoding="ascii")
     np.testing.assert_array_equal(matcore.read_cmjson(path)[0], m)
 
 
@@ -273,7 +272,7 @@ def test_cmjson_rejects_nonfinite(tmp_path):
 
 def test_cmjson_write_is_17_digits(tmp_path):
     path = tmp_path / "m.json"
-    matcore.write_matrix(path, np.array([[1 / 3 + 0j]]))
+    path.write_text(matcore.matrix_json_text(np.array([[1 / 3 + 0j]])), encoding="ascii")
     assert "0.33333333333333331" in path.read_text()
 
 
@@ -391,12 +390,12 @@ def test_spectral_helpers_share_one_rank_rule(rng):
         assert matcore.psd_function(eig, matcore.inv_sqrt).tobytes() == pinv_sqrt.tobytes()
         # the same functions of p from its factor x, cut on x's singular values
         f = matcore.svd(x)
-        np.testing.assert_allclose(matcore.gram_power(f, 0), image_projector(p), atol=1e-10)
+        np.testing.assert_allclose(matcore.gram_power(f, 0), matcore.gram_power(svd(p), 0), atol=1e-10)
         np.testing.assert_allclose(matcore.gram_power(f, 1), psd_sqrt(p), atol=1e-8)
         np.testing.assert_allclose(matcore.gram_power(f, -1) @ matcore.gram_power(f, 1),
-                                   image_projector(p), atol=1e-10)
+                                   matcore.gram_power(svd(p), 0), atol=1e-10)
         np.testing.assert_allclose(matcore.psd_function(eig, matcore.inv_sqrt) @ psd_sqrt(p),
-                                   image_projector(p), atol=1e-8)
+                                   matcore.gram_power(svd(p), 0), atol=1e-8)
     # a zero matrix keeps nothing on any path
     assert matcore.rank_cut(np.zeros(3), 3) == 0
     np.testing.assert_array_equal(matrix_sign(np.zeros((2, 2))), np.zeros((2, 2)))

@@ -23,7 +23,7 @@ from uhlmann.protocol import (
     run_protocol,
     soundness_probe,
 )
-from uhlmann.uhlmann import obliqueness_kappa, spectral_gap_eta
+from uhlmann.uhlmann import canonical_w, obliqueness_kappa, random_instance, spectral_gap_eta
 
 
 def test_round_count_formula():
@@ -223,6 +223,29 @@ def test_soundness_probe():
         assert eps_row["trace_distance"] <= 1 / params.r + 1e-6
     assert rows["random"]["acceptance"] < 0.5
     assert report.max_distance_accepted <= 1 / params.r + 1e-6
+
+
+def test_soundness_probe_traces_out_an_ancilla():
+    # the trace distance of an ancilla prover against a brute-force one: |C> on Dom(W) times |0_anc>,
+    # 1_A (x) U on B (x) anc, the ancilla traced out, over the domain weight
+    inst = random_instance(4, np.random.default_rng(41))
+    params = ProtocolParams.for_instance(inst, n=2, r=2)
+    honest = honest_prover(inst)
+    provers = [ProverStrategy("honest_anc", np.kron(honest.channel, np.eye(2)), ancilla_dim=2),
+               ProverStrategy("haar_anc", random_unitary(np.random.default_rng(42), 8), ancilla_dim=2)]
+    report = soundness_probe(inst, params, provers, trials=3, seed=1)
+    w = canonical_w(inst)
+    mc = (inst.c.coeffs @ (w.conj().T @ w).T).ravel()
+
+    def joint(u, k):
+        vec = np.kron(np.eye(inst.dim_a), u) @ np.kron(mc, np.eye(k)[0])
+        rho = np.outer(vec, vec.conj()).reshape(mc.size, k, mc.size, k)
+        return np.trace(rho, axis1=1, axis2=3) / np.vdot(mc, mc).real
+
+    target = joint(honest.channel, 1)
+    brute = [0.5 * np.abs(np.linalg.eigvalsh(joint(p.channel, 2) - target)).sum() for p in provers]
+    np.testing.assert_allclose([row["trace_distance"] for row in report.rows], brute, rtol=0, atol=1e-12)
+    assert brute[0] <= 1e-12 < 0.1 < brute[1]
 
 
 def test_output_fidelity_honest_is_one():

@@ -30,12 +30,15 @@ warning names the file that raised it):
   D4 (order 8, non-abelian) table file at its default dim 8 with
   ``--count 3``, ``grouprep`` on z8 with ``--count 70`` (past one pass of
   64 rows at dim 8) and on s3 with ``--count 9``, ``grouprep`` at dim 1 on z1
-  (1 x 1 grids) and on z8 (1 x 64 grids), and ``grouprep`` on table
-  files with float, boolean and ragged entries;
+  (1 x 1 grids) and on z8 (1 x 64 grids), ``grouprep`` on a table file of
+  S3 with its elements renumbered (default dim and dim 6, at ``--scale`` 0
+  and 0.3, ``--count 2``), and ``grouprep`` on table files with float,
+  boolean and ragged entries;
 * ``report`` and ``certificate`` with ``--probe-trials -3``, with
   ``--epsilon 1e308`` (a bound that overflows) and with ``--seed -1`` (no
   probe), ``grouprep --dim 0``, ``protocol --seed -1``, ``adversarial
-  kappa`` and ``boost`` at ``--lam 0``, and ``adversarial kappa`` at
+  kappa`` and ``boost`` at ``--lam 0`` and at ``--d 3 --lam 0.5`` (the top,
+  1/(d-1)), and ``adversarial kappa`` at
   ``--d 3`` with ``--lam`` 0.6, inf and nan and at ``--d 1 --lam 0.1``;
 * ``canonical`` and ``report``, default and ``--tol 1e-9``, on the eta
   family at d = 4, eta = 1e-10, where Tr_A|D><C| has relative singular
@@ -337,6 +340,14 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
     pathlib.Path("table_d4.json").write_text(json.dumps({"order": 8, "table": d4}))
     rec.cli("grouprep.table_d4", ["grouprep", "--group", "table_d4.json", "--count", "3", "--seed", "3",
                                   "--scale", "0.3"])
+    # S3 with its elements renumbered: the exact representation is read off the table, any labelling
+    s3_relabelled = [[0, 1, 2, 3, 4, 5], [1, 5, 4, 2, 3, 0], [2, 3, 0, 1, 5, 4],
+                     [3, 4, 5, 0, 1, 2], [4, 2, 1, 5, 0, 3], [5, 0, 3, 4, 2, 1]]
+    pathlib.Path("table_s3_relabelled.json").write_text(json.dumps({"order": 6, "table": s3_relabelled}))
+    for dim, scale in itertools.product((None, "6"), ("0", "0.3")):
+        rec.cli(f"grouprep.table_s3_relabelled_dim{dim or 'default'}_scale{scale}",
+                ["grouprep", "--group", "table_s3_relabelled.json", "--count", "2", "--seed", "3", "--scale", scale,
+                 *(["--dim", dim] if dim else [])])
     for name, table in (("float", [[0, 1.9], [1.2, 0]]), ("bool", [[False, True], [True, False]]),
                         ("ragged", [[0, 1], [1]])):
         pathlib.Path(f"table_{name}.json").write_text(json.dumps({"order": 2, "table": table}))
@@ -349,6 +360,7 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
         rec.cli(f"rand3.{cmd}_seed_negative", [cmd, "--c", "rand3_c.json", "--d", "rand3_d.json", "--seed", "-1"])
     for fam in ("kappa", "boost"):
         rec.cli(f"adversarial.{fam}_lam0", ["adversarial", fam, "--lam", "0"])
+        rec.cli(f"adversarial.{fam}_d3_lam0.5", ["adversarial", fam, "--d", "3", "--lam", "0.5"])  # 1/(d-1)
     for name, extra in (("lam0.6", ["--d", "3", "--lam", "0.6"]), ("lam_inf", ["--d", "3", "--lam", "inf"]),
                         ("lam_nan", ["--d", "3", "--lam", "nan"]), ("d1", ["--d", "1", "--lam", "0.1"])):
         rec.cli(f"adversarial.kappa_{name}", ["adversarial", "kappa", *extra])
