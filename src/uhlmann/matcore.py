@@ -397,14 +397,57 @@ def schur_psd_margin(a, b, c, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 
+_TEMPLATE_MIN_VALUES = 256  # below this numpy's fixed cost exceeds what it saves over "%.17g"
+_PAIRS_PER_FORMAT = 1024  # [re, im] pairs per "%" call, which bounds the Python ints alive at once
+_DECADES = np.array([1e-4, 1e-3, 1e-2, 0.1])  # each double lies just above its power of ten
+_POW10 = np.array([float(10**p) for p in range(17, 21)])  # exact doubles
+# "0." and z zeros before "%d", as "[...," for a real part and "...]," for an imaginary one: index z, + 4 if negative
+_PIECES = np.array([f"{'[' * (im == 0)}{s}0.{'0' * z}%d{'],' if im else ','}"
+                    for im in (0, 1) for s in ("", "-") for z in range(4)], dtype=object)
+
+
+def _pairs_text(flat: np.ndarray) -> str:
+    """``[re,im],...`` of whole pairs, each value as ``format_value`` prints it.  A value in [1e-4, 1) is
+    ``"0."``, z zeros and its 17-digit significand, the integer nearest a * 10**(17 + z) (ties to even).  Dekker's
+    product (Veltkamp's split by 2**27 + 1) gives that as hi + lo exactly, and hi is an even integer past 2**53."""
+    a = np.abs(flat)
+    fast = (a >= 1e-4) & (a < 1)
+    a = np.where(fast, a, 0.5)
+    z = 4 - np.searchsorted(_DECADES, a, side="right")
+    b = _POW10[z]
+    hi = a * b
+    ca, cb = a * 134217729.0, b * 134217729.0
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    sig = hi.astype(np.int64) + np.rint(((ah * bh - hi) + ah * bl + al * bh) + al * bl).astype(np.int64)
+    fast &= (sig >= 10**16) & (sig < 10**17)  # one that rounds up to the next power of ten prints by itself
+    ends = np.flatnonzero(fast & (sig % 10 == 0))
+    while ends.size:  # strip trailing zeros
+        sig[ends] //= 10
+        ends = ends[sig[ends] % 10 == 0]
+    code = z + 4 * np.signbit(flat)
+    code[1::2] += 8
+    pieces = _PIECES[code]
+    slow = np.flatnonzero(~fast)
+    for k, v in zip(slow.tolist(), flat[slow].tolist()):
+        pieces[k] = ("%s]," if k % 2 else "[%s,") % format_value(v)
+    return "".join(pieces.tolist())[:-1] % tuple(sig[fast].tolist())
+
+
 def format_value(x) -> str:
-    """Output text of one value; a complex array or a float array of pairs prints as ``[[re,im],...]``.
+    """Output text of one value; a complex128 array or a float64 array of pairs prints as ``[[re,im],...]``,
+    and any other array raises TypeError.
 
     Negative zero prints as ``-0.0``: JSON reads ``-0`` as the integer 0, which drops the sign.
     """
     if isinstance(x, np.ndarray):
-        flat = x.ravel().view(float).tolist()
-        text = ",".join(["[%.17g,%.17g]"] * (len(flat) // 2)) % tuple(flat)
+        if x.dtype != np.complex128 and (x.dtype != np.float64 or x.size % 2):
+            raise TypeError(f"format_value prints complex128 values or float64 [re, im] pairs, "
+                            f"not {x.size} values of dtype {x.dtype}")
+        flat, step = x.ravel().view(np.float64), 2 * _PAIRS_PER_FORMAT
+        if flat.size >= _TEMPLATE_MIN_VALUES:
+            return "[" + ",".join([_pairs_text(flat[i:i + step]) for i in range(0, flat.size, step)]) + "]"
+        text = ",".join(["[%.17g,%.17g]"] * (flat.size // 2)) % tuple(flat.tolist())
         return "[" + text.replace("[-0,", "[-0.0,").replace(",-0]", ",-0.0]") + "]"
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -422,7 +465,7 @@ def json_line(items: dict) -> str:
     """``{"k":v,...}`` and a newline: sorted keys, each value by ``format_value``.  A float that JSON
     cannot hold (inf, nan) raises ValueError naming its key, so every line parses."""
     for k, v in items.items():
-        if isinstance(v, float) and not math.isfinite(v):
+        if isinstance(v, (float, np.floating)) and not math.isfinite(v):
             raise ValueError(f"{k} is {v}, which JSON cannot hold")
     return "{" + ",".join(f'"{k}":{format_value(items[k])}' for k in sorted(items)) + "}\n"
 

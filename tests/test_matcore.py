@@ -6,9 +6,12 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_complex, random_hermitian, random_psd, random_unitary
 from uhlmann import matcore
@@ -276,25 +279,42 @@ def test_cmjson_write_is_17_digits(tmp_path):
     assert "0.33333333333333331" in path.read_text()
 
 
+def _ref(v):  # 17 significant digits; -0.0 keeps its sign through a JSON reader
+    return "-0.0" if v == 0 and np.signbit(v) else f"{v:.17g}"
+
+
+def _ref_pairs(flat):
+    """``[[re,im],...]`` of a float64 array of pairs, value by value through ``_ref``."""
+    v = np.asarray(flat, dtype=float).ravel().tolist()
+    return "[" + ",".join(f"[{_ref(v[i])},{_ref(v[i + 1])}]" for i in range(0, len(v), 2)) + "]"
+
+
+# the integer-significand route's edges: 1e-4, 1 and the powers of ten between, each with its neighbours,
+# and decimal ties (k 2**-30 has an exact decimal expansion of 30 digits)
+_ROUTE_EDGES = [w for v in (1e-4, 1e-3, 1e-2, 0.1, 1.0) for w in (np.nextafter(v, 0), v, np.nextafter(v, 2))] + [
+    0.5, 0.25, 2.0**-14, 3 * 2.0**-30, (2.0**53 + 1) * 2.0**-60, 0.99999999999999978, 1e-5, 1.5]
+
+
 def _writer_edge_matrices():
-    """Signed zeros in both parts, subnormals and 1e300 in a 3x5 grid, and views of it."""
+    """Signed zeros in both parts, subnormals and 1e300 in a 3x5 grid, and views of it; a 64x64 grid
+    holding the same edges and the integer-significand route's edges, each signed both ways."""
     grid = random_complex(np.random.default_rng(8), 3, 5)
     grid.flat[:6] = [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -1.5e-310),
                      complex(1e300, -1e300), complex(-1.5e-310, 5e-324)]
     frozen = grid.copy()
     frozen.flags.writeable = False
+    big = random_complex(np.random.default_rng(64), 64, 64) / 64
+    big.flat[:6] = grid.flat[:6]
+    big.flat[6:6 + len(_ROUTE_EDGES)] = [complex(v, -v) for v in _ROUTE_EDGES]
+    big.flat[-len(_ROUTE_EDGES):] = [complex(-v, v) for v in _ROUTE_EDGES]
     return {"3x5": grid, "scaled": grid * 1e-12, "transposed": grid.T, "read_only": frozen,
-            "1x1": np.array([[complex(-0.0, 1e300)]])}
+            "1x1": np.array([[complex(-0.0, 1e300)]]), "64x64": big}
 
 
-@pytest.mark.parametrize("name", ["3x5", "scaled", "transposed", "read_only", "1x1"])
+@pytest.mark.parametrize("name", ["3x5", "scaled", "transposed", "read_only", "1x1", "64x64"])
 def test_cmjson_writer_bytes_at_the_edges(name):
     m = _writer_edge_matrices()[name]
-
-    def ref(v):  # 17 significant digits; -0.0 keeps its sign through a JSON reader
-        return "-0.0" if v == 0 and np.signbit(v) else f"{v:.17g}"
-
-    data = ",".join(f"[{ref(z.real)},{ref(z.imag)}]" for z in m.ravel())
+    data = ",".join(f"[{_ref(z.real)},{_ref(z.imag)}]" for z in m.ravel())
     rows, cols = m.shape
     assert matcore.matrix_json_text(m) == f'{{"cols":{cols},"data":[{data}],"rows":{rows}}}\n'
     text = matcore.matrix_json_text(m, extra={"a": True, "dim": 3, "norm": -0.0, "zeta": None})
@@ -303,11 +323,62 @@ def test_cmjson_writer_bytes_at_the_edges(name):
     assert back.tobytes() == np.ascontiguousarray(m).tobytes()  # every bit, sign bits included
 
 
-@pytest.mark.parametrize("name", ["3x5", "scaled", "transposed", "read_only", "1x1"])
+@pytest.mark.parametrize("name", ["3x5", "scaled", "transposed", "read_only", "1x1", "64x64"])
 def test_cmjson_fields_round_trip_in_memory(name):
     m = _writer_edge_matrices()[name]
     back = matcore.cmjson_to_matrix(matcore.matrix_to_cmjson(m))
     assert back.tobytes() == np.ascontiguousarray(m).tobytes()  # every bit, sign bits included
+
+
+def test_writer_prints_every_value_as_the_per_value_reference():
+    rng = np.random.default_rng(31)
+    edges = np.array(_ROUTE_EDGES + [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 1e300])
+    ties = np.concatenate([np.arange(1, 2**14) * 2.0**-30, (2.0**53 + np.arange(2**14)) * 2.0**-60])
+    cases = [rng.integers(0, 2**64, size=2**17, dtype=np.uint64).view(np.float64),  # nan and inf among them
+             np.tile(np.concatenate([edges, -edges]), 8), ties, -ties, rng.normal(size=4096) * 1e-3]
+    gate, chunk = matcore._TEMPLATE_MIN_VALUES, 2 * matcore._PAIRS_PER_FORMAT
+    sizes = (gate - 2, gate, gate + 2, chunk - 2, chunk, chunk + 2, 2 * chunk - 2, 2 * chunk, 2 * chunk + 2)
+    cases += [rng.uniform(-1, 1, n) for n in sizes]
+    grid = random_complex(rng, 40, 30) / 40
+    frozen = grid.copy()
+    frozen.flags.writeable = False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the value screen, nan and inf included
+        for values in cases:
+            values = values[:values.size // 2 * 2]
+            assert matcore.format_value(values) == _ref_pairs(values)
+        for m in (grid, grid.T, frozen):
+            assert matcore.format_value(m) == _ref_pairs(np.ascontiguousarray(m).view(float))
+        pairs = np.ascontiguousarray(grid.T).view(float)
+        assert matcore.format_value(pairs) == matcore.format_value(pairs.reshape(-1, 2)) == _ref_pairs(pairs)
+
+
+_PROPERTY_EDGES = st.sampled_from(_ROUTE_EDGES + [0.0, -0.0, 5e-324, 1e300, float("inf"), float("nan")])
+
+
+@given(pairs=st.integers(128, 2500), seed=st.integers(0, 2**32 - 1), low=st.integers(-12, 3),
+       span=st.integers(0, 12), edges=st.lists(_PROPERTY_EDGES, max_size=12))
+def test_writer_matches_the_per_value_reference_on_any_float_array(pairs, seed, low, span, edges):
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.0, 1.0], 2 * pairs) * 10.0 ** rng.uniform(low, low + span, 2 * pairs)
+    values[rng.choice(2 * pairs, len(edges), replace=False)] = edges
+    assert matcore.format_value(values) == _ref_pairs(values)
+
+
+@pytest.mark.parametrize("array", [np.array([1, 2]), np.zeros(3), np.zeros(4, dtype=np.complex64),
+                                   np.zeros(4, dtype=np.float32), np.array([True, False])],
+                         ids=["int64", "odd_float64", "complex64", "float32", "bool"])
+def test_writer_refuses_arrays_that_are_not_complex128_or_float64_pairs(array):
+    with pytest.raises(TypeError, match=f"not {array.size} values of dtype {array.dtype}$"):
+        matcore.format_value(array)
+
+
+def test_json_line_refuses_numpy_non_finite_floats():
+    for bad in (np.float32("inf"), np.float32("-inf"), np.float32("nan"), np.float16("inf"), np.float16("nan")):
+        with pytest.raises(ValueError, match="^x is "):
+            matcore.json_line({"a": 1, "x": bad})
+    finite = matcore.json_line({"x": np.float32(0.1), "y": np.float16(-0.0)})
+    assert finite == '{"x":0.10000000149011612,"y":-0.0}\n'
 
 
 def test_stacked_op_norm_and_hermitian_eigen_match_each_matrix(rng):

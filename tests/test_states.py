@@ -259,3 +259,13 @@ def test_state_file_roundtrip(tmp_path, rng):
     back = states.read_state(path)
     np.testing.assert_array_equal(back.coeffs, s.coeffs)
     assert back.normalized
+
+
+def test_state_file_round_trips_bit_for_bit_at_d128(tmp_path):
+    grid = random_complex(np.random.default_rng(128), 128, 128)
+    grid /= np.linalg.norm(grid)
+    grid.flat[:4] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -1e300),
+                     complex(1e-4, -0.99999999999999989)]
+    path = tmp_path / "state.json"
+    states.write_state(path, BipartitePureState(grid, normalized=False))
+    assert states.read_state(path).coeffs.tobytes() == grid.tobytes()  # -0.0 keeps its sign bit

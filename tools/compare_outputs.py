@@ -83,9 +83,14 @@ warning names the file that raised it):
   density matrices;
 * the cmjson text (with extra keys on both sides of ``data``) of writer edge
   matrices: a 3x5 grid holding -0.0 in either part, 5e-324, -1.5e-310 and
-  1e300, that grid scaled by 1e-12, its transpose, a read-only copy, a 1x1
-  and a 128x128 grid holding the same edge values; and each written by
-  ``write_state`` and read back by ``read_state``;
+  1e300, that grid scaled by 1e-12, its transpose, a read-only copy, a 1x1,
+  a 128x128 grid holding the same edge values and a 64x64 grid holding them
+  and the integer-significand route's boundaries (1e-4, 1e-3, 1e-2, 0.1 and
+  1 with their neighbours, and decimal ties, signed both ways); and each
+  written by ``write_state`` and read back by ``read_state``;
+* on a d = 128 pair (``random_instance(128, default_rng(1128))``, ranks 40
+  and 37), ``canonical --out`` and ``round-gap --eta-target 0.3 --out-c
+  --out-d`` with the files they write;
 * ``canonical`` and ``report`` on rand32's C file with its keys reordered and
   whitespace between every token, and ``canonical`` on three broken copies
   of rand32's C file (a leading zero, a pair of four numbers, a NaN);
@@ -216,8 +221,15 @@ def _edge_matrices():
     frozen.flags.writeable = False
     big = rng.normal(size=(128, 128)) + 1j * rng.normal(size=(128, 128))
     big.flat[:6] = grid.flat[:6]
+    # 1e-4, 1 and the powers of ten between with their neighbours, and decimal ties, each signed both ways
+    bounds = [w for v in (1e-4, 1e-3, 1e-2, 0.1, 1.0) for w in (np.nextafter(v, 0), v, np.nextafter(v, 2))]
+    bounds += [0.5, 0.25, 3 * 2.0**-30, (2.0**53 + 1) * 2.0**-60]
+    small = (rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))) / 64
+    small.flat[:6] = grid.flat[:6]
+    small.flat[6:6 + len(bounds)] = [complex(v, -v) for v in bounds]
+    small.flat[-len(bounds):] = [complex(-v, v) for v in bounds]
     return {"3x5": grid, "scaled": grid * 1e-12, "transposed": grid.T, "read_only": frozen,
-            "1x1": np.array([[complex(-0.0, 1e300)]]), "128x128": big}
+            "1x1": np.array([[complex(-0.0, 1e300)]]), "128x128": big, "64x64_bounds": small}
 
 
 def _state_round_trip(m):
@@ -266,6 +278,15 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
         for k, extra in enumerate((["--eta-target", "0.3"], ["--eta-target", "0.1", "--mix-delta", "1e-4"])):
             rec.cli(f"{name}.round_gap{k}", ["round-gap", *files, *extra, "--out-c", "rc.json",
                                               "--out-d", "rd.json"], ("rc.json", "rd.json"))
+
+    # matrix and state files at d = 128, where most values print from integer significands
+    big = uhlmann.random_instance(128, np.random.default_rng(1128), rank_c=40, rank_d=37)
+    states.write_state("big128_c.json", big.c)
+    states.write_state("big128_d.json", big.d)
+    files = ["--c", "big128_c.json", "--d", "big128_d.json"]
+    rec.cli("big128.canonical_out", ["canonical", *files, "--out", "w.json"], ("w.json",))
+    rec.cli("big128.round_gap", ["round-gap", *files, "--eta-target", "0.3", "--out-c", "rc.json",
+                                 "--out-d", "rd.json"], ("rc.json", "rd.json"))
 
     # the state file reformatted, and broken: the same bytes or errors by any reader
     text = pathlib.Path("rand32_c.json").read_text()
