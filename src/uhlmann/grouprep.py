@@ -110,6 +110,8 @@ class FiniteGroup(Record):
             raise BadParamsError(f"group file must hold a JSON object, got {type(obj).__name__}")
         if type(obj.get("labels", [])) is not list:
             raise BadParamsError(f"labels field must be a list, got {obj['labels']!r}")
+        if "order" not in obj or "table" not in obj:
+            raise BadParamsError(f"group file has no field {'order' if 'order' not in obj else 'table'}")
         if type(obj["order"]) is not int:  # json also gives floats, strings and bools
             raise BadParamsError(f"order field must be an integer, got {obj['order']!r}")
         if obj["order"] != len(obj["table"]):

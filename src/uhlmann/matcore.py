@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import inspect
+import io
 import itertools
 import json
 import math
@@ -406,20 +407,25 @@ _PIECES = np.array([f"{'[' * (im == 0)}{s}0.{'0' * z}%d{'],' if im else ','}"
                     for im in (0, 1) for s in ("", "-") for z in range(4)], dtype=object)
 
 
-def _pairs_text(flat: np.ndarray) -> str:
-    """``[re,im],...`` of whole pairs, each value as ``format_value`` prints it.  A value in [1e-4, 1) is
-    ``"0."``, z zeros and its 17-digit significand, the integer nearest a * 10**(17 + z) (ties to even).  Dekker's
-    product (Veltkamp's split by 2**27 + 1) gives that as hi + lo exactly, and hi is an even integer past 2**53."""
-    a = np.abs(flat)
-    fast = (a >= 1e-4) & (a < 1)
-    a = np.where(fast, a, 0.5)
-    z = 4 - np.searchsorted(_DECADES, a, side="right")
-    b = _POW10[z]
+def _exact_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hi, lo with hi = fl(a * b) and hi + lo = a * b exactly: Dekker's product, Veltkamp's split by 2**27 + 1."""
     hi = a * b
     ca, cb = a * 134217729.0, b * 134217729.0
     ah, bh = ca - (ca - a), cb - (cb - b)
     al, bl = a - ah, b - bh
-    sig = hi.astype(np.int64) + np.rint(((ah * bh - hi) + ah * bl + al * bh) + al * bl).astype(np.int64)
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _pairs_text(flat: np.ndarray) -> str:
+    """``[re,im],...`` of whole pairs, each value as ``format_value`` prints it.  A value in [1e-4, 1) is
+    ``"0."``, z zeros and its 17-digit significand, the integer nearest a * 10**(17 + z) (ties to even):
+    ``_exact_product`` gives that product as hi + lo exactly, and hi is an even integer past 2**53."""
+    a = np.abs(flat)
+    fast = (a >= 1e-4) & (a < 1)
+    a = np.where(fast, a, 0.5)
+    z = 4 - np.searchsorted(_DECADES, a, side="right")
+    hi, lo = _exact_product(a, _POW10[z])
+    sig = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     fast &= (sig >= 10**16) & (sig < 10**17)  # one that rounds up to the next power of ten prints by itself
     ends = np.flatnonzero(fast & (sig % 10 == 0))
     while ends.size:  # strip trailing zeros
@@ -478,37 +484,48 @@ def matrix_to_cmjson(m) -> dict:
 
 def cmjson_to_matrix(obj: dict) -> np.ndarray:
     """The matrix of cmjson fields: ``rows`` and ``cols`` are integers (``json_count``) and ``data`` is a
-    list of rows*cols [re, im] pairs of JSON numbers (or ``matrix_to_cmjson``'s float array).  Anything else
-    raises ValueError naming the field, or DimensionMismatchError for a data length off rows*cols."""
+    list of rows*cols [re, im] pairs of JSON numbers (or a float array of them, as ``matrix_to_cmjson`` and
+    ``read_cmjson`` give it).  Anything else raises ValueError naming the field, or DimensionMismatchError for a
+    data length off rows*cols."""
     if type(obj) is not dict:
         raise ValueError(f"cmjson must be a JSON object, got {type(obj).__name__}")
     rows, cols = json_count(obj, "rows", "cmjson"), json_count(obj, "cols", "cmjson")
-    data = obj["data"].tolist() if isinstance(obj["data"], np.ndarray) else obj["data"]
-    if type(data) is not list:
-        raise ValueError(f"cmjson data must be a list of [re, im] pairs, got {type(data).__name__}")
+    data = pairs = json_field(obj, "data", "cmjson")
+    if not (isinstance(data, np.ndarray) and data.dtype == np.float64 and data.shape[1:] == (2,)):
+        pairs, data = None, data.tolist() if isinstance(data, np.ndarray) else data
+        if type(data) is not list:
+            raise ValueError(f"cmjson data must be a list of [re, im] pairs, got {type(data).__name__}")
     if len(data) != rows * cols:
         raise DimensionMismatchError(
             f"cmjson data length {len(data)} != rows*cols = {rows * cols}"
         )
-    try:  # a pair of anything but two numbers fails the length or the types, strings and objects included
-        flat = list(itertools.chain.from_iterable(data)) if set(map(len, data)) <= {2} else None
-    except TypeError:  # an entry without a length
-        flat = None
-    if flat is None or not set(map(type, flat)) <= {int, float}:
-        raise ValueError("cmjson data entries must be [re, im] pairs of numbers")
-    try:
-        pairs = np.fromiter(flat, float, len(flat))
-    except OverflowError:  # an integer past the float range, as a literal past it reads inf
-        raise ValueError("cmjson data holds an integer too large for a float") from None
+    if pairs is None:
+        try:  # a pair of anything but two numbers fails the length or the types, strings and objects included
+            flat = list(itertools.chain.from_iterable(data)) if set(map(len, data)) <= {2} else None
+        except TypeError:  # an entry without a length
+            flat = None
+        if flat is None or not set(map(type, flat)) <= {int, float}:
+            raise ValueError("cmjson data entries must be [re, im] pairs of numbers")
+        try:
+            pairs = np.fromiter(flat, float, len(flat))
+        except OverflowError:  # an integer past the float range, as a literal past it reads inf
+            raise ValueError("cmjson data holds an integer too large for a float") from None
     bad = ~np.isfinite(pairs.reshape(-1, 2)).all(axis=1)
     if bad.any():
         raise ValueError(f"cmjson entry {int(bad.argmax())} is not finite")
-    return pairs.view(complex).reshape(rows, cols)  # [re, im] interleaved is complex128's layout
+    return np.ascontiguousarray(pairs).view(complex).reshape(rows, cols)  # [re, im] is complex128's layout
+
+
+def json_field(obj: dict, key: str, where: str):
+    """``obj[key]``, or ValueError naming the field when ``obj`` has none."""
+    if key not in obj:
+        raise ValueError(f"{where} has no field {key}")
+    return obj[key]
 
 
 def json_count(obj: dict, key: str, where: str) -> int:
     """``obj[key]`` when it is a JSON integer >= 0 (not a boolean, not a float), else ValueError naming it."""
-    v = obj[key]
+    v = json_field(obj, key, where)
     if type(v) is not int or v < 0:
         raise ValueError(f"{where} field {key} must be an integer >= 0, got {v!r}")
     return v
@@ -519,17 +536,95 @@ def matrix_json_text(m, extra: dict | None = None) -> str:
     return json_line({**(extra or {}), **matrix_to_cmjson(m)})
 
 
+# Reading.  A file whose data is one "data" key's [[re,im],...] of at least _TEMPLATE_MIN_VALUES values with no
+# whitespace, as the writer prints it, is read by _compact_fields in pieces of about 1500 of the writer's pairs.
+_TEN = np.array([10.0**k for k in range(23)])  # exact doubles
+_NUMBER_BYTES = bytes(c if c in b"0123456789,.-[]eE+" else ord("x") for c in range(256))  # any other byte to "x"
+_PIECE_BYTES = 64 * _PAIRS_PER_FORMAT  # a piece ends at the first "],[" past this many bytes
+
+
+def _piece_values(piece: bytes, out: np.ndarray) -> int:
+    """How many values ``[t,t],...,[t,t]`` holds, written to ``out`` with json's bits; 0 if it is not of that
+    form.  A token ``-?0.`` and L <= 22 digits of int64 significand F < 10**18 is F / 10**L: one correctly
+    rounded division q while F < 2**53 (Clinger), and past that q + (F - q 10**L) / 10**L from the exact residual,
+    kept unless it lies within 2**-40 ulp of a midpoint.  json reads the other tokens and those near-ties."""
+    digits = piece.translate(_NUMBER_BYTES, b"[]-.eE+")
+    x, d = np.frombuffer(piece, np.uint8), np.frombuffer(digits, np.uint8) == 44
+    sep = np.flatnonzero(x == 44)
+    odd = np.arange(sep.size) & 1
+    starts, ends = np.concatenate(([1], sep + 1 + odd)), np.append(sep - odd, x.size - 1)
+    if (starts.size > out.size or starts.size % 2 or b"x" in digits or d[0] or d[-1] or (d[1:] & d[:-1]).any()
+            or x[0] != 91 or x[-1] != 93 or not ((x[sep[1::2] - 1] == 93) & (x[sep[1::2] + 1] == 91)).all()):
+        return 0  # a byte no number holds, a token without digits, or a comma or bracket out of place
+    neg = x[starts] == 45
+    size = ends - starts - neg - 2  # L, if the token is "-?0." and L digits
+    f = np.fromstring(digits, np.int64, sep=",")  # saturates at 2**63 - 1
+    fast = (x[starts + neg] == 48) & (x[starts + neg + 1] == 46) & (size >= 1) & (size <= 22) & (f < 10**18)
+    fast[np.searchsorted(starts, np.flatnonzero(x | 32 == 101), "right") - 1] = False  # an exponent
+    f[~fast] = 0
+    ten, fh = _TEN[size * fast], f.astype(float)
+    q = f / ten
+    hi, lo = _exact_product(q, ten)
+    step = (((fh - hi) + (f - fh.astype(np.int64))) - lo) / ten
+    nearest = q + step
+    err = step - (nearest - q)  # exact, and off F / 10**L - nearest by under 2**-51 ulp
+    ulp = np.abs((nearest.view(np.int64) + np.where(err < 0, -1, 1)).view(float) - nearest)  # on err's side
+    fast &= ulp - 2 * np.abs(err) > ulp * 2.0**-39
+    other = np.flatnonzero(~fast)
+    toks = b",".join([piece[s:e] for s, e in zip(starts[other].tolist(), ends[other].tolist())])
+    marks = len(toks) - len(toks.translate(None, b"-.eE+")) + np.count_nonzero(neg & fast)
+    if x.size - len(digits) != 2 * starts.size - other.size + marks:
+        return 0  # a bracket, or a sign, point or exponent past a significand's "0."
+    np.multiply(nearest, np.where(neg, -1.0, 1.0), out=out[:starts.size])
+    try:  # inf from a literal past the float range is cmjson_to_matrix's to report
+        out[other] = np.fromiter(json.loads(b"[" + toks + b"]"), float, other.size)
+    except (ValueError, OverflowError):  # not JSON numbers, or an integer past the float range
+        return 0
+    return starts.size
+
+
+def _compact_fields(raw: bytes) -> dict | None:
+    """The fields of ASCII cmjson bytes with ``data`` as its (n, 2) float array, as json reads them, when
+    ``data`` is in the writer's form; None for any other file, valid or not."""
+    start = raw.find(b'"data":[[') + 7
+    end = raw.find(b"]]", start) + 2
+    # the writer's first _TEMPLATE_MIN_VALUES / 2 pairs take 52 bytes each at most: a smaller file goes to json unparsed
+    if start < 7 or raw.count(b"],[", start, start + 32 * _TEMPLATE_MIN_VALUES) < _TEMPLATE_MIN_VALUES // 2 - 1:
+        return None
+    rest = raw[:start] + b"[]" + raw[end:]
+    try:
+        obj = json.loads(rest) if rest.count(b'"data"') == 1 and b"\\" not in rest else None
+    except ValueError:
+        return None
+    ok = type(obj) is dict and obj.get("data") == [] and type(obj.get("rows")) is type(obj.get("cols")) is int
+    n = 2 * obj["rows"] * obj["cols"] if ok else 0
+    if not _TEMPLATE_MIN_VALUES <= n <= (end - start) // 2:  # each value takes two bytes at least
+        return None
+    out, pos, done = np.empty(n), start + 1, 0
+    while pos < end - 1:
+        cut = raw.find(b"],[", pos + _PIECE_BYTES, end - 1) + 1 or end - 1
+        k = _piece_values(raw[pos:cut], out[done:])
+        if not k:
+            return None
+        pos, done = cut + 1, done + k
+    obj["data"] = out.reshape(-1, 2)
+    return obj if done == n else None
+
+
 def read_cmjson(path) -> tuple[np.ndarray, dict]:
-    """A cmjson file's matrix and fields, as ``cmjson_to_matrix(json.load(fh))`` gives them, except that
-    ``data`` is the matrix's (rows*cols, 2) float array of [re, im] pairs, a view of the matrix.  The
+    """A cmjson file's matrix and fields, as ``cmjson_to_matrix(json.load(fh))`` gives them from the file in
+    text mode, except that ``data`` is the matrix's (rows*cols, 2) float array of [re, im] pairs, a view of the
+    matrix.  ``_compact_fields`` reads the writer's form; every other file goes to json, in text mode.  The
     cyclic garbage collector, process-wide, is paused from the parse until ``data`` has replaced json's
     lists, so that no collection walks them; its earlier state is restored on success and on error."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        obj = json.loads(text)
+        obj = _compact_fields(raw) if raw.isascii() else None
+        if obj is None:
+            obj = json.loads(io.TextIOWrapper(io.BytesIO(raw), encoding="ascii").read())
         m = cmjson_to_matrix(obj)
         obj["data"] = m.ravel().view(float).reshape(-1, 2)
     finally:

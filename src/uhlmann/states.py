@@ -223,13 +223,14 @@ def write_state(path, s: BipartitePureState) -> None:
 
 def read_state(path) -> BipartitePureState:
     """The state of a cmjson file whose ``dim_a``, ``dim_b`` are integers and ``normalized`` true or false:
-    a field of another JSON type raises ValueError naming it."""
+    a missing field, or one of another JSON type, raises ValueError naming it."""
     coeffs, obj = matcore.read_cmjson(path)
     dim_a, dim_b = (matcore.json_count(obj, k, "state file") for k in ("dim_a", "dim_b"))
-    if type(obj["normalized"]) is not bool:
-        raise ValueError(f"state file field normalized must be true or false, got {obj['normalized']!r}")
+    normalized = matcore.json_field(obj, "normalized", "state file")
+    if type(normalized) is not bool:
+        raise ValueError(f"state file field normalized must be true or false, got {normalized!r}")
     if coeffs.shape != (dim_a, dim_b):
         raise DimensionMismatchError(
             f"state file dims ({dim_a},{dim_b}) disagree with grid shape {coeffs.shape}"
         )
-    return BipartitePureState(coeffs, normalized=obj["normalized"])
+    return BipartitePureState(coeffs, normalized=normalized)

@@ -47,8 +47,9 @@ warning names the file that raised it):
   top-level array; ``rows`` an array or a string; ``cols`` a float; ``dim_a``
   null; ``data`` a number, or holding a string, a boolean or an integer past
   the float range; ``normalized`` a string) and ``grouprep`` on group files
-  that are an array or have numeric ``labels``; an error that escapes
-  ``cli.main`` is recorded as the output;
+  that are an array or have numeric ``labels``; ``canonical`` on a state file
+  without ``normalized`` and ``grouprep`` on a group file without ``order``;
+  an error that escapes ``cli.main`` is recorded as the output;
 * per subcommand (``canonical``, ``report`` with and without a probe,
   ``certificate``, ``round-gap``, ``adversarial eta``, ``protocol`` with the
   honest and the derangement prover, ``grouprep``), the sorted ``uhlmann.*``
@@ -90,7 +91,10 @@ warning names the file that raised it):
   written by ``write_state`` and read back by ``read_state``;
 * on a d = 128 pair (``random_instance(128, default_rng(1128))``, ranks 40
   and 37), ``canonical --out`` and ``round-gap --eta-target 0.3 --out-c
-  --out-d`` with the files they write;
+  --out-d`` with the files they write, the ``read_state`` bits of its C file,
+  and ``canonical`` on five copies of that file with its first value broken
+  or respelled (a leading zero, a pair of four numbers, a NaN, an exponent
+  token and a 23-digit fraction);
 * ``canonical`` and ``report`` on rand32's C file with its keys reordered and
   whitespace between every token, and ``canonical`` on three broken copies
   of rand32's C file (a leading zero, a pair of four numbers, a NaN);
@@ -287,6 +291,17 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
     rec.cli("big128.canonical_out", ["canonical", *files, "--out", "w.json"], ("w.json",))
     rec.cli("big128.round_gap", ["round-gap", *files, "--eta-target", "0.3", "--out-c", "rc.json",
                                  "--out-d", "rd.json"], ("rc.json", "rd.json"))
+    rec.value("big128.read_state", lambda: _hex(states.read_state("big128_c.json").coeffs))
+    # its C file broken, or with its first value respelled, where a large file's compact route meets it
+    text = pathlib.Path("big128_c.json").read_text()
+    first = text[text.index('"data":[[') + 9:].split(",", 1)[0]
+    padded = first + "0" * (23 - len(first.split(".")[1]))  # the same value
+    for name, broken in (("leading_zero", text.replace(first, "01", 1)),
+                         ("four_numbers", text.replace("],[", ",", 1)), ("nan", text.replace(first, "NaN", 1)),
+                         ("exponent", text.replace(first, "%.16e" % float(first), 1)),
+                         ("fraction_23_digits", text.replace(first, padded, 1))):
+        pathlib.Path(f"broken128_{name}.json").write_text(broken)
+        rec.cli(f"cmjson_error128.{name}", ["canonical", "--c", f"broken128_{name}.json", "--d", "big128_d.json"])
 
     # the state file reformatted, and broken: the same bytes or errors by any reader
     text = pathlib.Path("rand32_c.json").read_text()
@@ -410,6 +425,11 @@ def dump(out: pathlib.Path, demos: pathlib.Path) -> None:
     for name, text in (("top_list", "[1,2]"), ("labels_number", '{"order":2,"table":[[0,1],[1,0]],"labels":5}')):
         pathlib.Path(f"group_{name}.json").write_text(text)
         rec.cli(f"typed_error.group_{name}", ["grouprep", "--group", f"group_{name}.json", "--count", "1"])
+    # a state file and a group file, each without one field
+    pathlib.Path("missing_normalized.json").write_text(base.replace(',"normalized":true', ""))
+    rec.cli("missing_field.normalized", ["canonical", "--c", "missing_normalized.json", "--d", "rand3_d.json"])
+    pathlib.Path("group_missing_order.json").write_text('{"table":[[0,1],[1,0]]}')
+    rec.cli("missing_field.group_order", ["grouprep", "--group", "group_missing_order.json", "--count", "1"])
 
     for name, inst in _pairs().items():
         core = inst.spectral_core()
